@@ -54,20 +54,15 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     SpreadEmbedding,
-    degree,
-    divides,
     embed_spread,
-    gcd,
     is_complete_intersection,
     is_t_spread,
-    lcm,
     minimalize,
     polarize,
     polarize_ideal,
     sigma,
     sigma_t,
     spread_ideal,
-    support,
 )
 from .smooth import (
     SmoothCertificate,

@@ -63,7 +63,10 @@ def parse_ideal(text: str) -> tuple[MonomialIdeal, list[Monomial]]:
             raise IdealFileError(f"expected {n} exponents, got {len(exps)}", lineno)
         if not any(exps):
             raise IdealFileError("unit generator (all-zero exponent row)", lineno)
-        gens.append(Monomial(exps, n))
+        try:
+            gens.append(Monomial(exps, n))
+        except OverflowError as e:
+            raise IdealFileError(str(e), lineno) from None
     if n is None:
         raise IdealFileError('missing header "n <count>"')
     if not gens:

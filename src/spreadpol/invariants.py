@@ -11,13 +11,24 @@ c <= g (g the lcm of the generators), split by membership of x^c in the
 ideal.  A partition of one side into boxes [a, b] is scored by the smallest
 number of coordinates of any upper corner b that are saturated (b_j = g_j);
 Stanley depth is the best score over all partitions, found by a
-branch-and-bound search from the largest conceivable score downwards.
+branch-and-bound search from the largest conceivable score downwards
+(Herzog, Vladoiu and Zheng, J. Algebra 2009).
+
+Every point set of that search is a Python int used as a bitmask over the
+whole grid prod(g_j + 1), bit i standing for the i-th point in
+itertools.product order.  Per coordinate j and value v the grid keeps the
+slabs x_j >= v and x_j <= v; the up-set and the down-set of a point, the
+generator up-sets (whose union is the ideal side) and a box [a, c] =
+up(a) & down(c) are intersections of slabs.  A box lies in a side exactly
+when it has no bit outside the side's mask.  Grid order is lexicographic,
+so "least uncovered point" is the lowest free bit and candidate upper
+corners are tried from the highest bit down.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -144,6 +155,65 @@ def depth_quotient(I: MonomialIdeal) -> DepthReport:
     )
 
 
+class _Grid:
+    """Slab bitmasks over the exponent grid below `bound`.
+
+    Bit i is the i-th point of itertools.product(range(g_1 + 1), ...), so
+    the point p sits at bit sum(p_j * stride_j).
+    """
+
+    __slots__ = ("bound", "full", "stride", "at_least", "at_most")
+
+    def __init__(self, bound: tuple[int, ...]):
+        size = 1
+        for gj in bound:
+            size *= gj + 1
+        self.bound = bound
+        self.full = (1 << size) - 1
+        self.stride: list[int] = []
+        self.at_least: list[list[int]] = []  # [j][v]: points with x_j >= v
+        self.at_most: list[list[int]] = []  # [j][v]: points with x_j <= v
+        stride = size
+        for gj in bound:
+            stride //= gj + 1
+            period = stride * (gj + 1)
+            repeat = self.full // ((1 << period) - 1)
+            self.stride.append(stride)
+            self.at_least.append(
+                [repeat * ((1 << period) - (1 << v * stride)) for v in range(gj + 1)]
+            )
+            self.at_most.append(
+                [repeat * ((1 << (v + 1) * stride) - 1) for v in range(gj + 1)]
+            )
+
+    def up(self, p: tuple[int, ...]) -> int:
+        mask = self.full
+        for slabs, v in zip(self.at_least, p):
+            mask &= slabs[v]
+        return mask
+
+    def down(self, p: tuple[int, ...]) -> int:
+        mask = self.full
+        for slabs, v in zip(self.at_most, p):
+            mask &= slabs[v]
+        return mask
+
+    def down_closure(self, mask: int) -> int:
+        for gj, stride, slabs in zip(self.bound, self.stride, self.at_least):
+            for _ in range(gj):
+                mask |= (mask & slabs[1]) >> stride
+        return mask
+
+    def saturated_at_least(self) -> list[int]:
+        """Entry k: points with at least k coordinates saturated (p_j = g_j)."""
+        levels = [self.full] + [0] * len(self.bound)
+        for j, gj in enumerate(self.bound):
+            top = self.at_least[j][gj]
+            for k in range(j + 1, 0, -1):
+                levels[k] |= levels[k - 1] & top
+        return levels
+
+
 @dataclass(frozen=True)
 class CharacteristicPoset:
     """All exponent vectors below the generator lcm, flagged by membership."""
@@ -152,9 +222,14 @@ class CharacteristicPoset:
     bound: tuple[int, ...]
     points: tuple[tuple[int, ...], ...]
     in_ideal: tuple[bool, ...]
+    grid: _Grid = field(repr=False, compare=False)
+    ideal_mask: int = field(repr=False, compare=False)
 
     def side(self, ideal_side: bool) -> list[tuple[int, ...]]:
         return [p for p, f in zip(self.points, self.in_ideal) if f == ideal_side]
+
+    def side_mask(self, ideal_side: bool) -> int:
+        return self.ideal_mask if ideal_side else self.grid.full & ~self.ideal_mask
 
 
 def build_characteristic_poset(I: MonomialIdeal) -> CharacteristicPoset:
@@ -166,93 +241,93 @@ def build_characteristic_poset(I: MonomialIdeal) -> CharacteristicPoset:
             raise TooLargeError(
                 f"characteristic poset exceeds {MAX_POSET_POINTS} points"
             )
-    points = tuple(itertools.product(*(range(gj + 1) for gj in g)))
-    gens = [u.exponents for u in I.generators]
-    flags = tuple(
-        any(all(a <= c for a, c in zip(u, p)) for u in gens) for p in points
-    )
+    grid = _Grid(g)
+    ideal_mask = 0
+    for u in I.generators:
+        ideal_mask |= grid.up(u.exponents)
+    bits = bin(ideal_mask)[2:].zfill(size)
     return CharacteristicPoset(
-        ambient=I.ambient, bound=g, points=points, in_ideal=flags
+        ambient=I.ambient,
+        bound=g,
+        points=tuple(itertools.product(*(range(gj + 1) for gj in g))),
+        in_ideal=tuple(b == "1" for b in reversed(bits)),
+        grid=grid,
+        ideal_mask=ideal_mask,
     )
 
 
 def _box_partition_value(
-    points: list[tuple[int, ...]], g: tuple[int, ...]
+    poset: CharacteristicPoset, side: int
 ) -> tuple[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
-    """Best achievable min-score over box partitions of the given point set.
+    """Best achievable min-score over box partitions of the points in `side`.
 
     Branch and bound on a target score k, high to low: repeatedly take the
-    lexicographically least uncovered point and try to close it off with a
-    box whose upper corner saturates at least k coordinates of g.  Failed
-    cover states are memoized as bitmasks.
+    least uncovered point and try to close it off with a box whose upper
+    corner saturates at least k coordinates of g.  The search starts at the
+    largest k for which every point of the side has such a corner above it.
     """
-    n = len(g)
-    if not points:
+    grid, points = poset.grid, poset.points
+    n = len(grid.bound)
+    if not side:
         return n, ()
-    npts = len(points)
-    index = {p: i for i, p in enumerate(points)}
-    rho = [sum(1 for bj, gj in zip(p, g) if bj == gj) for p in points]
-    above = [
-        [c for c in range(npts) if all(x >= y for x, y in zip(points[c], points[a]))]
-        for a in range(npts)
-    ]
-    start = min(min(n, max(rho[c] for c in above[a])) for a in range(npts))
-    full = (1 << npts) - 1
+    levels = grid.saturated_at_least()
+    start = n
+    while side & ~grid.down_closure(side & levels[start]):
+        start -= 1
 
-    def box_mask(a: int, c: int) -> int | None:
-        lo, hi = points[a], points[c]
-        mask = 0
-        for q in itertools.product(*(range(x, y + 1) for x, y in zip(lo, hi))):
-            i = index.get(q)
-            if i is None:
-                return None  # box escapes the point set
-            mask |= 1 << i
-        return mask
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 2 * npts + 200))
-    try:
-        return _box_search(points, rho, above, start, full, box_mask)
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def _box_search(points, rho, above, start, full, box_mask):
-    npts = len(points)
+    up = functools.cache(lambda a: grid.up(points[a]))
+    down = functools.cache(lambda c: grid.down(points[c]))
+    outside = grid.full & ~side
     for k in range(start, -1, -1):
-        cand = [[c for c in above[a] if rho[c] >= k] for a in range(npts)]
-        if any(not c for c in cand):
-            continue
-        failed: set[int] = set()
-
-        def search(covered: int) -> list[tuple[int, int]] | None:
-            if covered == full:
-                return []
-            if covered in failed:
-                return None
-            uncovered = ~covered & full
-            a = (uncovered & -uncovered).bit_length() - 1
-            for c in reversed(cand[a]):
-                mask = box_mask(a, c)
-                if mask is None or mask & covered:
-                    continue
-                rest = search(covered | mask)
-                if rest is not None:
-                    return [(a, c)] + rest
-            failed.add(covered)
-            return None
-
-        result = search(0)
+        result = _box_search(grid.full, outside, side & levels[k], up, down)
         if result is not None:
-            boxes = tuple((points[a], points[c]) for a, c in sorted(result))
-            return k, boxes
+            return k, tuple((points[a], points[c]) for a, c in sorted(result))
     raise AssertionError("score 0 partition into singletons always exists")
+
+
+def _box_search(full, outside, uppers, up, down) -> list[tuple[int, int]] | None:
+    """Depth-first search for a box partition of the grid minus `outside`.
+
+    The state is the blocked set: points covered so far or outside the side,
+    so a box is usable exactly when it meets no blocked bit.  Each stack
+    frame holds [blocked, a, untried, c]: the least free point a, the upper
+    corners in `uppers` above a not yet tried, and the corner c whose box
+    led to the frame above it.  States that admit no partition are memoized.
+    """
+    failed: set[int] = set()
+
+    def frame(blocked: int) -> list[int]:
+        a = (~blocked & (blocked + 1)).bit_length() - 1
+        return [blocked, a, up(a) & uppers, -1]
+
+    stack = [frame(outside)]
+    while stack:
+        top = stack[-1]
+        blocked, a, untried, _ = top
+        up_a = up(a)
+        while untried:
+            c = untried.bit_length() - 1
+            untried ^= 1 << c
+            mask = up_a & down(c)
+            if mask & blocked:
+                continue
+            nxt = blocked | mask
+            top[2], top[3] = untried, c
+            if nxt == full:
+                return [(f[1], f[3]) for f in stack]
+            if nxt not in failed:
+                stack.append(frame(nxt))
+                break
+        else:
+            failed.add(blocked)
+            stack.pop()
+    return None
 
 
 def sdepth_quotient(I: MonomialIdeal) -> SdepthReport:
     """Stanley depth of the quotient ring, by exact partition search."""
     poset = build_characteristic_poset(I)
-    value, boxes = _box_partition_value(poset.side(False), poset.bound)
+    value, boxes = _box_partition_value(poset, poset.side_mask(False))
     return SdepthReport(
         ambient=I.ambient, value=value, bound=poset.bound, intervals=boxes
     )
@@ -261,7 +336,7 @@ def sdepth_quotient(I: MonomialIdeal) -> SdepthReport:
 def sdepth_ideal(I: MonomialIdeal) -> SdepthReport:
     """Stanley depth of the ideal itself, by exact partition search."""
     poset = build_characteristic_poset(I)
-    value, boxes = _box_partition_value(poset.side(True), poset.bound)
+    value, boxes = _box_partition_value(poset, poset.side_mask(True))
     return SdepthReport(
         ambient=I.ambient, value=value, bound=poset.bound, intervals=boxes
     )

@@ -175,26 +175,6 @@ class Monomial:
         return f"Monomial({list(self.exponents)})"
 
 
-def lcm(u: Monomial, v: Monomial) -> Monomial:
-    return u.lcm(v)
-
-
-def gcd(u: Monomial, v: Monomial) -> Monomial:
-    return u.gcd(v)
-
-
-def divides(u: Monomial, v: Monomial) -> bool:
-    return u.divides(v)
-
-
-def support(u: Monomial) -> frozenset[int]:
-    return u.support
-
-
-def degree(u: Monomial) -> int:
-    return u.degree
-
-
 def minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Drop every monomial strictly divisible by another one in the set.
 

@@ -190,6 +190,19 @@ class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         assert main(["spread"]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["n 2\n65536 1\n", "n 3\n0 70000 1\n1 1 1\n", "n 1\n100000\n"],
+    )
+    def test_huge_exponent_is_2(self, tmp_path, capsys, text):
+        path = write(tmp_path, "huge.ideal", text)
+        assert main(["check-smooth", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: line 2: exponent exceeds 65535"
+        ]
+
     def test_too_large_is_3(self, tmp_path, capsys):
         path = write(tmp_path, "big.ideal", "n 1\n5000\n")
         assert main(["sdepth", path]) == 3

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from spreadpol import (
 )
 from spreadpol.taylor import taylor_betti
 from genutils import random_ci_ideal, random_ideal
+from oracles import box_partition_by_points
 
 
 def M(*exps):
@@ -29,6 +31,9 @@ def M(*exps):
 
 def ideal(n, rows):
     return MonomialIdeal.from_exponents(n, rows)
+
+
+CYC4 = [(2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)]
 
 
 class TestOrderComplexBetti:
@@ -188,6 +193,43 @@ class TestSdepth:
             self._check_report(I, rep_i, side=True)
             assert 0 <= rep_q.value <= I.ambient
             assert 0 <= rep_i.value <= I.ambient
+
+
+class TestSdepthReference:
+    """The grid-bitmask search against the point-walking reference."""
+
+    @staticmethod
+    def _grid_size(I):
+        size = 1
+        for g in I.lcm_of_generators.exponents:
+            size *= g + 1
+        return size
+
+    def test_same_partitions_as_reference(self):
+        rng = random.Random(95)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(1, 4)
+            I = random_ideal(rng, n, rng.randint(2, 4), 3)
+            family = [I, spread_ideal(I, n, pad=True), spread_ideal(I, n + 1, pad=True)]
+            if max(self._grid_size(J) for J in family) > 256:
+                continue
+            checked += 1
+            for J in family:
+                poset = build_characteristic_poset(J)
+                for side, sdepth in ((False, sdepth_quotient), (True, sdepth_ideal)):
+                    rep = sdepth(J)
+                    expected = box_partition_by_points(poset.side(side), poset.bound)
+                    assert (rep.value, rep.intervals) == expected, (J, side)
+
+    def test_leaves_the_recursion_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("sys.setrecursionlimit called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        S = spread_ideal(ideal(4, CYC4), 4, pad=True)
+        assert sdepth_quotient(S).value == 8
+        assert sdepth_ideal(S).value == 10
 
 
 class TestSpreadingLaws:
