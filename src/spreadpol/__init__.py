@@ -15,6 +15,7 @@ from .errors import (
     DegreeBoundError,
     DegreeMismatchError,
     EmptySetError,
+    ExponentOverflowError,
     IdealFileError,
     InvariantViolation,
     NotMinimalError,

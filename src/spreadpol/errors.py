@@ -63,6 +63,13 @@ class TooLargeError(SpreadpolError):
     """Input exceeds a hard size cap of an exact oracle."""
 
 
+class ExponentOverflowError(TooLargeError, OverflowError):
+    """An exponent or a degree exceeds the monomial size guards.
+
+    It is also an OverflowError, so handlers of the built-in catch it too.
+    """
+
+
 class IdealFileError(SpreadpolError):
     """Malformed ideal file; carries the offending 1-based line number."""
 

@@ -5,13 +5,23 @@ of subsets of the minimal generators (the empty subset contributing 1),
 ordered by divisibility.  It is atomistic with the generators as atoms; the
 join of two elements is their lcm, the meet is the greatest common lower
 bound *within the lattice* (which may properly divide the gcd).
+
+Elements are listed with every divisor before its multiples, and each one
+carries three Python-int bitmasks built once in the constructor: the
+elements below it and above it (from per-variable exponent slabs) and its
+atom support.  In a lattice the common upper bounds above(u) & above(v) are
+exactly the up-set of the join, so the join is their lowest bit; dually the
+common lower bounds below(u) & below(v) are the down-set of the meet, their
+highest bit, and no gcd is needed.  An atomistic lattice is fixed by its
+family of atom supports, so an isomorphism is a permutation of atoms
+carrying one family onto the other.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import reduce
+from typing import Mapping
 
 from .errors import (
     BadParameterError,
@@ -25,9 +35,16 @@ MAX_ATOMS = 20
 
 
 class LcmLattice:
-    """The lcm-lattice of a monomial ideal, elements stored as monomials."""
+    """A finite lattice of monomials under divisibility, with its atoms.
 
-    __slots__ = ("ambient", "atoms", "elements", "_index", "_atom_support", "_covers")
+    `elements` must be distinct and list every divisor before its multiples
+    (build_lcm_lattice sorts them); every atom must be an element.
+    """
+
+    __slots__ = (
+        "ambient", "atoms", "elements", "_index", "_below", "_above",
+        "_atom_at", "_support", "_covers",
+    )
 
     def __init__(self, ambient: int, atoms: tuple[Monomial, ...],
                  elements: tuple[Monomial, ...]):
@@ -35,9 +52,26 @@ class LcmLattice:
         self.atoms = atoms
         self.elements = elements
         self._index = {e: k for k, e in enumerate(elements)}
-        self._atom_support = tuple(
-            frozenset(a for a, atom in enumerate(atoms) if atom.divides(e))
-            for e in elements
+        full = (1 << len(elements)) - 1
+        below, above = [full] * len(elements), [full] * len(elements)
+        for column in zip(*(e.exponents for e in elements)):
+            slab = dict.fromkeys(sorted(set(column)), 0)  # value -> elements at it
+            for k, v in enumerate(column):
+                slab[v] |= 1 << k
+            at_most, acc = {}, 0
+            for v, mask in slab.items():
+                acc |= mask
+                at_most[v] = acc
+            for k, v in enumerate(column):
+                below[k] &= at_most[v]
+                above[k] &= full ^ at_most[v] ^ slab[v]
+        if any(mask >> k != 1 for k, mask in enumerate(below)):
+            raise BadParameterError("lattice elements must be distinct, divisors first")
+        self._below, self._above = below, above
+        self._atom_at = tuple(self.index(a) for a in atoms)
+        self._support = tuple(
+            sum(1 << a for a, i in enumerate(self._atom_at) if mask >> i & 1)
+            for mask in below
         )
         self._covers = None
 
@@ -63,46 +97,67 @@ class LcmLattice:
 
     def atom_support(self, u: Monomial) -> frozenset[int]:
         """Indices of the atoms lying below u (the maximal atom subset)."""
-        return self._atom_support[self.index(u)]
+        mask = self._support[self.index(u)]
+        return frozenset(a for a in range(len(self.atoms)) if mask >> a & 1)
 
     def leq(self, u: Monomial, v: Monomial) -> bool:
-        self.index(u), self.index(v)
-        return u.divides(v)
+        i, j = self.index(u), self.index(v)
+        return bool(self._below[j] >> i & 1)
 
     def join(self, u: Monomial, v: Monomial) -> Monomial:
-        self.index(u), self.index(v)
-        w = u.lcm(v)
-        if w not in self._index:
-            raise InvariantViolation(f"lattice not join-closed at {u}, {v}")
-        return w
+        return self.elements[self._join(self.index(u), self.index(v))]
 
     def meet(self, u: Monomial, v: Monomial) -> Monomial:
         """Greatest common lower bound inside the lattice (not the gcd)."""
-        self.index(u), self.index(v)
-        out = self.elements[0]
-        for e in self.elements:
-            if e.divides(u) and e.divides(v):
-                out = out.lcm(e)
-        if not (out.divides(u) and out.divides(v)) or out not in self._index:
+        i, j = self.index(u), self.index(v)
+        common = self._below[i] & self._below[j]
+        w = common.bit_length() - 1
+        if w < 0 or common != self._below[w]:
             raise InvariantViolation(f"meet of {u}, {v} escaped the lattice")
-        return out
+        return self.elements[w]
+
+    def _join(self, i: int, j: int) -> int:
+        common = self._above[i] & self._above[j]
+        w = (common & -common).bit_length() - 1
+        if w < 0 or common != self._above[w]:
+            raise InvariantViolation(
+                f"lattice not join-closed at {self.elements[i]}, {self.elements[j]}"
+            )
+        return w
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges as (lower, upper) element index pairs."""
         if self._covers is None:
-            elems = self.elements
-            below = [
-                [i for i, e in enumerate(elems) if e != f and e.divides(f)]
-                for f in elems
-            ]
             edges = []
-            for j, lower in enumerate(below):
-                lower_set = set(lower)
-                for i in lower:
-                    if not any(i in below[k] for k in lower_set if k != i):
-                        edges.append((i, j))
+            for j, mask in enumerate(self._below):
+                rest = mask ^ 1 << j
+                while rest:  # the highest bit left is maximal below j
+                    i = rest.bit_length() - 1
+                    edges.append((i, j))
+                    rest &= ~self._below[i]
             self._covers = tuple(sorted(edges))
         return self._covers
+
+    def crosscut_faces(self, u: Monomial) -> list[int]:
+        """Faces of the atom crosscut complex of [bottom, u], as atom masks.
+
+        A face is a set of atoms below u whose join lies strictly below u,
+        the empty set included; faces come in increasing mask order.
+        """
+        k = self.index(u)
+        support, top = self._support[k], self._above[k]
+        upper = {0: self._above[0]}  # face -> its atoms' common upper bounds
+        sub = 0
+        while True:
+            sub = (sub - support) & support  # next submask in increasing order
+            if not sub:
+                return list(upper)
+            low = sub & -sub
+            common = upper.get(sub ^ low)
+            if common is not None:  # a superset of a non-face is none either
+                common &= self._above[self._atom_at[low.bit_length() - 1]]
+                if common != top:
+                    upper[sub] = common
 
 
 def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:
@@ -112,10 +167,11 @@ def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:
         raise TooLargeError(
             f"{len(atoms)} generators exceed the lattice cap of {MAX_ATOMS}"
         )
-    elems = {Monomial.unit(I.ambient)}
+    elems = {(0,) * I.ambient}
     for atom in atoms:
-        elems |= {e.lcm(atom) for e in elems}
-    return LcmLattice(I.ambient, atoms, tuple(sorted(elems)))
+        elems |= {tuple(map(max, e, atom.exponents)) for e in elems}
+    elements = tuple(Monomial(e, I.ambient) for e in sorted(elems))
+    return LcmLattice(I.ambient, atoms, elements)
 
 
 @dataclass(frozen=True)
@@ -130,134 +186,87 @@ class LatticeMap:
         return self.mapping[u]
 
 
-def _order_matrix(L: LcmLattice) -> list[list[bool]]:
-    return [[a.divides(b) for b in L.elements] for a in L.elements]
-
-
-def _signatures(leq: list[list[bool]]) -> list[int]:
-    """Iteratively refined order-invariant labels (a Weisfeiler-Leman pass)."""
-    n = len(leq)
-    down = [tuple(i for i in range(n) if leq[i][j]) for j in range(n)]
-    up = [tuple(j for j in range(n) if leq[i][j]) for i in range(n)]
-    sigs = [(len(down[i]), len(up[i])) for i in range(n)]
-    ranked = {s: r for r, s in enumerate(sorted(set(sigs)))}
-    labels = [ranked[s] for s in sigs]
-    for _ in range(3):
-        sigs = [
-            (
-                labels[i],
-                tuple(sorted(labels[j] for j in down[i])),
-                tuple(sorted(labels[j] for j in up[i])),
-            )
-            for i in range(n)
-        ]
-        ranked = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        labels = [ranked[s] for s in sigs]
-    return labels
-
-
 def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | None:
     """Search for a join- and meet-preserving bijection between two lattices.
 
-    Quick invariants (sizes, refined up/down-set signatures) run first; the
-    remaining work is a backtracking search over atom assignments, each
-    extended to the whole lattice by join-closure because lcm-lattices are
-    atomistic.  Returns the witnessing element bijection, or None.
+    An isomorphism of atomistic lattices is a bijection of atoms carrying
+    the family of atom supports of L1 onto that of L2.  The atoms of L1 are
+    assigned in order, each to the first free atom of L2 for which the
+    supports made of assigned atoms correspond both ways; the first complete
+    assignment is extended to the elements.  Returns the witnessing element
+    bijection, or None.  Raises BadParameterError for a lattice whose
+    elements are not determined by their atom supports.
     """
-    if len(L1) != len(L2) or len(L1.atoms) != len(L2.atoms):
+    if any(len(set(L._support)) != len(L) for L in (L1, L2)):
+        raise BadParameterError("lattice elements are not determined by their atom sets")
+    m = len(L1.atoms)
+    if len(L1) != len(L2) or m != len(L2.atoms):
         return None
-    leq1, leq2 = _order_matrix(L1), _order_matrix(L2)
-    sig1, sig2 = _signatures(leq1), _signatures(leq2)
-    if sorted(sig1) != sorted(sig2):
-        return None
+    closing: list[list[list[int]]] = [[] for _ in range(m)]
+    for s in L1._support:  # each nonempty support, under its highest atom
+        if s:
+            closing[s.bit_length() - 1].append([a for a in range(m) if s >> a & 1])
+    target = dict(zip(L2._support, L2.elements))
+    holding = [[t for t in L2._support if t >> b & 1] for b in range(m)]
+    image = [0] * m  # image[a]: the bit of the L2 atom assigned to atom a
 
-    atoms1 = [L1.index(a) for a in L1.atoms]
-    atoms2 = [L2.index(a) for a in L2.atoms]
-
-    def extend(assignment: dict[int, int]) -> dict[Monomial, Monomial] | None:
-        mapping: dict[Monomial, Monomial] = {}
-        used = set()
-        for k, e in enumerate(L1.elements):
-            sup = L1._atom_support[k]
-            img = L2.bottom
-            for a in sup:
-                img = img.lcm(L2.elements[assignment[atoms1[a]]])
-            if img not in L2 or L2.index(img) in used:
-                return None
-            used.add(L2.index(img))
-            mapping[e] = img
-        # order isomorphism in both directions
-        idx2 = [L2.index(mapping[e]) for e in L1.elements]
-        for i in range(len(L1)):
-            for j in range(len(L1)):
-                if leq1[i][j] != leq2[idx2[i]][idx2[j]]:
-                    return None
-        # joins and meets, verified explicitly
-        for u, v in itertools.combinations_with_replacement(L1.elements, 2):
-            if mapping[L1.join(u, v)] != L2.join(mapping[u], mapping[v]):
-                return None
-            if mapping[L1.meet(u, v)] != L2.meet(mapping[u], mapping[v]):
-                return None
-        return mapping
-
-    def backtrack(pos: int, assignment: dict[int, int], used: set[int]):
-        if pos == len(atoms1):
-            return extend(assignment)
-        i = atoms1[pos]
-        for j in atoms2:
-            if j in used or sig1[i] != sig2[j]:
+    def place(a: int, used: int) -> bool:
+        if a == m:
+            return True
+        for b in range(m):
+            if used >> b & 1:
                 continue
-            assignment[i] = j
-            used.add(j)
-            found = backtrack(pos + 1, assignment, used)
-            if found is not None:
-                return found
-            del assignment[i]
-            used.remove(j)
-        return None
+            image[a] = 1 << b
+            assigned = used | image[a]
+            if (
+                all(sum(image[x] for x in s) in target for s in closing[a])
+                and sum(1 for t in holding[b] if not t & ~assigned) == len(closing[a])
+                and place(a + 1, assigned)
+            ):
+                return True
+        return False
 
-    return backtrack(0, {}, set())
+    if not place(0, 0):
+        return None
+    return {
+        e: target[sum(image[a] for a in range(m) if s >> a & 1)]
+        for e, s in zip(L1.elements, L1._support)
+    }
 
 
 def build_delta(I: MonomialIdeal) -> LatticeMap:
     """The collapse map from the lattice of the n-spread back onto L_I.
 
-    Every subset of generators contributes the pair (lcm of spreads, lcm of
-    originals); grouping the pairs by their spread-side value must give a
-    single source-side value per group, which is verified during
-    construction.  The grouping is NOT single-valued for every ideal: the
-    spread-side lcm only remembers, per variable, the union of offset
-    intervals, and distinct source lcms can produce identical unions (e.g.
-    (x2^3*x3, x1^2*x3, x1*x2*x3^2) in three variables, where the spread
-    lattice has fewer elements than the source lattice).  In that case no
-    collapse map exists and WellDefinednessViolation is raised.
+    delta(s) is the join of the source atoms whose spreads lie below s.  It
+    is the collapse map, sending the lcm of any spread generators to the lcm
+    of their originals, exactly when delta(s join sigma(a)) = delta(s) join a
+    for every element s and atom a, which is verified.  That fails for some
+    ideals: the spread-side lcm only remembers, per variable, the union of
+    offset intervals, and distinct source lcms can produce identical unions
+    (e.g. (x2^3*x3, x1^2*x3, x1*x2*x3^2) in three variables, where the spread
+    lattice has fewer elements than the source lattice).  Then no collapse
+    map exists and WellDefinednessViolation is raised.
     """
     n = I.ambient
     src = build_lcm_lattice(I)
     spread = spread_ideal(I, n)
     spr = build_lcm_lattice(spread)
-    atom_pairs = [(sigma_t(g, n).in_ambient(spread.ambient), g) for g in I.generators]
-
-    mapping: dict[Monomial, Monomial] = {}
-    frontier = {(spr.bottom, src.bottom)}
-    seen = set()
-    while frontier:
-        pair = frontier.pop()
-        if pair in seen:
-            continue
-        seen.add(pair)
-        s_val, t_val = pair
-        if s_val in mapping and mapping[s_val] != t_val:
-            raise WellDefinednessViolation(
-                f"spreading collapsed the lcm-lattice: {s_val} is the lcm of "
-                f"spread generator subsets with different source lcms "
-                f"{mapping[s_val]} and {t_val}; no collapse map exists"
-            )
-        mapping[s_val] = t_val
-        for sa, ta in atom_pairs:
-            frontier.add((s_val.lcm(sa), t_val.lcm(ta)))
-    if set(mapping) != set(spr.elements):
-        raise InvariantViolation("collapse map is not total on the spread lattice")
+    lifted = [spr.index(sigma_t(g, n).in_ambient(spread.ambient)) for g in src.atoms]
+    delta = [  # source atoms whose spreads lie below each spread element, joined
+        reduce(src._join, (i for i, s in zip(src._atom_at, lifted) if below >> s & 1), 0)
+        for below in spr._below
+    ]
+    for k, d in enumerate(delta):
+        for i, s in zip(src._atom_at, lifted):
+            up, want = spr._join(k, s), src._join(d, i)
+            if delta[up] != want:
+                raise WellDefinednessViolation(
+                    f"spreading collapsed the lcm-lattice: {spr.elements[up]} is the "
+                    f"lcm of spread generator subsets with different source lcms "
+                    f"{src.elements[delta[up]]} and {src.elements[want]}; "
+                    f"no collapse map exists"
+                )
+    mapping = {e: src.elements[d] for e, d in zip(spr.elements, delta)}
     return LatticeMap(source=spr, target=src, mapping=mapping)
 
 
@@ -270,10 +279,12 @@ def verify_delta(delta: LatticeMap) -> bool:
         return False
     if set(f.values()) != set(tgt.elements):
         return False
-    for u, v in itertools.combinations_with_replacement(src.elements, 2):
-        if f[src.join(u, v)] != tgt.join(f[u], f[v]):
-            return False
-    return True
+    image = [tgt.index(f[e]) for e in src.elements]
+    return all(
+        image[src._join(i, j)] == tgt._join(image[i], image[j])
+        for i in range(len(src))
+        for j in range(i, len(src))
+    )
 
 
 def hasse_dot(L: LcmLattice) -> str:

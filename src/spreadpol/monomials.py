@@ -22,6 +22,7 @@ from .errors import (
     AmbientMismatchError,
     BadParameterError,
     DegreeBoundError,
+    ExponentOverflowError,
     InvariantViolation,
     UnitGeneratorError,
     ZeroIdealError,
@@ -49,9 +50,9 @@ class Monomial:
         if any(e < 0 for e in exps):
             raise BadParameterError(f"negative exponent in {exps}")
         if any(e >= MAX_EXPONENT for e in exps):
-            raise OverflowError(f"exponent exceeds {MAX_EXPONENT - 1}")
+            raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT - 1}")
         if sum(exps) >= MAX_DEGREE:
-            raise OverflowError(f"degree exceeds {MAX_DEGREE - 1}")
+            raise ExponentOverflowError(f"degree exceeds {MAX_DEGREE - 1}")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "_hash", hash((ambient, exps)))

@@ -70,3 +70,18 @@ def random_ci_ideal(
             exps[j - 1] = rng.randint(1, max_exp)
         gens.append(Monomial(exps, n))
     return MonomialIdeal(n, gens)
+
+
+def random_equal_degree_ideal(
+    rng: random.Random, n: int, m: int, d: int
+) -> MonomialIdeal:
+    """Up to m distinct generators of degree d: an antichain, so all minimal."""
+    gens: set[tuple[int, ...]] = set()
+    for _ in range(20 * m):
+        exps = [0] * n
+        for _ in range(d):
+            exps[rng.randrange(n)] += 1
+        gens.add(tuple(exps))
+        if len(gens) == m:
+            break
+    return MonomialIdeal.from_exponents(n, sorted(gens))

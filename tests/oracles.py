@@ -11,14 +11,21 @@ The box-partition reference runs the same Stanley-depth search point by
 point, without the library's grid bitmasks: it lists, for every point, all
 points above it and tests a box by walking its lattice points.  It is
 quadratic in the number of points, so it serves small cases only.
+
+The order-complex reference computes the reduced Betti numbers of an open
+lattice interval from every chain in it, where the library uses the smaller
+crosscut complex; the number of chains grows factorially, so it serves
+small lattices only.  The isomorphism reference tries every atom
+permutation in lexicographic order on plain exponent tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+from typing import Iterable
 
-from spreadpol import Monomial
+from spreadpol import BadParameterError, LcmLattice, Monomial
 
 
 def smooth_by_exhaustion(monomials: list[Monomial], n: int) -> bool:
@@ -120,3 +127,103 @@ def _box_search(points, rho, above, start, full, box_mask):
             boxes = tuple((points[a], points[c]) for a, c in sorted(result))
             return k, boxes
     raise AssertionError("score 0 partition into singletons always exists")
+
+
+def _gf2_rank(rows: Iterable[int]) -> int:
+    pivots: dict[int, int] = {}
+    rank = 0
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead in pivots:
+                row ^= pivots[lead]
+            else:
+                pivots[lead] = row
+                rank += 1
+                break
+    return rank
+
+
+def order_complex_betti_by_chains(L: LcmLattice, m: Monomial) -> dict[int, int]:
+    """Reduced Betti numbers (over GF(2)) of the open interval (bottom, m).
+
+    The order complex has the elements strictly between the bottom and m as
+    vertices and all chains as faces.  Returns {dimension: rank} with zero
+    ranks omitted; the empty interval yields {-1: 1}.
+    """
+    if m == L.bottom:
+        raise BadParameterError("open interval below the bottom is undefined")
+    L.index(m)
+    vertices = sorted(
+        (e for e in L.elements if e != L.bottom and e != m and e.divides(m)),
+        key=lambda e: (e.degree, e.exponents),
+    )
+    nv = len(vertices)
+    succ = [
+        [w for w in range(v + 1, nv) if vertices[v].divides(vertices[w])]
+        for v in range(nv)
+    ]
+
+    faces: list[list[tuple[int, ...]]] = [[(v,) for v in range(nv)]]
+    while faces[-1]:
+        nxt = [chain + (w,) for chain in faces[-1] for w in succ[chain[-1]]]
+        faces.append(nxt)
+    faces.pop()
+
+    betti: dict[int, int] = {}
+    if nv == 0:
+        betti[-1] = 1
+        return betti
+    ranks = [1]  # boundary C_0 -> C_{-1}: every vertex hits the empty face
+    for k in range(1, len(faces)):
+        index = {f: c for c, f in enumerate(faces[k - 1])}
+        rows = []
+        for f in faces[k]:
+            mask = 0
+            for drop in range(len(f)):
+                mask |= 1 << index[f[:drop] + f[drop + 1 :]]
+            rows.append(mask)
+        ranks.append(_gf2_rank(rows))
+    ranks.append(0)
+    for k in range(len(faces)):
+        bk = len(faces[k]) - ranks[k] - ranks[k + 1]
+        if bk:
+            betti[k] = bk
+    return betti
+
+
+def isomorphism_by_permutations(
+    L1: LcmLattice, L2: LcmLattice
+) -> dict[Monomial, Monomial] | None:
+    """The element bijection of the first atom permutation that is an isomorphism.
+
+    Permutations are tried in lexicographic order (entry a is the position in
+    L2.atoms of the image of L1.atoms[a]).  Each element goes to the lcm of
+    the images of the atoms dividing it; the permutation is accepted when
+    that map is onto L2 and sends the lcm of every pair to the lcm of the
+    images.  Only exponent tuples are used.
+    """
+    if len(L1) != len(L2) or len(L1.atoms) != len(L2.atoms):
+        return None
+    elems1 = [e.exponents for e in L1.elements]
+    elems2 = {e.exponents: e for e in L2.elements}
+    atoms1 = [a.exponents for a in L1.atoms]
+    atoms2 = [a.exponents for a in L2.atoms]
+
+    def lcm(u, v):
+        return tuple(map(max, u, v))
+
+    for perm in itertools.permutations(range(len(atoms2))):
+        f = {}
+        for e in elems1:
+            image = (0,) * L2.ambient
+            for a, p in zip(atoms1, perm):
+                if all(x <= y for x, y in zip(a, e)):
+                    image = lcm(image, atoms2[p])
+            f[e] = image
+        if set(f.values()) != set(elems2):
+            continue
+        pairs = itertools.combinations(elems1, 2)
+        if all(f[lcm(u, v)] == lcm(f[u], f[v]) for u, v in pairs):
+            return {u: elems2[f[u.exponents]] for u in L1.elements}
+    return None

@@ -129,6 +129,28 @@ class TestCommands:
         assert main(["iso", a, c]) == 1
         assert "NONISO" in capsys.readouterr().out
 
+    def test_iso_prints_the_first_witness(self, tmp_path, capsys):
+        # a complete intersection against its 3-spread: every bijection of
+        # the three atoms is an isomorphism, and the first in atom order wins
+        a = write(tmp_path, "ci.ideal", "n 3\n2 0 0\n0 1 0\n0 0 3\n")
+        b = write(
+            tmp_path,
+            "spread.ideal",
+            "n 9\n0 0 1 0 0 1 0 0 1\n0 1 0 0 0 0 0 0 0\n1 0 0 1 0 0 0 0 0\n",
+        )
+        assert main(["iso", a, b]) == 0
+        assert capsys.readouterr().out == (
+            "ISO\n"
+            "0 0 0 -> 0 0 0 0 0 0 0 0 0\n"
+            "0 0 3 -> 0 0 1 0 0 1 0 0 1\n"
+            "0 1 0 -> 0 1 0 0 0 0 0 0 0\n"
+            "0 1 3 -> 0 1 1 0 0 1 0 0 1\n"
+            "2 0 0 -> 1 0 0 1 0 0 0 0 0\n"
+            "2 0 3 -> 1 0 1 1 0 1 0 0 1\n"
+            "2 1 0 -> 1 1 0 1 0 0 0 0 0\n"
+            "2 1 3 -> 1 1 1 1 0 1 0 0 1\n"
+        )
+
     def test_delta(self, tmp_path, capsys):
         path = write(tmp_path, "i.ideal", "n 2\n4 0\n2 1\n0 2\n")
         assert main(["delta", path]) == 0

@@ -20,9 +20,10 @@ from spreadpol import (
     spread_ideal,
     verify_spreading_laws,
 )
+from spreadpol.invariants import MAX_DEPTH_ATOMS
 from spreadpol.taylor import taylor_betti
-from genutils import random_ci_ideal, random_ideal
-from oracles import box_partition_by_points
+from genutils import random_ci_ideal, random_equal_degree_ideal, random_ideal
+from oracles import box_partition_by_points, order_complex_betti_by_chains
 
 
 def M(*exps):
@@ -57,6 +58,22 @@ class TestOrderComplexBetti:
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
         with pytest.raises(BadParameterError):
             order_complex_betti(L, L.bottom)
+
+
+class TestOrderComplexReference:
+    def test_crosscut_matches_chain_complex(self):
+        rng = random.Random(93)
+        lattices = [LcmLattice(1, (M(1),), (M(0), M(1), M(2)))]
+        for _ in range(60):
+            n, k, d = rng.randint(2, 4), rng.randint(3, 6), rng.randint(2, 4)
+            lattices.append(build_lcm_lattice(random_equal_degree_ideal(rng, n, k, d)))
+        dims = set()
+        for L in lattices:
+            for m in L.elements[1:]:
+                betti = order_complex_betti(L, m)
+                assert betti == order_complex_betti_by_chains(L, m), (L.atoms, m)
+                dims |= set(betti)
+        assert dims == {-1, 0, 1, 2}
 
 
 class TestDepth:
@@ -94,6 +111,13 @@ class TestDepth:
             k = rng.randint(1, min(3, n))
             ci = random_ci_ideal(rng, n, k, 3)
             assert depth_quotient(ci).value == n - k
+
+    def test_ci8_at_the_cap(self):
+        ci8 = MonomialIdeal(8, [Monomial.variable(j, 8) for j in range(1, 9)])
+        assert len(ci8.generators) == MAX_DEPTH_ATOMS
+        rep = depth_quotient(ci8)
+        assert rep.value == 0
+        assert dict(rep.betti.entries) == taylor_betti(ci8)
 
     def test_generator_cap(self):
         n = 9

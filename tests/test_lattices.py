@@ -19,7 +19,8 @@ from spreadpol import (
     spread_ideal,
     verify_delta,
 )
-from genutils import random_ideal, random_monomial
+from genutils import random_equal_degree_ideal, random_ideal, random_monomial
+from oracles import isomorphism_by_permutations
 
 
 def M(*exps):
@@ -167,6 +168,56 @@ class TestIsomorphism:
                 is not None
             )
             found += 1
+
+    def test_ci8_self_isomorphism_is_the_identity(self):
+        L = build_lcm_lattice(
+            MonomialIdeal(8, [Monomial.variable(j, 8) for j in range(1, 9)])
+        )
+        assert is_isomorphic(L, L) == {e: e for e in L.elements}
+
+    def test_lattice_not_fixed_by_atom_sets_is_rejected(self):
+        chain = LcmLattice(1, (M(1),), (M(0), M(1), M(2)))
+        two = build_lcm_lattice(ideal(1, [(1,)]))
+        for pair in [(chain, chain), (chain, two), (two, chain)]:
+            with pytest.raises(BadParameterError):
+                is_isomorphic(*pair)
+
+
+def _iso_pairs():
+    """Spread pairs, and unrelated pairs with equal element and atom counts."""
+    rng = random.Random(30)
+    spread_pairs, seen = [], {}
+    for _ in range(150):
+        n, m, d = rng.randint(3, 4), rng.randint(4, 5), rng.randint(2, 4)
+        I = random_equal_degree_ideal(rng, n, m, d)
+        L = build_lcm_lattice(I)
+        if len(spread_pairs) < 60:
+            spread_pairs.append((L, build_lcm_lattice(spread_ideal(I, n))))
+        seen.setdefault((len(L), len(L.atoms)), []).append(L)
+    unrelated = [pair for same in seen.values() for pair in zip(same, same[1:])]
+    return spread_pairs + unrelated
+
+
+class TestIsomorphismReference:
+    def test_same_verdict_and_witness_as_brute_force(self):
+        pairs = _iso_pairs()
+        found = 0
+        for L1, L2 in pairs:
+            bij = is_isomorphic(L1, L2)
+            assert bij == isomorphism_by_permutations(L1, L2), (L1.atoms, L2.atoms)
+            found += bij is not None
+        assert found >= 30 and len(pairs) - found >= 30
+
+    def test_witness_preserves_join_and_meet(self):
+        for L1, L2 in _iso_pairs():
+            bij = is_isomorphic(L1, L2)
+            if bij is None:
+                continue
+            assert sorted(bij.values()) == list(L2.elements)
+            for u in L1.elements:
+                for v in L1.elements:
+                    assert bij[L1.join(u, v)] == L2.join(bij[u], bij[v])
+                    assert bij[L1.meet(u, v)] == L2.meet(bij[u], bij[v])
 
 
 class TestDelta:
@@ -344,6 +395,14 @@ class TestLatticeAccess:
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
         with pytest.raises(BadParameterError):
             L.index(M(1, 2))
+
+    def test_element_order_is_checked(self):
+        with pytest.raises(BadParameterError):
+            LcmLattice(1, (M(1),), (M(1), M(0)))  # multiple before divisor
+        with pytest.raises(BadParameterError):
+            LcmLattice(1, (M(1),), (M(0), M(1), M(1)))
+        with pytest.raises(BadParameterError):
+            LcmLattice(1, (M(3),), (M(0), M(1)))  # atom outside the lattice
 
     def test_leq(self):
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))

@@ -11,6 +11,7 @@ from spreadpol import (
     InvariantViolation,
     Monomial,
     MonomialIdeal,
+    TooLargeError,
     UnitGeneratorError,
     ZeroIdealError,
     embed_spread,
@@ -77,6 +78,10 @@ class TestMonomialBasics:
             Monomial((1 << 16,))
         with pytest.raises(BadParameterError):
             Monomial((-1,))
+
+    def test_overflow_is_too_large(self):
+        with pytest.raises(TooLargeError):
+            Monomial((1 << 16,))
 
     def test_str(self):
         assert str(M(2, 1, 0)) == "x1^2*x2"
