@@ -30,7 +30,9 @@ from .invariants import (
     verify_spreading_laws,
 )
 from .lattices import build_delta, build_lcm_lattice, hasse_dot, is_isomorphic, verify_delta
-from .monomials import Monomial, MonomialIdeal, polarize_ideal, spread_ideal, embed_spread
+from .monomials import (
+    MAX_AMBIENT, Monomial, MonomialIdeal, embed_spread, polarize_ideal, spread_ideal,
+)
 from .smooth import SmoothCertificate, check_smooth_ideal
 
 
@@ -92,6 +94,8 @@ def _load(path: str) -> MonomialIdeal:
             text = fh.read()
     except OSError as e:
         raise IdealFileError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise IdealFileError(f"{path} is not UTF-8 text: {e.reason}") from None
     ideal, dropped = parse_ideal(text)
     for u in dropped:
         print(f"warning: dropped redundant generator {u}", file=sys.stderr)
@@ -218,6 +222,8 @@ def _parse_t_range(spec: str) -> list[int]:
         raise IdealFileError(f"bad -t range {spec!r}; use T or T1..T2") from None
     if b < a:
         raise IdealFileError(f"empty -t range {spec!r}")
+    if max(-a, b) > MAX_AMBIENT:
+        raise TooLargeError(f"-t range {spec!r} leaves -{MAX_AMBIENT}..{MAX_AMBIENT}")
     return list(range(a, b + 1))
 
 

@@ -28,6 +28,7 @@ from .smooth import (
     adjoin_pure_powers_condition,
     check_smooth_ideal,
     check_smooth_t2,
+    is_smoothly_spreadable,
     product_construct,
     verify_certificate,
 )
@@ -37,13 +38,9 @@ def _ideal(n: int, rows) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(n, rows)
 
 
-def _smooth(I: MonomialIdeal) -> bool:
-    return isinstance(check_smooth_ideal(I), SmoothCertificate)
-
-
 def _row_triple_certificate() -> bool:
     I = _ideal(3, [(1, 1, 1), (0, 2, 1)])
-    ok = _smooth(I)
+    ok = is_smoothly_spreadable(I)
     ok &= spread_ideal(I, 3) == _ideal(
         9, [(1, 0, 0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0, 0, 0, 1)]
     )
@@ -74,7 +71,7 @@ def _row_deep_witness() -> bool:
 
 def _row_ci_spreads() -> bool:
     I = _ideal(3, [(3, 0, 0), (0, 1, 1)])
-    ok = is_complete_intersection(I) and _smooth(I)
+    ok = is_complete_intersection(I) and is_smoothly_spreadable(I)
     ok &= not is_complete_intersection(spread_ideal(I, 1))
     ok &= not is_complete_intersection(spread_ideal(I, 2))
     for t in (3, 4, 5):
@@ -98,7 +95,7 @@ def _row_late_ci() -> bool:
     ok &= s2 == _ideal(6, [(1, 0, 1, 0, 0, 1), (0, 1, 0, 1, 0, 0)])
     ok &= is_complete_intersection(s2)
     ok &= check_smooth_t2(I) is T2Verdict.NECESSARY_FAILS
-    ok &= not _smooth(I)
+    ok &= not is_smoothly_spreadable(I)
     return bool(ok)
 
 
@@ -130,7 +127,7 @@ def _row_product_subset_and_powers() -> bool:
     ok = set(products) == expected
     ok &= set(minimalize(products)) == {Monomial((1, 1, 1)), Monomial((0, 2, 1))}
     J = _ideal(3, [(1, 1, 1), (0, 2, 2)])
-    ok &= _smooth(J)
+    ok &= is_smoothly_spreadable(J)
     powers = [(1, 2), (2, 3), (3, 4)]
     ok &= adjoin_pure_powers_condition(J, powers)
     L = MonomialIdeal(
@@ -138,12 +135,12 @@ def _row_product_subset_and_powers() -> bool:
         list(J.generators)
         + [Monomial.variable(j, 3, power=e) for j, e in powers],
     )
-    ok &= len(L.generators) == 5 and _smooth(L)
+    ok &= len(L.generators) == 5 and is_smoothly_spreadable(L)
     return bool(ok)
 
 
 def _row_mixed_powers_certificate() -> bool:
-    return _smooth(_ideal(3, [(1, 2, 2), (0, 3, 3)]))
+    return is_smoothly_spreadable(_ideal(3, [(1, 2, 2), (0, 3, 3)]))
 
 
 def _row_mixed_powers_witness() -> bool:
@@ -162,7 +159,7 @@ def _row_lattice_iso_survives() -> bool:
     ok = spread == _ideal(
         8, [(1, 0, 1, 0, 0, 1, 0, 1), (0, 1, 0, 1, 0, 1, 0, 0)]
     )
-    ok &= check_smooth_t2(I) is T2Verdict.NECESSARY_FAILS and not _smooth(I)
+    ok &= check_smooth_t2(I) is T2Verdict.NECESSARY_FAILS and not is_smoothly_spreadable(I)
     ok &= is_isomorphic(build_lcm_lattice(I), build_lcm_lattice(spread)) is not None
     return bool(ok)
 

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 from .errors import BadParameterError, TooLargeError
 from .lattices import LcmLattice, build_lcm_lattice, is_isomorphic
 from .monomials import Monomial, MonomialIdeal, spread_ideal
-from .smooth import SmoothCertificate, check_smooth_ideal
+from .smooth import is_smoothly_spreadable
 
 MAX_DEPTH_ATOMS = 8
 MAX_POSET_POINTS = 4096
@@ -393,7 +393,7 @@ def verify_spreading_laws(
         spreads[t] = spread_ideal(I, t, pad=True)
         spread_stats[t] = _stats(spreads[t], f"{t}-spread in T_{t * d}")
 
-    smooth = isinstance(check_smooth_ideal(I), SmoothCertificate)
+    smooth = is_smoothly_spreadable(I)
     iso = (
         is_isomorphic(build_lcm_lattice(I), build_lcm_lattice(spreads[n]))
         is not None

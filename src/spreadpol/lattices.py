@@ -32,6 +32,7 @@ from .errors import (
 from .monomials import Monomial, MonomialIdeal, spread_ideal, sigma_t
 
 MAX_ATOMS = 20
+MAX_ELEMENTS = 1 << 14  # each element keeps two masks as long as the lattice
 
 
 class LcmLattice:
@@ -170,6 +171,8 @@ def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:
     elems = {(0,) * I.ambient}
     for atom in atoms:
         elems |= {tuple(map(max, e, atom.exponents)) for e in elems}
+        if len(elems) > MAX_ELEMENTS:
+            raise TooLargeError(f"lcm-lattice exceeds the cap of {MAX_ELEMENTS} elements")
     elements = tuple(Monomial(e, I.ambient) for e in sorted(elems))
     return LcmLattice(I.ambient, atoms, elements)
 

@@ -24,13 +24,23 @@ from .errors import (
     DegreeBoundError,
     ExponentOverflowError,
     InvariantViolation,
+    TooLargeError,
     UnitGeneratorError,
     ZeroIdealError,
 )
 
-# Desk-scale guards: single exponents fit 16 bits, total degrees 32 bits.
+# Desk-scale guards: single exponents fit 16 bits, total degrees 32 bits,
+# and a dense exponent vector has at most about a million entries.
 MAX_EXPONENT = 1 << 16
 MAX_DEGREE = 1 << 31
+MAX_AMBIENT = 1 << 20
+
+
+def _zeros(ambient: int) -> list[int]:
+    """The zero exponent vector of length `ambient`, refused above MAX_AMBIENT."""
+    if ambient > MAX_AMBIENT:
+        raise TooLargeError(f"ambient {ambient} exceeds {MAX_AMBIENT} variables")
+    return [0] * ambient
 
 
 @functools.total_ordering
@@ -62,21 +72,21 @@ class Monomial:
 
     @classmethod
     def unit(cls, ambient: int) -> "Monomial":
-        return cls((0,) * ambient, ambient)
+        return cls(_zeros(ambient), ambient)
 
     @classmethod
     def variable(cls, j: int, ambient: int, power: int = 1) -> "Monomial":
         """The monomial x_j^power inside `ambient` variables (j is 1-indexed)."""
         if not 1 <= j <= ambient:
             raise BadParameterError(f"variable index {j} outside 1..{ambient}")
-        exps = [0] * ambient
+        exps = _zeros(ambient)
         exps[j - 1] = power
         return cls(exps, ambient)
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], ambient: int) -> "Monomial":
         """Build a monomial from its (1-indexed) variable index multiset."""
-        exps = [0] * ambient
+        exps = _zeros(ambient)
         for i in indices:
             if not 1 <= i <= ambient:
                 raise BadParameterError(f"index {i} outside 1..{ambient}")
@@ -146,7 +156,9 @@ class Monomial:
                     f"cannot restrict to ambient {ambient}: variable x_{used} in use"
                 )
             return Monomial(self.exponents[:ambient], ambient)
-        return Monomial(self.exponents + (0,) * (ambient - self.ambient), ambient)
+        exps = _zeros(ambient)
+        exps[: self.ambient] = self.exponents
+        return Monomial(exps, ambient)
 
     def __eq__(self, other) -> bool:
         return (
@@ -308,9 +320,10 @@ def spread_ideal(I: MonomialIdeal, t: int, pad: bool = False) -> MonomialIdeal:
     allowed for t >= n) the result is re-embedded into ambient t*d, the
     indexing under which all spreads with t >= n are literally comparable.
 
-    The image of a minimal generating set is asserted to be minimal again;
-    a failure would mean the generator count changed and raises
-    InvariantViolation (it cannot happen for t >= n).
+    For t < n the images of incomparable generators can become comparable
+    (the 1-spreads of x3 and x1*x2 in three variables are x3 and x1*x3);
+    that step is refused with BadParameterError.  It cannot happen for
+    t >= n.
     """
     if t < 0:
         raise BadParameterError("spreading step t must be >= 0")
@@ -324,7 +337,7 @@ def spread_ideal(I: MonomialIdeal, t: int, pad: bool = False) -> MonomialIdeal:
     images = [sigma_t(g, t).in_ambient(ambient) for g in I.generators]
     out = MonomialIdeal(ambient, images)
     if len(out.generators) != len(I.generators):
-        raise InvariantViolation(
+        raise BadParameterError(
             f"spread images of a minimal generating set are not minimal "
             f"(t={t}, n={n}); got {out} from {I}"
         )
@@ -392,8 +405,9 @@ class SpreadEmbedding:
 def embed_spread(I: MonomialIdeal, t: int) -> tuple[MonomialIdeal, SpreadEmbedding]:
     """Obtain the t-spread of I from its n-spread by re-embedding variables.
 
-    Only meaningful for t >= n.  The result is checked generator-by-generator
-    against the directly computed t-spread (in the padded ambient t*d).
+    Only meaningful for t >= n.  The result equals the directly computed
+    t-spread in the padded ambient t*d; test_images_are_t_spread_random
+    compares the two on seeded ideals.
     """
     n = I.ambient
     if t < n:
@@ -401,13 +415,7 @@ def embed_spread(I: MonomialIdeal, t: int) -> tuple[MonomialIdeal, SpreadEmbeddi
     d = I.deg
     emb = SpreadEmbedding(n=n, t=t, d=d)
     base = spread_ideal(I, n)  # natural ambient n + n(d-1) = n*d
-    image = MonomialIdeal(t * d, [emb.apply(g) for g in base.generators])
-    direct = spread_ideal(I, t, pad=True)
-    if image != direct:
-        raise InvariantViolation(
-            f"re-embedded spread {image} differs from direct spread {direct}"
-        )
-    return image, emb
+    return MonomialIdeal(t * d, [emb.apply(g) for g in base.generators]), emb
 
 
 def is_complete_intersection(I: MonomialIdeal) -> bool:

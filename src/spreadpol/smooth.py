@@ -39,8 +39,6 @@ from .errors import (
 )
 from .monomials import Monomial, MonomialIdeal, polarize, sigma_t
 
-_FALLBACK_MAX_D = 8
-
 
 @dataclass(frozen=True)
 class SmoothCertificate:
@@ -179,7 +177,7 @@ def check_smooth(
                     positions_ell=frozenset((pl + s) * n + j for s in range(al)),
                 )
 
-    cert = _build_certificate(ms, n, d, blocks)
+    cert = _build_certificate(n, d, blocks)
     if not verify_certificate(ms, n, cert):
         raise InvariantViolation(
             "constructed certificate failed verification despite the pairwise "
@@ -188,28 +186,24 @@ def check_smooth(
     return cert
 
 
-def _greedy_column(intervals: list[tuple[int, int]], d: int) -> list[int] | None:
+def _greedy_column(intervals: list[tuple[int, int]], d: int) -> list[int]:
     """Map a chain of nested offset intervals onto prefixes of {0, ..., d-1}.
 
     Each interval [lo, hi] must land set-wise on {0, ..., hi-lo}.  Process the
     chain inside-out, handing yet-unassigned offsets the next free prefix
     positions in ascending order; leftover offsets then fill the remaining
-    positions, again ascending.  Returns None when the intervals are not
-    actually a chain (cannot happen once the pairwise criterion holds).
+    positions, again ascending.  The pairwise criterion makes the intervals a
+    chain, so every interval lands on its prefix; check_smooth verifies the
+    assembled certificate from first principles, and acceptance criterion 04
+    compares the verdicts with an exhaustive permutation search.
     """
     lam: list[int | None] = [None] * d
     assigned = 0
-    prev: tuple[int, int] | None = None
     for lo, hi in sorted(set(intervals), key=lambda iv: (iv[1] - iv[0], iv[0])):
-        if prev is not None and not (lo <= prev[0] and prev[1] <= hi):
-            return None
         for s in range(lo, hi + 1):
             if lam[s] is None:
                 lam[s] = assigned
                 assigned += 1
-        if assigned != hi - lo + 1:
-            return None
-        prev = (lo, hi)
     free = iter(range(assigned, d))
     for s in range(d):
         if lam[s] is None:
@@ -217,48 +211,13 @@ def _greedy_column(intervals: list[tuple[int, int]], d: int) -> list[int] | None
     return lam  # type: ignore[return-value]
 
 
-def _search_column(
-    targets: list[tuple[frozenset[int], frozenset[int]]], d: int
-) -> list[int] | None:
-    # defensive fallback: exhaust all bijections of the offset block
-    if d > _FALLBACK_MAX_D:
-        raise InvariantViolation(
-            f"certificate fallback search infeasible for d={d}"
-        )
-    for perm in itertools.permutations(range(d)):
-        if all(
-            {perm[s] for s in src} == dst for src, dst in targets
-        ):
-            return list(perm)
-    return None
-
-
 def _build_certificate(
-    ms: list[Monomial], n: int, d: int, blocks: list[list[tuple[int, int]]]
+    n: int, d: int, blocks: list[list[tuple[int, int]]]
 ) -> SmoothCertificate:
     cols: list[tuple[int, ...]] = []
-    for j in range(1, n + 1):
-        intervals = [
-            (p, p + a - 1) for row in blocks for (p, a) in [row[j - 1]] if a
-        ]
-        lam = _greedy_column(intervals, d)
-        if lam is None:
-            targets = [
-                (
-                    frozenset(range(p, p + a)),
-                    frozenset(range(a)),
-                )
-                for row in blocks
-                for (p, a) in [row[j - 1]]
-                if a
-            ]
-            lam = _search_column(targets, d)
-            if lam is None:
-                raise InvariantViolation(
-                    f"no column assignment exists for variable {j} although "
-                    "the pairwise criterion holds"
-                )
-        cols.append(tuple(lam))
+    for j in range(n):
+        intervals = [(p, p + a - 1) for p, a in (row[j] for row in blocks) if a]
+        cols.append(tuple(_greedy_column(intervals, d)))
     tau = [0] * (n * d)
     for j in range(1, n + 1):
         for s in range(d):
@@ -334,8 +293,8 @@ def check_smooth_t2(I: MonomialIdeal) -> T2Verdict:
 def adjoin_disjoint(I: MonomialIdeal, v: Monomial, n_prime: int) -> MonomialIdeal:
     """Adjoin a generator supported entirely in the fresh variables n+1..n'.
 
-    The construction never changes the verdict of check_smooth; this is
-    re-checked on every call rather than trusted.
+    The construction never changes the verdict of check_smooth;
+    test_adjoin_disjoint_random_equivalence checks that on seeded ideals.
     """
     n = I.ambient
     if n_prime < n:
@@ -352,12 +311,6 @@ def adjoin_disjoint(I: MonomialIdeal, v: Monomial, n_prime: int) -> MonomialIdea
     J = MonomialIdeal(n_prime, [g.in_ambient(n_prime) for g in I.generators] + [v])
     if len(J.generators) != len(I.generators) + 1:
         raise InvariantViolation("disjoint adjunction broke minimality")
-    before = isinstance(check_smooth_ideal(I), SmoothCertificate)
-    after = isinstance(check_smooth_ideal(J), SmoothCertificate)
-    if before != after:
-        raise InvariantViolation(
-            "adjoining a disjointly supported generator changed the smooth verdict"
-        )
     return J
 
 
@@ -407,8 +360,9 @@ def product_construct(
     The first set must consist of equal-degree monomials in the variables
     1..n, the second of monomials supported in n+1..n'.  Both sets must be
     smoothly spreadable; the returned product set is again smoothly
-    spreadable (asserted on every call), and it contains the minimal
-    generators of the product ideal.
+    spreadable (test_product_random_smoothness and acceptance criterion 05
+    check that on seeded sets), and it contains the minimal generators of
+    the product ideal.
     """
     if n_prime <= n:
         raise BadParameterError(f"need n' > n, got n'={n_prime}, n={n}")
@@ -426,7 +380,4 @@ def product_construct(
         raise NotSmoothInputError("base set is not smoothly spreadable")
     if not isinstance(check_smooth(vs, n_prime), SmoothCertificate):
         raise NotSmoothInputError("factor set is not smoothly spreadable")
-    products = sorted({u.in_ambient(n_prime) * v for u in ms for v in vs})
-    if not isinstance(check_smooth(products, n_prime), SmoothCertificate):
-        raise InvariantViolation("product of smooth sets failed the smooth check")
-    return tuple(products)
+    return tuple(sorted({u.in_ambient(n_prime) * v for u in ms for v in vs}))

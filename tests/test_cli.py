@@ -1,9 +1,15 @@
+import contextlib
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spreadpol import IdealFileError, Monomial, MonomialIdeal
+from spreadpol import IdealFileError, InvariantViolation, Monomial, MonomialIdeal
+from spreadpol import cli
 from spreadpol.cli import format_ideal, main, parse_ideal
+from spreadpol.monomials import MAX_AMBIENT
 from genutils import random_ideal
 
 
@@ -229,10 +235,54 @@ class TestExitCodes:
         path = write(tmp_path, "big.ideal", "n 1\n5000\n")
         assert main(["sdepth", path]) == 3
 
-    def test_invariant_violation_is_4(self, tmp_path, capsys):
+    def test_invariant_violation_is_4(self, tmp_path, capsys, monkeypatch):
+        # no valid input is known to break a library guarantee, so a broken
+        # one is injected: any InvariantViolation maps to exit 4
+        def broken(*args, **kwargs):
+            raise InvariantViolation("injected")
+
+        monkeypatch.setattr(cli, "spread_ideal", broken)
+        path = write(tmp_path, "i.ideal", REMARK)
+        assert main(["spread", "-t", "1", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["internal error: injected"]
+
+    def test_nonminimal_spread_is_2(self, tmp_path, capsys):
         # the 1-step spread of (x3, x1*x2) has a non-minimal image set
         path = write(tmp_path, "odd.ideal", "n 3\n0 0 1\n1 1 0\n")
-        assert main(["spread", "-t", "1", path]) == 4
+        assert main(["spread", "-t", "1", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: spread images of a minimal generating set")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spread", "-t", "1000000000000"],
+            ["embed", "-t", "1000000000000"],
+            ["verify-laws", "-t", "1000000000000"],
+            ["verify-laws", "-t", "2..1000000000000"],
+            ["verify-laws", "-t-1000000000000..2"],
+        ],
+    )
+    def test_huge_t_is_3(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "i.ideal", REMARK)
+        assert main(argv + [path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_non_utf8_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ideal"
+        path.write_bytes(b"n 1\n\xff\n")
+        assert main(["depth", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "not UTF-8" in line
 
     def test_bad_t_range_is_2(self, tmp_path, capsys):
         path = write(tmp_path, "i.ideal", REMARK)
@@ -266,3 +316,82 @@ class TestDeterminism:
         code2 = main(argv)
         second = capsys.readouterr().out
         assert code1 == code2 and first == second
+
+
+# -t values: small ones, negative ones and ones past the ambient cap; none
+# in between, where one verify-laws step costs about t^2 (see ROADMAP.md)
+T_VALUES = st.sampled_from(
+    ["-1000000000000", "-3", "-1", "0", "1", "2", "3", str(MAX_AMBIENT + 1), "1000000000000"]
+)
+COMMANDS = (
+    "spread", "polarize", "check-smooth", "embed", "lattice", "iso", "delta",
+    "depth", "sdepth", "verify-laws", "verify-paper",
+)
+JUNK_TOKENS = st.sampled_from(["-1", "x", "70000", "1.5", "0", "2", "#", ""])
+
+
+@st.composite
+def ideal_files(draw) -> bytes:
+    """Small ideal files: mostly well formed, else with bad rows, else any bytes."""
+    kind = draw(st.sampled_from(["good", "good", "good", "bad", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=30))
+    n = draw(st.integers(1, 2))
+    lines = [f"n {n}"]
+    for _ in range(draw(st.integers(1, 3))):
+        lines.append(" ".join(str(draw(st.integers(0, 2))) for _ in range(n)))
+    if kind == "bad":
+        junk = draw(st.lists(JUNK_TOKENS, max_size=3))
+        lines.insert(draw(st.integers(0, len(lines))), " ".join(junk))
+        if draw(st.booleans()):
+            lines[0] = draw(st.sampled_from(["n 0", "n x", "m 2", "n", ""]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def invocations(draw, path: str, other: str) -> list[str]:
+    argv = ["--pretty"] if draw(st.booleans()) else []
+    command = draw(st.sampled_from(COMMANDS))
+    argv.append(command)
+    # "-tSPEC" with the value attached, so that negative values reach the
+    # command instead of being taken for options
+    if command in ("spread", "embed"):
+        argv.append("-t" + draw(T_VALUES))
+    if command == "spread" and draw(st.booleans()):
+        argv.append("--pad")
+    if command == "verify-laws":
+        lo, hi = draw(T_VALUES), draw(T_VALUES)
+        argv.append("-t" + draw(st.sampled_from([lo, f"{lo}..{hi}", f"{lo}..", "..."])))
+    if command in ("lattice", "sdepth") and draw(st.booleans()):
+        argv.append("--dot" if command == "lattice" else "--ideal")
+    if command != "verify-paper":
+        argv.append(draw(st.sampled_from([path] * 4 + ["/nonexistent/x.ideal"])))
+    if command == "iso":
+        argv.append(draw(st.sampled_from([path, other])))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.text(max_size=4)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "other.ideal").write_text(REMARK, encoding="utf-8")
+    return root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_returns_a_documented_code(fuzz_dir, data):
+    path, other = fuzz_dir / "fuzz.ideal", fuzz_dir / "other.ideal"
+    path.write_bytes(data.draw(ideal_files(), label="file"))
+    argv = data.draw(invocations(str(path), str(other)), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code in (3, 4):
+        # a cap or a broken guarantee ends the command with one error line
+        lines = [x for x in err.getvalue().splitlines() if not x.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "internal error: "))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -70,6 +71,19 @@ class TestBuild:
         gens = [Monomial.variable(j, n) for j in range(1, n + 1)]
         with pytest.raises(TooLargeError):
             build_lcm_lattice(MonomialIdeal(n, gens))
+
+    def test_element_cap(self):
+        # the complete intersection x1, ..., x15 has 2^15 lcms; it is refused
+        # while the subset lcms are collected, before any mask is built
+        n = 15
+        gens = [Monomial.variable(j, n) for j in range(1, n + 1)]
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError):
+            build_lcm_lattice(MonomialIdeal(n, gens))
+        assert time.perf_counter() - start < 2.0
+        # twenty atoms with few lcms stay under both caps
+        staircase = [Monomial((a, 19 - a)) for a in range(20)]
+        assert len(build_lcm_lattice(MonomialIdeal(2, staircase))) == 1 + 20 * 21 // 2
 
     def test_element_count_bound(self):
         rng = random.Random(21)

@@ -8,7 +8,6 @@ from spreadpol import (
     AmbientMismatchError,
     BadParameterError,
     DegreeBoundError,
-    InvariantViolation,
     Monomial,
     MonomialIdeal,
     TooLargeError,
@@ -24,6 +23,7 @@ from spreadpol import (
     sigma_t,
     spread_ideal,
 )
+from spreadpol.monomials import MAX_AMBIENT
 from genutils import random_ci_ideal, random_ideal, random_monomial
 
 exponent_vectors = st.lists(st.integers(0, 4), min_size=1, max_size=5)
@@ -82,6 +82,20 @@ class TestMonomialBasics:
     def test_overflow_is_too_large(self):
         with pytest.raises(TooLargeError):
             Monomial((1 << 16,))
+
+    def test_ambient_cap(self):
+        # checked before the dense exponent vector is allocated
+        wide = MAX_AMBIENT + 1
+        for build in (
+            lambda: Monomial.unit(wide),
+            lambda: Monomial.variable(1, wide),
+            lambda: Monomial.from_indices([1], wide),
+            lambda: M(1, 0).in_ambient(wide),
+            lambda: Monomial.from_indices([1], 10**12),
+        ):
+            with pytest.raises(TooLargeError):
+                build()
+        assert M(1, 0).in_ambient(MAX_AMBIENT).degree == 1
 
     def test_str(self):
         assert str(M(2, 1, 0)) == "x1^2*x2"
@@ -216,8 +230,19 @@ class TestSpreadIdeal:
     def test_nonminimal_image_is_reported(self):
         # x3 and x1*x2 are incomparable but their 1-spreads x3, x1*x3 are not
         I = MonomialIdeal(3, [M(0, 0, 1), M(1, 1, 0)])
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(BadParameterError):
             spread_ideal(I, 1)
+
+    def test_huge_step_is_too_large(self):
+        I = MonomialIdeal(2, [M(2, 1), M(0, 2)])
+        for t in (MAX_AMBIENT, 10**12):
+            with pytest.raises(TooLargeError):
+                spread_ideal(I, t)
+        with pytest.raises(TooLargeError):
+            spread_ideal(I, MAX_AMBIENT // 3 + 1, pad=True)
+        # degree-one generators do not move, so no wide vector is needed
+        linear = MonomialIdeal(2, [M(1, 0), M(0, 1)])
+        assert spread_ideal(linear, 10**12) == linear
 
     def test_pure_power_staircase_becomes_intervals(self):
         # x_a^c with a + c strictly increasing spreads to the variable
@@ -334,6 +359,7 @@ class TestEmbedSpread:
             for t in range(n, n + 3):
                 image, _ = embed_spread(I, t)
                 assert all(is_t_spread(g, t) for g in image.generators)
+                assert image == spread_ideal(I, t, pad=True)
 
 
 class TestCompleteIntersection:
