@@ -6,13 +6,19 @@ exponents.  ``#`` starts a comment, blank lines are ignored.  Redundant
 generators are dropped with a warning on the error stream.
 
 Exit codes: 0 success or affirmative answer, 1 negative mathematical answer
-(not smooth / not isomorphic / a law fails), 2 usage or parse problem,
-3 a size cap was exceeded, 4 an internal invariant broke.
+(not smooth / not isomorphic / no collapse map / a law fails), 2 usage or
+parse problem, 3 a size cap was exceeded, 4 an internal invariant broke.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and reused by every later call.  It is a constant description
+of the command grammar: ``parse_args`` reads it and never changes it, so
+repeated calls in one process answer exactly as fresh processes do.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -21,6 +27,7 @@ from .errors import (
     InvariantViolation,
     SpreadpolError,
     TooLargeError,
+    WellDefinednessViolation,
 )
 from .golden import run_golden
 from .invariants import (
@@ -175,7 +182,11 @@ def _cmd_iso(args) -> int:
 
 def _cmd_delta(args) -> int:
     I = _load(args.file)
-    dmap = build_delta(I)
+    try:
+        dmap = build_delta(I)
+    except WellDefinednessViolation as e:
+        print(f"NO COLLAPSE MAP: {e}")
+        return 1
     for e in dmap.source.elements:
         print(f"{_render(e, args.pretty)} -> {_render(dmap.mapping[e], args.pretty)}")
     if verify_delta(dmap):
@@ -261,6 +272,7 @@ def _cmd_verify_paper(args) -> int:
     return 0 if passed == len(rows) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spreadpol",

@@ -3,7 +3,9 @@
 User-facing errors (bad arguments, malformed files, oversized inputs) derive
 from :class:`SpreadpolError`.  Conditions that can only arise if one of the
 library's own guarantees is broken derive from :class:`InvariantViolation`;
-the CLI maps those to a distinct exit code.
+the CLI maps those to a distinct exit code.  The one exception is
+:class:`WellDefinednessViolation`, which valid input reaches when no
+collapse map exists.
 """
 
 
@@ -81,8 +83,16 @@ class IdealFileError(SpreadpolError):
 
 
 class InvariantViolation(SpreadpolError):
-    """A guarantee of the library itself failed; always a bug, never input."""
+    """A guarantee of the library itself failed; a bug, not bad input.
+
+    Only the subclass WellDefinednessViolation can come from valid input.
+    """
 
 
 class WellDefinednessViolation(InvariantViolation):
-    """Equal spread-side lcms mapped to different source-side lcms."""
+    """Equal spread-side lcms mapped to different source-side lcms.
+
+    The one InvariantViolation that valid input can reach: for some ideals
+    spreading collapses the lcm-lattice and no collapse map exists (see
+    lattices.build_delta).  The CLI answers it as a negative result, exit 1.
+    """

@@ -123,21 +123,29 @@ class SdepthReport:
 
 def depth_quotient(I: MonomialIdeal) -> DepthReport:
     """Depth of the quotient ring, via lcm-lattice Betti numbers."""
+    return _depth_on(_depth_lattice(I))
+
+
+def _depth_lattice(I: MonomialIdeal) -> LcmLattice:
     if len(I.generators) > MAX_DEPTH_ATOMS:
         raise TooLargeError(
             f"{len(I.generators)} generators exceed the depth cap of {MAX_DEPTH_ATOMS}"
         )
-    L = build_lcm_lattice(I)
+    return build_lcm_lattice(I)
+
+
+def _depth_on(L: LcmLattice) -> DepthReport:
+    """Depth of the quotient by the ideal whose lcm-lattice is L."""
     entries: dict[tuple[int, Monomial], int] = {(0, L.bottom): 1}
     for e in L.elements:
         if e == L.bottom:
             continue
         for k, v in order_complex_betti(L, e).items():
             entries[(k + 2, e)] = v
-    table = BettiTable(ambient=I.ambient, entries=entries)
+    table = BettiTable(ambient=L.ambient, entries=entries)
     return DepthReport(
-        ambient=I.ambient,
-        value=I.ambient - table.projective_dimension,
+        ambient=L.ambient,
+        value=L.ambient - table.projective_dimension,
         betti=table,
     )
 
@@ -313,19 +321,18 @@ def _box_search(full, outside, uppers, up, down) -> list[tuple[int, int]] | None
 
 def sdepth_quotient(I: MonomialIdeal) -> SdepthReport:
     """Stanley depth of the quotient ring, by exact partition search."""
-    poset = build_characteristic_poset(I)
-    value, boxes = _box_partition_value(poset, poset.side_mask(False))
-    return SdepthReport(
-        ambient=I.ambient, value=value, bound=poset.bound, intervals=boxes
-    )
+    return _sdepth_on(build_characteristic_poset(I), ideal_side=False)
 
 
 def sdepth_ideal(I: MonomialIdeal) -> SdepthReport:
     """Stanley depth of the ideal itself, by exact partition search."""
-    poset = build_characteristic_poset(I)
-    value, boxes = _box_partition_value(poset, poset.side_mask(True))
+    return _sdepth_on(build_characteristic_poset(I), ideal_side=True)
+
+
+def _sdepth_on(poset: CharacteristicPoset, ideal_side: bool) -> SdepthReport:
+    value, boxes = _box_partition_value(poset, poset.side_mask(ideal_side))
     return SdepthReport(
-        ambient=I.ambient, value=value, bound=poset.bound, intervals=boxes
+        ambient=poset.ambient, value=value, bound=poset.bound, intervals=boxes
     )
 
 
@@ -359,15 +366,22 @@ class SpreadingLawsReport:
         return all(c.holds for c in self.checks)
 
 
-def _stats(I: MonomialIdeal, what: str) -> tuple[int, int, int]:
+def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattice]:
+    """Depth and both Stanley depths of I, and the lcm-lattice of I.
+
+    One lattice serves the depth and is returned for the isomorphism test;
+    one characteristic poset serves both Stanley depth searches.
+    """
     try:
-        return (
-            depth_quotient(I).value,
-            sdepth_quotient(I).value,
-            sdepth_ideal(I).value,
-        )
+        L = _depth_lattice(I)
+        poset = build_characteristic_poset(I)
     except TooLargeError as e:
         raise TooLargeError(f"{what}: {e}") from None
+    return (
+        _depth_on(L).value,
+        _sdepth_on(poset, ideal_side=False).value,
+        _sdepth_on(poset, ideal_side=True).value,
+    ), L
 
 
 def verify_spreading_laws(
@@ -386,18 +400,16 @@ def verify_spreading_laws(
     if any(t < n for t in ts):
         raise BadParameterError(f"law harness needs t >= n = {n}, got {ts}")
 
-    source = _stats(I, f"source ideal in T_{n}")
+    source, source_lattice = _stats(I, f"source ideal in T_{n}")
     spread_stats: dict[int, tuple[int, int, int]] = {}
-    spreads: dict[int, MonomialIdeal] = {}
     for t in ts:
-        spreads[t] = spread_ideal(I, t, pad=True)
-        spread_stats[t] = _stats(spreads[t], f"{t}-spread in T_{t * d}")
+        spread = spread_ideal(I, t, pad=True)
+        spread_stats[t], lattice = _stats(spread, f"{t}-spread in T_{t * d}")
+        if t == n:
+            n_spread_lattice = lattice
 
     smooth = is_smoothly_spreadable(I)
-    iso = (
-        is_isomorphic(build_lcm_lattice(I), build_lcm_lattice(spreads[n]))
-        is not None
-    )
+    iso = is_isomorphic(source_lattice, n_spread_lattice) is not None
 
     names = ("depth of quotient", "sdepth of quotient", "sdepth of ideal")
     checks: list[LawCheck] = []

@@ -50,19 +50,20 @@ class Monomial:
     __slots__ = ("ambient", "exponents", "_hash")
 
     def __init__(self, exponents: Sequence[int], ambient: int | None = None):
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(map(int, exponents))
         if ambient is None:
             ambient = len(exps)
         if ambient < 0 or len(exps) != ambient:
             raise BadParameterError(
                 f"exponent vector of length {len(exps)} does not fit ambient {ambient}"
             )
-        if any(e < 0 for e in exps):
-            raise BadParameterError(f"negative exponent in {exps}")
-        if any(e >= MAX_EXPONENT for e in exps):
-            raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT - 1}")
-        if sum(exps) >= MAX_DEGREE:
-            raise ExponentOverflowError(f"degree exceeds {MAX_DEGREE - 1}")
+        if exps:  # derived monomials too: an lcm of two valid ones can pass MAX_DEGREE
+            if min(exps) < 0:
+                raise BadParameterError(f"negative exponent in {exps}")
+            if max(exps) >= MAX_EXPONENT:
+                raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT - 1}")
+            if sum(exps) >= MAX_DEGREE:
+                raise ExponentOverflowError(f"degree exceeds {MAX_DEGREE - 1}")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "_hash", hash((ambient, exps)))
@@ -299,10 +300,13 @@ def sigma_t(u: Monomial, t: int) -> Monomial:
         raise BadParameterError("spreading step t must be >= 0")
     if t == 0:
         return u
-    idx = u.indices
-    shifted = [i + k * t for k, i in enumerate(idx)]
     ambient = u.ambient + max(u.degree - 1, 0) * t
-    return Monomial.from_indices(shifted, ambient)
+    return Monomial.from_indices(_spread_indices(u, t), ambient)
+
+
+def _spread_indices(u: Monomial, t: int) -> list[int]:
+    """Sorted indices of the t-spread of u: the k-th index moves by k*t."""
+    return [i + k * t for k, i in enumerate(u.indices)]
 
 
 def is_t_spread(u: Monomial, t: int) -> bool:
@@ -334,7 +338,7 @@ def spread_ideal(I: MonomialIdeal, t: int, pad: bool = False) -> MonomialIdeal:
         if t < n:
             raise BadParameterError(f"padded ambient t*d requires t >= n ({t} < {n})")
         ambient = t * d
-    images = [sigma_t(g, t).in_ambient(ambient) for g in I.generators]
+    images = [Monomial.from_indices(_spread_indices(g, t), ambient) for g in I.generators]
     out = MonomialIdeal(ambient, images)
     if len(out.generators) != len(I.generators):
         raise BadParameterError(
@@ -355,10 +359,10 @@ def polarize(u: Monomial, n: int, d: int) -> Monomial:
         raise AmbientMismatchError(f"monomial has ambient {u.ambient}, not {n}")
     if u.degree > d:
         raise DegreeBoundError(f"deg {u.degree} exceeds bound {d}")
-    idx = []
-    for j, a in enumerate(u.exponents, start=1):
-        idx.extend(j + s * n for s in range(a))
-    return Monomial.from_indices(idx, n * d)
+    exps = _zeros(n * d)
+    for j, a in enumerate(u.exponents):
+        exps[j : j + a * n : n] = [1] * a  # x_{j+1} x_{j+1+n} ... x_{j+1+(a-1)n}
+    return Monomial(exps, n * d)
 
 
 def polarize_ideal(I: MonomialIdeal) -> MonomialIdeal:
@@ -392,15 +396,6 @@ class SpreadEmbedding:
     def table(self) -> tuple[int, ...]:
         return tuple(self.phi(j) for j in range(1, self.n * self.d + 1))
 
-    def apply(self, u: Monomial) -> Monomial:
-        if u.ambient != self.n * self.d:
-            raise AmbientMismatchError(
-                f"expected ambient {self.n * self.d}, got {u.ambient}"
-            )
-        return Monomial.from_indices(
-            [self.phi(i) for i in u.indices], self.t * self.d
-        )
-
 
 def embed_spread(I: MonomialIdeal, t: int) -> tuple[MonomialIdeal, SpreadEmbedding]:
     """Obtain the t-spread of I from its n-spread by re-embedding variables.
@@ -414,8 +409,11 @@ def embed_spread(I: MonomialIdeal, t: int) -> tuple[MonomialIdeal, SpreadEmbeddi
         raise BadParameterError(f"embedding requires t >= n ({t} < {n})")
     d = I.deg
     emb = SpreadEmbedding(n=n, t=t, d=d)
-    base = spread_ideal(I, n)  # natural ambient n + n(d-1) = n*d
-    return MonomialIdeal(t * d, [emb.apply(g) for g in base.generators]), emb
+    images = [  # phi applied to the n-spread, whose natural ambient is n*d
+        Monomial.from_indices([emb.phi(i) for i in _spread_indices(g, n)], t * d)
+        for g in I.generators
+    ]
+    return MonomialIdeal(t * d, images), emb
 
 
 def is_complete_intersection(I: MonomialIdeal) -> bool:

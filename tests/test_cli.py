@@ -163,10 +163,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "join-preserving surjection: OK" in out
 
-    def test_delta_collapse_is_internal_error(self, tmp_path, capsys):
+    def test_delta_collapse_is_a_negative_answer(self, tmp_path, capsys):
+        # valid input whose spread collapses the lcm-lattice: no collapse map
         path = write(tmp_path, "i.ideal", "n 3\n0 3 1\n2 0 1\n1 1 2\n")
-        assert main(["delta", path]) == 4
-        assert "no collapse map exists" in capsys.readouterr().err
+        assert main(["delta", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [line] = captured.out.splitlines()
+        assert line.startswith("NO COLLAPSE MAP: spreading collapsed the lcm-lattice")
+        assert line.endswith("no collapse map exists")
 
     def test_depth(self, tmp_path, capsys):
         path = write(tmp_path, "i.ideal", REMARK)
@@ -316,6 +321,44 @@ class TestDeterminism:
         code2 = main(argv)
         second = capsys.readouterr().out
         assert code1 == code2 and first == second
+
+    def test_parser_reuse_gives_identical_answers(self, tmp_path):
+        # main builds its parser once per process; a corpus run twice, the
+        # second time backwards, must answer the same each time
+        path = write(tmp_path, "i.ideal", "n 2\n2 1\n0 2\n")
+        bad = write(tmp_path, "bad.ideal", "n 2\n1 x\n")
+        corpus = [
+            ["spread", "-t", "2", path],
+            ["--pretty", "polarize", path],
+            ["check-smooth", path],
+            ["embed", "-t", "3", path],
+            ["lattice", "--dot", path],
+            ["iso", path, path],
+            ["delta", path],
+            ["depth", path],
+            ["sdepth", "--ideal", path],
+            ["verify-laws", "-t", "2..3", path],
+            ["verify-paper"],
+            ["depth", bad],
+            ["frobnicate", path],
+            ["spread", path],
+            ["--help"],
+            ["embed", "--help"],
+        ]
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        first = [run(argv) for argv in corpus]
+        second = [run(argv) for argv in reversed(corpus)][::-1]
+        assert first == second
+        assert cli._build_parser() is cli._build_parser()
+        codes = [code for code, _, _ in first]
+        assert codes[11:] == [2, 2, 2, 0, 0]
+        assert first[14][1].startswith("usage: spreadpol")
 
 
 # -t values: small ones, negative ones and ones past the ambient cap; none

@@ -8,11 +8,13 @@ from spreadpol import (
     AmbientMismatchError,
     BadParameterError,
     DegreeBoundError,
+    ExponentOverflowError,
     Monomial,
     MonomialIdeal,
     TooLargeError,
     UnitGeneratorError,
     ZeroIdealError,
+    build_lcm_lattice,
     embed_spread,
     is_complete_intersection,
     is_t_spread,
@@ -23,7 +25,7 @@ from spreadpol import (
     sigma_t,
     spread_ideal,
 )
-from spreadpol.monomials import MAX_AMBIENT
+from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from genutils import random_ci_ideal, random_ideal, random_monomial
 
 exponent_vectors = st.lists(st.integers(0, 4), min_size=1, max_size=5)
@@ -82,6 +84,22 @@ class TestMonomialBasics:
     def test_overflow_is_too_large(self):
         with pytest.raises(TooLargeError):
             Monomial((1 << 16,))
+
+    def test_degree_guard_on_derived_monomials(self):
+        top = MAX_EXPONENT - 1
+        assert Monomial((top,) * 32768).degree < MAX_DEGREE
+        with pytest.raises(ExponentOverflowError, match="degree exceeds"):
+            Monomial((top,) * 32769)
+        # each factor is below the degree cap, their lcm (disjoint supports) is not
+        half = 20000
+        u = Monomial((top,) * half + (0,) * half)
+        v = Monomial((0,) * half + (top,) * half)
+        assert u.degree < MAX_DEGREE and v.degree < MAX_DEGREE
+        assert u.degree + v.degree >= MAX_DEGREE
+        with pytest.raises(TooLargeError, match="degree exceeds"):
+            u.lcm(v)
+        with pytest.raises(TooLargeError, match="degree exceeds"):
+            build_lcm_lattice(MonomialIdeal(2 * half, [u, v]))
 
     def test_ambient_cap(self):
         # checked before the dense exponent vector is allocated
