@@ -21,13 +21,14 @@ branch-and-bound search from the largest conceivable score downwards
 
 Every point set of that search is a Python int used as a bitmask over the
 whole grid prod(g_j + 1), bit i standing for the i-th point in
-itertools.product order.  Per coordinate j and value v the grid keeps the
-slabs x_j >= v and x_j <= v; the up-set and the down-set of a point, the
-generator up-sets (whose union is the ideal side) and a box [a, c] =
-up(a) & down(c) are intersections of slabs.  A box lies in a side exactly
-when it has no bit outside the side's mask.  Grid order is lexicographic,
-so "least uncovered point" is the lowest free bit and candidate upper
-corners are tried from the highest bit down.
+itertools.product order.  The characteristic poset is that grid as one
+object: the table decoding bits to points, the ideal side as one mask, and
+per coordinate j and value v the slabs x_j >= v and x_j <= v.  The up-set
+and the down-set of a point, the generator up-sets (whose union is the
+ideal side) and a box [a, c] = up(a) & down(c) are intersections of slabs.
+A box lies in a side exactly when it has no bit outside the side's mask.
+Grid order is lexicographic, so "least uncovered point" is the lowest free
+bit and candidate upper corners are tried from the highest bit down.
 """
 
 from __future__ import annotations
@@ -102,9 +103,6 @@ class BettiTable:
     def projective_dimension(self) -> int:
         return max(i for i, _ in self.entries)
 
-    def total(self, i: int) -> int:
-        return sum(v for (k, _), v in self.entries.items() if k == i)
-
 
 @dataclass(frozen=True)
 class DepthReport:
@@ -150,26 +148,35 @@ def _depth_on(L: LcmLattice) -> DepthReport:
     )
 
 
-class _Grid:
-    """Slab bitmasks over the exponent grid below `bound`.
+class CharacteristicPoset:
+    """All exponent vectors below the generator lcm, as one bitmask grid.
 
-    Bit i is the i-th point of itertools.product(range(g_1 + 1), ...), so
-    the point p sits at bit sum(p_j * stride_j).
+    Bit i is points[i], the i-th point of itertools.product(range(g_1 + 1),
+    ...), so the point p sits at bit sum(p_j * stride_j).  `ideal_mask` holds
+    the points x^p in the ideal; per coordinate j and value v, `at_least[j][v]`
+    and `at_most[j][v]` hold the points with p_j >= v and p_j <= v.
     """
 
-    __slots__ = ("bound", "full", "stride", "at_least", "at_most")
+    __slots__ = ("bound", "points", "full", "stride", "at_least", "at_most",
+                 "ideal_mask")
 
-    def __init__(self, bound: tuple[int, ...]):
+    def __init__(self, I: MonomialIdeal):
+        g = I.lcm_of_generators.exponents
         size = 1
-        for gj in bound:
+        for gj in g:
             size *= gj + 1
-        self.bound = bound
+            if size > MAX_POSET_POINTS:
+                raise TooLargeError(
+                    f"characteristic poset exceeds {MAX_POSET_POINTS} points"
+                )
+        self.bound = g
+        self.points = tuple(itertools.product(*(range(gj + 1) for gj in g)))
         self.full = (1 << size) - 1
         self.stride: list[int] = []
-        self.at_least: list[list[int]] = []  # [j][v]: points with x_j >= v
-        self.at_most: list[list[int]] = []  # [j][v]: points with x_j <= v
+        self.at_least: list[list[int]] = []
+        self.at_most: list[list[int]] = []
         stride = size
-        for gj in bound:
+        for gj in g:
             stride //= gj + 1
             period = stride * (gj + 1)
             repeat = self.full // ((1 << period) - 1)
@@ -180,6 +187,9 @@ class _Grid:
             self.at_most.append(
                 [repeat * ((1 << (v + 1) * stride) - 1) for v in range(gj + 1)]
             )
+        self.ideal_mask = 0
+        for u in I.generators:
+            self.ideal_mask |= self.up(u.exponents)
 
     def up(self, p: tuple[int, ...]) -> int:
         mask = self.full
@@ -208,47 +218,13 @@ class _Grid:
                 levels[k] |= levels[k - 1] & top
         return levels
 
-
-@dataclass(frozen=True)
-class CharacteristicPoset:
-    """All exponent vectors below the generator lcm, flagged by membership."""
-
-    ambient: int
-    bound: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
-    in_ideal: tuple[bool, ...]
-    grid: _Grid = field(repr=False, compare=False)
-    ideal_mask: int = field(repr=False, compare=False)
-
-    def side(self, ideal_side: bool) -> list[tuple[int, ...]]:
-        return [p for p, f in zip(self.points, self.in_ideal) if f == ideal_side]
-
     def side_mask(self, ideal_side: bool) -> int:
-        return self.ideal_mask if ideal_side else self.grid.full & ~self.ideal_mask
+        return self.ideal_mask if ideal_side else self.full & ~self.ideal_mask
 
 
 def build_characteristic_poset(I: MonomialIdeal) -> CharacteristicPoset:
-    g = I.lcm_of_generators.exponents
-    size = 1
-    for gj in g:
-        size *= gj + 1
-        if size > MAX_POSET_POINTS:
-            raise TooLargeError(
-                f"characteristic poset exceeds {MAX_POSET_POINTS} points"
-            )
-    grid = _Grid(g)
-    ideal_mask = 0
-    for u in I.generators:
-        ideal_mask |= grid.up(u.exponents)
-    bits = bin(ideal_mask)[2:].zfill(size)
-    return CharacteristicPoset(
-        ambient=I.ambient,
-        bound=g,
-        points=tuple(itertools.product(*(range(gj + 1) for gj in g))),
-        in_ideal=tuple(b == "1" for b in reversed(bits)),
-        grid=grid,
-        ideal_mask=ideal_mask,
-    )
+    """The characteristic poset of I; TooLargeError past MAX_POSET_POINTS."""
+    return CharacteristicPoset(I)
 
 
 def _box_partition_value(
@@ -261,20 +237,20 @@ def _box_partition_value(
     corner saturates at least k coordinates of g.  The search starts at the
     largest k for which every point of the side has such a corner above it.
     """
-    grid, points = poset.grid, poset.points
-    n = len(grid.bound)
+    points = poset.points
+    n = len(poset.bound)
     if not side:
         return n, ()
-    levels = grid.saturated_at_least()
+    levels = poset.saturated_at_least()
     start = n
-    while side & ~grid.down_closure(side & levels[start]):
+    while side & ~poset.down_closure(side & levels[start]):
         start -= 1
 
-    up = functools.cache(lambda a: grid.up(points[a]))
-    down = functools.cache(lambda c: grid.down(points[c]))
-    outside = grid.full & ~side
+    up = functools.cache(lambda a: poset.up(points[a]))
+    down = functools.cache(lambda c: poset.down(points[c]))
+    outside = poset.full & ~side
     for k in range(start, -1, -1):
-        result = _box_search(grid.full, outside, side & levels[k], up, down)
+        result = _box_search(poset.full, outside, side & levels[k], up, down)
         if result is not None:
             return k, tuple((points[a], points[c]) for a, c in sorted(result))
     raise AssertionError("score 0 partition into singletons always exists")
@@ -332,7 +308,7 @@ def sdepth_ideal(I: MonomialIdeal) -> SdepthReport:
 def _sdepth_on(poset: CharacteristicPoset, ideal_side: bool) -> SdepthReport:
     value, boxes = _box_partition_value(poset, poset.side_mask(ideal_side))
     return SdepthReport(
-        ambient=poset.ambient, value=value, bound=poset.bound, intervals=boxes
+        ambient=len(poset.bound), value=value, bound=poset.bound, intervals=boxes
     )
 
 

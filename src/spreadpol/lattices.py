@@ -15,13 +15,18 @@ common lower bounds below(u) & below(v) are the down-set of the meet, their
 highest bit, and no gcd is needed.  An atomistic lattice is fixed by its
 family of atom supports, so an isomorphism is a permutation of atoms
 carrying one family onto the other.
+
+A map f out of an atomistic lattice with f(bottom) = bottom preserves all
+joins iff f(s join a) = f(s) join f(a) for every element s and atom a (the
+atom step): peeling the atoms b_1, ..., b_m of t off one at a time gives
+f(s join t) = f(s) join f(b_1) join ... join f(b_m) = f(s) join f(t).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import (
     BadParameterError,
@@ -185,8 +190,22 @@ class LatticeMap:
     target: LcmLattice
     mapping: Mapping[Monomial, Monomial]
 
-    def __call__(self, u: Monomial) -> Monomial:
-        return self.mapping[u]
+
+def _require_atomistic(*lattices: LcmLattice) -> None:
+    if any(len(set(L._support)) != len(L) for L in lattices):
+        raise BadParameterError("lattice elements are not determined by their atom sets")
+
+
+def _atom_step_failure(
+    source: LcmLattice, target: LcmLattice, image: Sequence[int], atoms: Sequence[int]
+) -> tuple[int, int] | None:
+    """The first (element s, atom a) index pair, elements in order and atoms
+    as given, with image[s join a] != image[s] join image[a]; else None."""
+    for k, d in enumerate(image):
+        for a in atoms:
+            if image[source._join(k, a)] != target._join(d, image[a]):
+                return k, a
+    return None
 
 
 def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | None:
@@ -200,8 +219,7 @@ def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | 
     bijection, or None.  Raises BadParameterError for a lattice whose
     elements are not determined by their atom supports.
     """
-    if any(len(set(L._support)) != len(L) for L in (L1, L2)):
-        raise BadParameterError("lattice elements are not determined by their atom sets")
+    _require_atomistic(L1, L2)
     m = len(L1.atoms)
     if len(L1) != len(L2) or m != len(L2.atoms):
         return None
@@ -243,12 +261,14 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
     delta(s) is the join of the source atoms whose spreads lie below s.  It
     is the collapse map, sending the lcm of any spread generators to the lcm
     of their originals, exactly when delta(s join sigma(a)) = delta(s) join a
-    for every element s and atom a, which is verified.  That fails for some
-    ideals: the spread-side lcm only remembers, per variable, the union of
-    offset intervals, and distinct source lcms can produce identical unions
-    (e.g. (x2^3*x3, x1^2*x3, x1*x2*x3^2) in three variables, where the spread
-    lattice has fewer elements than the source lattice).  Then no collapse
-    map exists and WellDefinednessViolation is raised.
+    for every element s and atom a, which is verified (the atom step, as
+    spreading keeps generators incomparable and so delta(sigma(a)) = a).
+    That fails for some ideals: the spread-side lcm only remembers, per
+    variable, the union of offset intervals, and distinct source lcms can
+    produce identical unions (e.g. (x2^3*x3, x1^2*x3, x1*x2*x3^2) in three
+    variables, where the spread lattice has fewer elements than the source
+    lattice).  Then no collapse map exists and WellDefinednessViolation is
+    raised.
     """
     n = I.ambient
     src = build_lcm_lattice(I)
@@ -259,23 +279,32 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
         reduce(src._join, (i for i, s in zip(src._atom_at, lifted) if below >> s & 1), 0)
         for below in spr._below
     ]
-    for k, d in enumerate(delta):
-        for i, s in zip(src._atom_at, lifted):
-            up, want = spr._join(k, s), src._join(d, i)
-            if delta[up] != want:
-                raise WellDefinednessViolation(
-                    f"spreading collapsed the lcm-lattice: {spr.elements[up]} is the "
-                    f"lcm of spread generator subsets with different source lcms "
-                    f"{src.elements[delta[up]]} and {src.elements[want]}; "
-                    f"no collapse map exists"
-                )
+    failure = _atom_step_failure(spr, src, delta, lifted)
+    if failure is not None:
+        k, s = failure
+        up, want = spr._join(k, s), src._join(delta[k], delta[s])
+        raise WellDefinednessViolation(
+            f"spreading collapsed the lcm-lattice: {spr.elements[up]} is the "
+            f"lcm of spread generator subsets with different source lcms "
+            f"{src.elements[delta[up]]} and {src.elements[want]}; "
+            f"no collapse map exists"
+        )
     mapping = {e: src.elements[d] for e, d in zip(spr.elements, delta)}
     return LatticeMap(source=spr, target=src, mapping=mapping)
 
 
 def verify_delta(delta: LatticeMap) -> bool:
-    """True iff the map is join-preserving, onto, and fixes the bottom."""
+    """True iff the map is join-preserving, onto, and fixes the bottom.
+
+    Joins are checked by the atom step f(s join a) = f(s) join f(a) for
+    every source element s and atom a.  Once f(bottom) = bottom, induction
+    on the atoms of t gives f(s join t) = f(s) join f(t) for all s, t, as
+    each element is the join of its atoms.  That needs an atomistic source:
+    BadParameterError is raised for one whose elements are not determined
+    by their atom supports.
+    """
     src, tgt, f = delta.source, delta.target, delta.mapping
+    _require_atomistic(src)
     if set(f) != set(src.elements):
         return False
     if f[src.bottom] != tgt.bottom:
@@ -283,11 +312,7 @@ def verify_delta(delta: LatticeMap) -> bool:
     if set(f.values()) != set(tgt.elements):
         return False
     image = [tgt.index(f[e]) for e in src.elements]
-    return all(
-        image[src._join(i, j)] == tgt._join(image[i], image[j])
-        for i in range(len(src))
-        for j in range(i, len(src))
-    )
+    return _atom_step_failure(src, tgt, image, src._atom_at) is None
 
 
 def hasse_dot(L: LcmLattice) -> str:

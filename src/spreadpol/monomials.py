@@ -200,11 +200,12 @@ def minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     unique = sorted(set(gens))
     if any(u.is_unit for u in unique):
         raise UnitGeneratorError("the unit monomial generates the unit ideal")
-    kept = [
-        u
-        for u in unique
-        if not any(v is not u and v.divides(u) for v in unique)
-    ]
+    # a proper divisor sorts first, and a multiple of a dropped monomial is
+    # also a multiple of the kept one that dropped it
+    kept: list[Monomial] = []
+    for u in unique:
+        if not any(v.divides(u) for v in kept):
+            kept.append(u)
     return tuple(kept)
 
 

@@ -16,7 +16,9 @@ The order-complex reference computes the reduced Betti numbers of an open
 lattice interval from every chain in it, where the library uses the smaller
 crosscut complex; the number of chains grows factorially, so it serves
 small lattices only.  The isomorphism reference tries every atom
-permutation in lexicographic order on plain exponent tuples.
+permutation in lexicographic order on plain exponent tuples.  The
+collapse-map reference checks join preservation on every pair of source
+elements, where the library checks one atom step per element and atom.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 import sys
 from typing import Iterable
 
-from spreadpol import BadParameterError, LcmLattice, Monomial
+from spreadpol import BadParameterError, LatticeMap, LcmLattice, Monomial
 
 
 def smooth_by_exhaustion(monomials: list[Monomial], n: int) -> bool:
@@ -227,3 +229,17 @@ def isomorphism_by_permutations(
         if all(f[lcm(u, v)] == lcm(f[u], f[v]) for u, v in pairs):
             return {u: elems2[f[u.exponents]] for u in L1.elements}
     return None
+
+
+def delta_by_all_pairs(delta: LatticeMap) -> bool:
+    """True iff the map is total, fixes the bottom, is onto, and f(u join v) =
+    f(u) join f(v) for every pair of source elements."""
+    src, tgt, f = delta.source, delta.target, delta.mapping
+    if set(f) != set(src.elements) or f[src.bottom] != tgt.bottom:
+        return False
+    if set(f.values()) != set(tgt.elements):
+        return False
+    return all(
+        f[src.join(u, v)] == tgt.join(f[u], f[v])
+        for u, v in itertools.combinations_with_replacement(src.elements, 2)
+    )

@@ -21,7 +21,7 @@ from spreadpol import (
     verify_delta,
 )
 from genutils import random_equal_degree_ideal, random_ideal, random_monomial
-from oracles import isomorphism_by_permutations
+from oracles import delta_by_all_pairs, isomorphism_by_permutations
 
 
 def M(*exps):
@@ -294,6 +294,42 @@ class TestDelta:
             source=L, target=L, mapping={e: e for e in L.elements}
         )
         assert verify_delta(ident)
+
+    def test_verify_delta_rejects_lattice_not_fixed_by_atom_sets(self):
+        chain = LcmLattice(1, (M(1),), (M(0), M(1), M(2)))
+        ident = LatticeMap(source=chain, target=chain, mapping={e: e for e in chain.elements})
+        with pytest.raises(BadParameterError):
+            verify_delta(ident)
+
+    def test_atom_step_agrees_with_all_pairs_reference(self):
+        """Collapse maps, one-entry changes of them, and random self-maps."""
+        rng = random.Random(27)
+        verdicts = []
+
+        def check(source, target, mapping):
+            dmap = LatticeMap(source=source, target=target, mapping=mapping)
+            verdicts.append(verify_delta(dmap))
+            assert verdicts[-1] == delta_by_all_pairs(dmap), mapping
+
+        while len(verdicts) < 2000:
+            I = random_ideal(rng, rng.randint(1, 3), rng.randint(1, 4), 3)
+            try:
+                dmap = build_delta(I)
+            except WellDefinednessViolation:
+                continue
+            spr, src = dmap.source, dmap.target
+            check(spr, src, dmap.mapping)
+            for _ in range(6):
+                changed = dict(dmap.mapping)
+                changed[rng.choice(spr.elements)] = rng.choice(src.elements)
+                check(spr, src, changed)
+            rest = list(src.elements[1:])
+            for _ in range(6):
+                values = rng.sample(rest, len(rest)) if rng.random() < 0.5 else [
+                    rng.choice(src.elements) for _ in rest
+                ]
+                check(src, src, dict(zip(src.elements, [src.bottom] + values)))
+        assert verdicts.count(False) >= 500 and verdicts.count(True) >= 500
 
     def test_lcm_of_spreads_determines_prefix_maxima(self):
         # the spread-side lcm pins down, per variable, the largest prefix sum

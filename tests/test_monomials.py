@@ -217,6 +217,8 @@ class TestMonomialIdeal:
         for u in out:
             for v in out:
                 assert u == v or not u.divides(v)
+        assert set(out) <= set(gens)
+        assert all(any(v.divides(u) for v in out) for u in gens)
 
 
 class TestSpreadIdeal:
