@@ -5,11 +5,16 @@ above the bottom, b_{i,m} of the quotient equals the reduced homology (over
 the two-element field) of the open interval (1, m), in dimension i-2
 (Gasharov, Peeva and Welker, 1999).  By the crosscut theorem (Rota; Bjorner,
 "Topological methods", Handbook of Combinatorics 1995, Thm 10.8) that
-interval's order complex is homotopy equivalent to the crosscut complex on
-the atoms below m: its faces are the atom sets whose join lies strictly
-below m, at most 2^k of them for k atoms, so its homology is computed
-instead.  The projective dimension is the largest i carrying a nonzero entry
-and depth is the ambient count minus it.
+interval's order complex is homotopy equivalent to the crosscut complex of
+either of two crosscuts of [1, m]: the atoms below m, whose faces are the
+atom sets with join strictly below m, or the lower covers of m, whose faces
+are the cover sets with a common lower bound other than 1.  The smaller of
+the two is used (the atoms on a tie), so an element with a atoms and c
+lower covers costs at most 2^min(a, c) faces; neither kind alone is always
+small (the top of the lattice of the pair lcms has m atoms but C(m, 2)
+lower covers, and a top above many atoms may cover only two elements).
+The projective dimension is the largest i carrying a nonzero entry and
+depth is the ambient count minus it.
 
 Stanley depth is computed on the characteristic poset: all exponent vectors
 c <= g (g the lcm of the generators), split by membership of x^c in the
@@ -65,15 +70,16 @@ def _gf2_rank(rows: Iterable[int]) -> int:
 def order_complex_betti(L: LcmLattice, m: Monomial) -> dict[int, int]:
     """Reduced Betti numbers (over GF(2)) of the open interval (bottom, m).
 
-    Computed on the crosscut complex of [bottom, m], which has the same
-    homology as the order complex of the open interval.  Returns
+    Computed on the complex of the smaller crosscut of [bottom, m], which
+    has the same homology as the order complex of the open interval.  Returns
     {dimension: rank} with zero ranks omitted; the empty interval yields
     {-1: 1}.
     """
     if m == L.bottom:
         raise BadParameterError("open interval below the bottom is undefined")
-    levels: list[dict[int, int]] = [{} for _ in range(len(L.atoms) + 1)]
-    for face in L.crosscut_faces(m):  # by face size: face mask -> position
+    size, faces = L.crosscut_faces(m)
+    levels: list[dict[int, int]] = [{} for _ in range(size + 1)]
+    for face in faces:  # by face size: face mask -> position
         level = levels[face.bit_count()]
         level[face] = len(level)
     ranks = [0]  # ranks[s]: boundary rank on the size-s faces

@@ -60,25 +60,30 @@ class LcmLattice:
         self._index = {e: k for k, e in enumerate(elements)}
         full = (1 << len(elements)) - 1
         below, above = [full] * len(elements), [full] * len(elements)
-        for column in zip(*(e.exponents for e in elements)):
+        for column in set(zip(*(e.exponents for e in elements))):  # distinct columns once
             slab = dict.fromkeys(sorted(set(column)), 0)  # value -> elements at it
             for k, v in enumerate(column):
                 slab[v] |= 1 << k
-            at_most, acc = {}, 0
+            at_most, at_least, acc = {}, {}, 0
             for v, mask in slab.items():
+                at_least[v] = full ^ acc
                 acc |= mask
                 at_most[v] = acc
             for k, v in enumerate(column):
                 below[k] &= at_most[v]
-                above[k] &= full ^ at_most[v] ^ slab[v]
+                above[k] &= at_least[v]
         if any(mask >> k != 1 for k, mask in enumerate(below)):
             raise BadParameterError("lattice elements must be distinct, divisors first")
         self._below, self._above = below, above
         self._atom_at = tuple(self.index(a) for a in atoms)
-        self._support = tuple(
-            sum(1 << a for a, i in enumerate(self._atom_at) if mask >> i & 1)
-            for mask in below
-        )
+        support = [0] * len(elements)
+        for a, i in enumerate(self._atom_at):  # transpose each atom's up-set
+            rest = above[i]
+            while rest:
+                low = rest & -rest
+                support[low.bit_length() - 1] |= 1 << a
+                rest ^= low
+        self._support = tuple(support)
         self._covers = None
 
     def __len__(self) -> int:
@@ -144,26 +149,47 @@ class LcmLattice:
             self._covers = tuple(sorted(edges))
         return self._covers
 
-    def crosscut_faces(self, u: Monomial) -> list[int]:
-        """Faces of the atom crosscut complex of [bottom, u], as atom masks.
+    def crosscut_faces(self, u: Monomial) -> tuple[int, list[int]]:
+        """The smaller crosscut of [bottom, u] and the faces of its complex.
 
-        A face is a set of atoms below u whose join lies strictly below u,
-        the empty set included; faces come in increasing mask order.
+        The atoms below u form one crosscut, whose faces are the atom sets
+        with join strictly below u; the lower covers of u form the other,
+        whose faces are the cover sets with a common lower bound above the
+        bottom.  Both complexes have the homology of the open interval
+        (bottom, u).  The atoms are used unless u has fewer lower covers.
+        Returns (k, faces): the crosscut's size k and its faces as masks over
+        its members 0..k-1 in increasing mask order, the empty face included.
         """
         k = self.index(u)
-        support, top = self._support[k], self._above[k]
-        upper = {0: self._above[0]}  # face -> its atoms' common upper bounds
-        sub = 0
-        while True:
-            sub = (sub - support) & support  # next submask in increasing order
-            if not sub:
-                return list(upper)
-            low = sub & -sub
-            common = upper.get(sub ^ low)
-            if common is not None:  # a superset of a non-face is none either
-                common &= self._above[self._atom_at[low.bit_length() - 1]]
-                if common != top:
-                    upper[sub] = common
+        support = self._support[k]
+        ups = [self._above[i] for a, i in enumerate(self._atom_at) if support >> a & 1]
+        downs: list[int] = []  # the down-sets of the lower covers, while fewer
+        rest = self._below[k] ^ 1 << k
+        while rest and len(downs) < len(ups):  # the highest bit left is a cover
+            i = rest.bit_length() - 1
+            downs.append(self._below[i])
+            rest &= ~self._below[i]
+        if len(downs) < len(ups):
+            return len(downs), _crosscut(downs, self._below[k], self._below[0])
+        return len(ups), _crosscut(ups, self._above[0], self._above[k])
+
+
+def _crosscut(masks: list[int], start: int, trivial: int) -> list[int]:
+    """The sets s of masks whose AND with `start` is not `trivial`, as bit sets.
+
+    The AND only shrinks as a set grows, so a superset of a non-face is none
+    either; faces come in increasing order.
+    """
+    common = [start]  # common[s]: the AND over s, or None once it is trivial
+    for s in range(1, 1 << len(masks)):
+        low = s & -s
+        c = common[s ^ low]
+        if c is not None:
+            c &= masks[low.bit_length() - 1]
+            if c == trivial:
+                c = None
+        common.append(c)
+    return [s for s, c in enumerate(common) if c is not None]
 
 
 def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:
@@ -178,7 +204,9 @@ def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:
         elems |= {tuple(map(max, e, atom.exponents)) for e in elems}
         if len(elems) > MAX_ELEMENTS:
             raise TooLargeError(f"lcm-lattice exceeds the cap of {MAX_ELEMENTS} elements")
-    elements = tuple(Monomial(e, I.ambient) for e in sorted(elems))
+    exps = sorted(elems)
+    top = Monomial(exps[-1], I.ambient)  # the one full check: the rest divide it
+    elements = tuple(Monomial._trusted(e, I.ambient) for e in exps[:-1]) + (top,)
     return LcmLattice(I.ambient, atoms, elements)
 
 
@@ -297,17 +325,17 @@ def verify_delta(delta: LatticeMap) -> bool:
     """True iff the map is join-preserving, onto, and fixes the bottom.
 
     Joins are checked by the atom step f(s join a) = f(s) join f(a) for
-    every source element s and atom a.  Once f(bottom) = bottom, induction
-    on the atoms of t gives f(s join t) = f(s) join f(t) for all s, t, as
-    each element is the join of its atoms.  That needs an atomistic source:
-    BadParameterError is raised for one whose elements are not determined
-    by their atom supports.
+    every source element s and atom a.  Each element is the join of its
+    atoms, so adding them one at a time gives f(s) >= f(bottom) for every s;
+    as some s maps onto the target bottom, an onto map that passes the atom
+    step fixes the bottom, which is therefore not checked on its own.  Then
+    induction on the atoms of t gives f(s join t) = f(s) join f(t) for all
+    s, t.  That needs an atomistic source: BadParameterError is raised for
+    one whose elements are not determined by their atom supports.
     """
     src, tgt, f = delta.source, delta.target, delta.mapping
     _require_atomistic(src)
     if set(f) != set(src.elements):
-        return False
-    if f[src.bottom] != tgt.bottom:
         return False
     if set(f.values()) != set(tgt.elements):
         return False

@@ -72,6 +72,16 @@ class Monomial:
         raise AttributeError("Monomial is immutable")
 
     @classmethod
+    def _trusted(cls, exps: tuple[int, ...], ambient: int) -> "Monomial":
+        """The monomial of an int tuple known to pass the checks of __init__,
+        e.g. one dividing a monomial that passed them."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "ambient", ambient)
+        object.__setattr__(u, "exponents", exps)
+        object.__setattr__(u, "_hash", hash((ambient, exps)))
+        return u
+
+    @classmethod
     def unit(cls, ambient: int) -> "Monomial":
         return cls(_zeros(ambient), ambient)
 

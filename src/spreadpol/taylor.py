@@ -5,15 +5,18 @@ subset, graded by the subset lcm) computes the same Betti numbers as the
 lattice route, but through a completely different complex: fixing a
 multidegree, the surviving basis elements are the subsets whose lcm is
 exactly that multidegree, and the boundary drops one generator at a time,
-keeping only the drops that do not change the lcm.  Homology is taken over
-the two-element field with a local elimination; nothing here touches the
-lcm-lattice machinery, so agreement of the two routes is a real cross-check.
+keeping only the drops that do not change the lcm.
+
+Subsets are bitmasks S over the generators, and all 2^m subset lcms come
+from one pass in increasing order: lcm(S) is lcm(S minus its lowest
+generator) raised to that generator, on plain exponent tuples.  Within a
+multidegree each boundary row is an int whose bits are the surviving
+subsets one smaller, and homology is taken over the two-element field by
+elimination on these rows.  Nothing here touches the lcm-lattice machinery,
+so agreement of the two routes is a real cross-check.
 """
 
 from __future__ import annotations
-
-import itertools
-from collections import defaultdict
 
 from .errors import TooLargeError
 from .monomials import Monomial, MonomialIdeal
@@ -21,17 +24,16 @@ from .monomials import Monomial, MonomialIdeal
 MAX_TAYLOR_ATOMS = 10
 
 
-def _rank_mod2(rows: list[frozenset[int]]) -> int:
-    reduced: dict[int, set[int]] = {}
+def _rank_mod2(rows: list[int]) -> int:
+    pivots: dict[int, int] = {}  # lowest bit -> the reduced row it leads
     rank = 0
     for row in rows:
-        cur = set(row)
-        while cur:
-            pivot = min(cur)
-            if pivot in reduced:
-                cur ^= reduced[pivot]
+        while row:
+            pivot = row & -row
+            if pivot in pivots:
+                row ^= pivots[pivot]
             else:
-                reduced[pivot] = cur
+                pivots[pivot] = row
                 rank += 1
                 break
     return rank
@@ -45,45 +47,30 @@ def taylor_betti(I: MonomialIdeal) -> dict[tuple[int, Monomial], int]:
         raise TooLargeError(
             f"{m} generators exceed the subset-resolution cap of {MAX_TAYLOR_ATOMS}"
         )
-    exps = [g.exponents for g in gens]
-    zero = (0,) * I.ambient
-
-    def subset_lcm(subset: tuple[int, ...]) -> tuple[int, ...]:
-        out = zero
-        for i in subset:
-            out = tuple(map(max, out, exps[i]))
-        return out
-
-    by_degree: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = defaultdict(
-        lambda: defaultdict(list)
-    )
-    lcm_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for size in range(m + 1):
-        for subset in itertools.combinations(range(m), size):
-            deg = subset_lcm(subset)
-            lcm_of[subset] = deg
-            by_degree[deg][size].append(subset)
+    lcms = [(0,) * I.ambient]  # lcms[S]: the lcm of the generator subset S
+    for S in range(1, 1 << m):
+        low = S & -S
+        lcms.append(tuple(map(max, lcms[S ^ low], gens[low.bit_length() - 1].exponents)))
+    subsets: dict[tuple[int, ...], list[int]] = {}  # multidegree -> its subsets
+    for S, deg in enumerate(lcms):
+        subsets.setdefault(deg, []).append(S)
 
     betti: dict[tuple[int, Monomial], int] = {}
-    for deg, strata in by_degree.items():
-        index = {
-            subset: col
-            for subsets in strata.values()
-            for col, subset in enumerate(subsets)
-        }
-        ranks: dict[int, int] = {}
-        for size, subsets in strata.items():
-            rows = []
-            for subset in subsets:
-                row = set()
-                for drop in range(size):
-                    smaller = subset[:drop] + subset[drop + 1 :]
-                    if lcm_of[smaller] == deg:
-                        row.add(index[smaller])
-                rows.append(frozenset(row))
-            ranks[size] = _rank_mod2(rows)
-        for size, subsets in strata.items():
-            h = len(subsets) - ranks[size] - ranks.get(size + 1, 0)
+    for deg, same in subsets.items():
+        col = {S: c for c, S in enumerate(same)}
+        rows: dict[int, list[int]] = {}  # size -> boundary rows, as column masks
+        for S in same:
+            row, rest = 0, S
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                face = col.get(S ^ low)  # kept iff dropping the generator keeps deg
+                if face is not None:
+                    row |= 1 << face
+            rows.setdefault(S.bit_count(), []).append(row)
+        ranks = {size: _rank_mod2(r) for size, r in rows.items()}
+        for size, r in rows.items():
+            h = len(r) - ranks[size] - ranks.get(size + 1, 0)
             if h:
                 betti[(size, Monomial(deg, I.ambient))] = h
     return betti

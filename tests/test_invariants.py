@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -23,7 +24,11 @@ from spreadpol import (
 from spreadpol.invariants import MAX_DEPTH_ATOMS
 from spreadpol.taylor import taylor_betti
 from genutils import random_ci_ideal, random_equal_degree_ideal, random_ideal
-from oracles import box_partition_by_points, order_complex_betti_by_chains
+from oracles import (
+    box_partition_by_points,
+    order_complex_betti_by_chains,
+    taylor_betti_by_combinations,
+)
 
 
 def M(*exps):
@@ -32,6 +37,16 @@ def M(*exps):
 
 def ideal(n, rows):
     return MonomialIdeal.from_exponents(n, rows)
+
+
+def pair_lcm_ideal(m):
+    """Generators g_i = product of x_P over the pairs P of {1..m} without i.
+
+    Its lcm-lattice is the bottom, m atoms, one element per pair (the lcm of
+    two atoms) and the top, which has m atoms but C(m, 2) lower covers.
+    """
+    pairs = list(itertools.combinations(range(m), 2))
+    return ideal(len(pairs), [[int(i not in P) for P in pairs] for i in range(m)])
 
 
 def in_ideal(poset):
@@ -76,13 +91,32 @@ class TestOrderComplexReference:
         for _ in range(60):
             n, k, d = rng.randint(2, 4), rng.randint(3, 6), rng.randint(2, 4)
             lattices.append(build_lcm_lattice(random_equal_degree_ideal(rng, n, k, d)))
-        dims = set()
+        lattices += [build_lcm_lattice(pair_lcm_ideal(m)) for m in (4, 5)]
+        dims, smaller = set(), set()  # which crosscut was strictly smaller
         for L in lattices:
+            covers = [j for _, j in L.covers()]
             for m in L.elements[1:]:
                 betti = order_complex_betti(L, m)
                 assert betti == order_complex_betti_by_chains(L, m), (L.atoms, m)
                 dims |= set(betti)
+                atoms, lower = len(L.atom_support(m)), covers.count(L.index(m))
+                size, _ = L.crosscut_faces(m)
+                assert size == min(atoms, lower)
+                if atoms != lower:
+                    smaller.add("atoms" if size == atoms else "lower covers")
         assert dims == {-1, 0, 1, 2}
+        assert smaller == {"atoms", "lower covers"}
+
+    def test_crosscut_faces_of_both_kinds(self):
+        # the pair-lcm top: faces are the atom sets of size at most 2
+        L = build_lcm_lattice(pair_lcm_ideal(4))
+        size, faces = L.crosscut_faces(L.top)
+        assert size == 4 and faces == sorted(f for f in range(16) if f.bit_count() <= 2)
+        # (x1^2, x1*x2, x2^2): the top has three atoms but two lower covers,
+        # x1^2*x2 and x1*x2^2, with x1*x2 below both: one edge, no homology
+        L = build_lcm_lattice(ideal(2, [(2, 0), (1, 1), (0, 2)]))
+        assert L.crosscut_faces(L.top) == (2, [0, 1, 2, 3])
+        assert order_complex_betti(L, L.top) == {}
 
 
 class TestDepth:
@@ -158,6 +192,32 @@ class TestTaylorAgreement:
         gens = [Monomial.variable(j, n) for j in range(1, n + 1)]
         with pytest.raises(TooLargeError):
             taylor_betti(MonomialIdeal(n, gens))
+
+    def test_bitmask_route_matches_combinations_reference(self):
+        rng = random.Random(94)
+        counts = set()
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            if rng.random() < 0.5:
+                I = random_ideal(rng, n, rng.randint(1, 10), 3)
+            else:
+                I = random_equal_degree_ideal(rng, n + 1, rng.randint(1, 10), 3)
+            counts.add(len(I.generators))
+            assert taylor_betti(I) == taylor_betti_by_combinations(I), I.generators
+        assert counts == set(range(1, 11))
+        I = random_equal_degree_ideal(rng, 4, 11, 4)
+        assert len(I.generators) == 11
+        with pytest.raises(TooLargeError):
+            taylor_betti(I)
+
+    def test_pair_lcm_family_on_the_smaller_crosscut(self):
+        # every top has C(m, 2) lower covers: the atom crosscut keeps depth cheap
+        for m in range(5, 9):
+            I = pair_lcm_ideal(m)
+            start = time.perf_counter()
+            assert dict(depth_quotient(I).betti.entries) == taylor_betti(I)
+            if m == 8:
+                assert time.perf_counter() - start < 1.0
 
 
 class TestCharacteristicPoset:

@@ -33,6 +33,20 @@ def ideal(n, rows):
 
 
 class TestBuild:
+    def test_elements_are_plain_monomials(self):
+        """Elements built without the full check equal, and hash like, the
+        checked monomials of the same exponents."""
+        rng = random.Random(37)
+        for _ in range(60):
+            I = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 6), 3)
+            for J in (I, spread_ideal(I, I.ambient)):
+                L = build_lcm_lattice(J)
+                for e in L.elements:
+                    checked = Monomial(e.exponents, L.ambient)
+                    assert e == checked and hash(e) == hash(checked)
+                    assert type(e.exponents) is tuple
+                    assert all(type(x) is int for x in e.exponents)
+
     def test_boolean_square(self):
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
         assert set(L.elements) == {M(0, 0), M(1, 0), M(0, 1), M(1, 1)}
@@ -302,7 +316,9 @@ class TestDelta:
             verify_delta(ident)
 
     def test_atom_step_agrees_with_all_pairs_reference(self):
-        """Collapse maps, one-entry changes of them, and random self-maps."""
+        """Collapse maps, one-entry changes of them, random self-maps, and
+        onto self-maps that move the bottom (verify_delta has no bottom check
+        of its own; the reference has one)."""
         rng = random.Random(27)
         verdicts = []
 
@@ -329,6 +345,12 @@ class TestDelta:
                     rng.choice(src.elements) for _ in rest
                 ]
                 check(src, src, dict(zip(src.elements, [src.bottom] + values)))
+            moved = len(verdicts)
+            for _ in range(2):
+                values = rng.sample(rest, len(rest))
+                values.insert(rng.randint(1, len(rest)), src.bottom)
+                check(src, src, dict(zip(src.elements, values)))
+            assert not any(verdicts[moved:])
         assert verdicts.count(False) >= 500 and verdicts.count(True) >= 500
 
     def test_lcm_of_spreads_determines_prefix_maxima(self):
