@@ -22,7 +22,9 @@ ideal.  A partition of one side into boxes [a, b] is scored by the smallest
 number of coordinates of any upper corner b that are saturated (b_j = g_j);
 Stanley depth is the best score over all partitions, found by a
 branch-and-bound search from the largest conceivable score downwards
-(Herzog, Vladoiu and Zheng, J. Algebra 2009).
+(Herzog, Vladoiu and Zheng, J. Algebra 2009).  The grid cap bounds the
+points but not the search, so the search raises TooLargeError once it has
+memoized more than MAX_SDEPTH_STATES failed states.
 
 Every point set of that search is a Python int used as a bitmask over the
 whole grid prod(g_j + 1), bit i standing for the i-th point in
@@ -50,6 +52,7 @@ from .smooth import is_smoothly_spreadable
 
 MAX_DEPTH_ATOMS = 8
 MAX_POSET_POINTS = 4096
+MAX_SDEPTH_STATES = 1 << 18  # failed search states memoized by one Stanley-depth search
 
 
 def _gf2_rank(rows: Iterable[int]) -> int:
@@ -269,7 +272,8 @@ def _box_search(full, outside, uppers, up, down) -> list[tuple[int, int]] | None
     so a box is usable exactly when it meets no blocked bit.  Each stack
     frame holds [blocked, a, untried, c]: the least free point a, the upper
     corners in `uppers` above a not yet tried, and the corner c whose box
-    led to the frame above it.  States that admit no partition are memoized.
+    led to the frame above it.  States that admit no partition are memoized;
+    TooLargeError is raised once more than MAX_SDEPTH_STATES are.
     """
     failed: set[int] = set()
 
@@ -297,6 +301,10 @@ def _box_search(full, outside, uppers, up, down) -> list[tuple[int, int]] | None
                 break
         else:
             failed.add(blocked)
+            if len(failed) > MAX_SDEPTH_STATES:
+                raise TooLargeError(
+                    f"Stanley-depth search exceeds {MAX_SDEPTH_STATES} failed states"
+                )
             stack.pop()
     return None
 
@@ -357,13 +365,14 @@ def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattic
     try:
         L = _depth_lattice(I)
         poset = build_characteristic_poset(I)
+        stats = (
+            _depth_on(L).value,
+            _sdepth_on(poset, ideal_side=False).value,
+            _sdepth_on(poset, ideal_side=True).value,
+        )
     except TooLargeError as e:
         raise TooLargeError(f"{what}: {e}") from None
-    return (
-        _depth_on(L).value,
-        _sdepth_on(poset, ideal_side=False).value,
-        _sdepth_on(poset, ideal_side=True).value,
-    ), L
+    return stats, L
 
 
 def verify_spreading_laws(

@@ -6,15 +6,19 @@ ordered by divisibility.  It is atomistic with the generators as atoms; the
 join of two elements is their lcm, the meet is the greatest common lower
 bound *within the lattice* (which may properly divide the gcd).
 
-Elements are listed with every divisor before its multiples, and each one
-carries three Python-int bitmasks built once in the constructor: the
-elements below it and above it (from per-variable exponent slabs) and its
-atom support.  In a lattice the common upper bounds above(u) & above(v) are
-exactly the up-set of the join, so the join is their lowest bit; dually the
-common lower bounds below(u) & below(v) are the down-set of the meet, their
-highest bit, and no gcd is needed.  An atomistic lattice is fixed by its
-family of atom supports, so an isomorphism is a permutation of atoms
-carrying one family onto the other.
+Polarization keeps the lcm-lattice (Gasharov, Peeva and Welker, "The
+lcm-lattice in monomial resolutions", 1999), and after polarization an lcm
+is a union of variables.  So each element is stored as a Python int, the
+set of polarized variables of its exponent vector: the join is one OR and
+divisibility is a subset test.  Elements are listed in increasing code
+order, which is lexicographic order of the exponent vectors and puts every
+divisor before its multiples.  Each element also carries three int
+bitmasks built once in the constructor: its atom support and the elements
+below and above it.  An atomistic lattice is fixed by its family of atom
+supports: u <= v iff support(u) is contained in support(v), and an
+isomorphism is a permutation of atoms carrying one family onto the other.
+The common lower bounds below(u) & below(v) are the down-set of the meet,
+whose index is their highest bit, so no gcd is needed.
 
 A map f out of an atomistic lattice with f(bottom) = bottom preserves all
 joins iff f(s join a) = f(s) join f(a) for every element s and atom a (the
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import or_
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -41,49 +46,98 @@ MAX_ELEMENTS = 1 << 14  # each element keeps two masks as long as the lattice
 
 
 class LcmLattice:
-    """A finite lattice of monomials under divisibility, with its atoms.
+    """The lcm-lattice of an antichain of monomials, the atoms kept in order.
 
-    `elements` must be distinct and list every divisor before its multiples
-    (build_lcm_lattice sorts them); every atom must be an element.
+    Each atom gets one int code, the polarization of its exponent vector
+    after a rank step.  Per variable, an exponent is replaced by its rank in
+    {0} together with that variable's atom exponents, and the rank r is
+    written in unary (r low bits set) in a field as wide as the number of
+    distinct nonzero values; variable 1 takes the most significant field and
+    variables no atom uses take none.  Within a field, OR is max and a
+    subset is a smaller rank, so the code of an lcm is the OR of the codes,
+    u divides v iff code(u) is a subset of code(v), and the int order of
+    codes is the lexicographic order of exponent vectors.  The rank step
+    changes no lcm or divisibility among the atoms, as the ranks keep each
+    variable's order of exponents, and it keeps a field at most as wide as
+    the number of atoms: unary fields of raw exponents could be 2^16 bits
+    wide per variable.
+
+    The elements are the OR-closure of the atom codes, each one carrying
+    its atom support; its exponent vector is computed once, when its code
+    first appears.  BadParameterError is raised when the atoms are not an
+    antichain of non-units, i.e. some atom lies below another or at 1.
     """
 
     __slots__ = (
-        "ambient", "atoms", "elements", "_index", "_below", "_above",
-        "_atom_at", "_support", "_covers",
+        "ambient", "atoms", "elements", "_index", "_codes", "_at", "_below",
+        "_above", "_atom_at", "_support", "_covers",
     )
 
-    def __init__(self, ambient: int, atoms: tuple[Monomial, ...],
-                 elements: tuple[Monomial, ...]):
+    def __init__(self, ambient: int, atoms: tuple[Monomial, ...]):
+        if any(a.ambient != ambient for a in atoms):
+            raise BadParameterError(f"every atom must lie in ambient {ambient}")
         self.ambient = ambient
         self.atoms = atoms
-        self.elements = elements
-        self._index = {e: k for k, e in enumerate(elements)}
-        full = (1 << len(elements)) - 1
-        below, above = [full] * len(elements), [full] * len(elements)
-        for column in set(zip(*(e.exponents for e in elements))):  # distinct columns once
-            slab = dict.fromkeys(sorted(set(column)), 0)  # value -> elements at it
-            for k, v in enumerate(column):
-                slab[v] |= 1 << k
-            at_most, at_least, acc = {}, {}, 0
-            for v, mask in slab.items():
-                at_least[v] = full ^ acc
-                acc |= mask
-                at_most[v] = acc
-            for k, v in enumerate(column):
-                below[k] &= at_most[v]
-                above[k] &= at_least[v]
-        if any(mask >> k != 1 for k, mask in enumerate(below)):
-            raise BadParameterError("lattice elements must be distinct, divisors first")
-        self._below, self._above = below, above
-        self._atom_at = tuple(self.index(a) for a in atoms)
-        support = [0] * len(elements)
-        for a, i in enumerate(self._atom_at):  # transpose each atom's up-set
-            rest = above[i]
-            while rest:
-                low = rest & -rest
-                support[low.bit_length() - 1] |= 1 << a
-                rest ^= low
-        self._support = tuple(support)
+        rows = [a.exponents for a in atoms]
+        digits = {}  # each distinct column -> the atoms' unary fields, in binary
+        for column in set(zip(*rows)):
+            values = sorted(set(column) | {0})
+            width = len(values) - 1
+            unary = {v: "0" * (width - r) + "1" * r for r, v in enumerate(values)}
+            digits[column] = [unary[v] for v in column]
+        # a leading 0 per atom, then every column's field: one join per atom
+        # keeps this linear in the ambient, where shifting per column is not
+        fields = [["0"] * len(atoms), *map(digits.__getitem__, zip(*rows))]
+        codes = [int("".join(f), 2) for f in zip(*fields)]
+        exps = {0: (0,) * ambient}  # code -> exponent vector
+        support = {0: 0}  # code -> mask of the atoms below it
+        for a, (g, row) in enumerate(zip(codes, rows)):
+            bit = 1 << a
+            for e, s in list(support.items()):
+                f = e | g
+                if f in support:
+                    support[f] |= s | bit
+                else:
+                    support[f] = s | bit
+                    exps[f] = tuple(map(max, exps[e], row))
+            if len(support) > MAX_ELEMENTS:
+                raise TooLargeError(f"lcm-lattice exceeds the cap of {MAX_ELEMENTS} elements")
+        if support[0] or any(support[g] != 1 << a for a, g in enumerate(codes)):
+            raise BadParameterError("atoms must be pairwise incomparable non-units")
+        self._codes = sorted(support)
+        self._at = {c: k for k, c in enumerate(self._codes)}
+        self._atom_at = tuple(self._at[g] for g in codes)
+        self._support = tuple(support[c] for c in self._codes)
+        *rest, top = self._codes
+        self.elements = tuple(Monomial._trusted(exps[c], ambient) for c in rest) + (
+            Monomial(exps[top], ambient),  # the one full check: the rest divide it
+        )
+        self._index = {e: k for k, e in enumerate(self.elements)}
+        ups = [0] * len(atoms)  # ups[a]: the elements above atom a
+        for k, s in enumerate(self._support):
+            while s:
+                low = s & -s
+                ups[low.bit_length() - 1] |= 1 << k
+                s ^= low
+        # v >= u iff support(v) holds support(u): above(u) is the AND of the
+        # up-sets of u's atoms, below(u) that of the complements of the rest;
+        # both are read per 4 atoms from tables over the 16 subsets
+        full = (1 << len(self._codes)) - 1
+        tables = []
+        for lo in range(0, len(atoms), 4):
+            ands, outside = [full], [full]
+            for up in ups[lo:lo + 4]:
+                ands += [x & up for x in ands]
+                outside += [x & ~up for x in outside]
+            tables.append((lo, ands, outside[::-1]))
+        self._above, self._below = [], []
+        for s in self._support:
+            above = below = full
+            for lo, ands, outside in tables:
+                above &= ands[s >> lo & 15]
+                below &= outside[s >> lo & 15]
+            self._above.append(above)
+            self._below.append(below)
         self._covers = None
 
     def __len__(self) -> int:
@@ -128,13 +182,7 @@ class LcmLattice:
         return self.elements[w]
 
     def _join(self, i: int, j: int) -> int:
-        common = self._above[i] & self._above[j]
-        w = (common & -common).bit_length() - 1
-        if w < 0 or common != self._above[w]:
-            raise InvariantViolation(
-                f"lattice not join-closed at {self.elements[i]}, {self.elements[j]}"
-            )
-        return w
+        return self._at[self._codes[i] | self._codes[j]]
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges as (lower, upper) element index pairs."""
@@ -194,20 +242,11 @@ def _crosscut(masks: list[int], start: int, trivial: int) -> list[int]:
 
 def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:
     """All subset lcms of the minimal generators, deduplicated and sorted."""
-    atoms = I.generators
-    if len(atoms) > MAX_ATOMS:
+    if len(I.generators) > MAX_ATOMS:
         raise TooLargeError(
-            f"{len(atoms)} generators exceed the lattice cap of {MAX_ATOMS}"
+            f"{len(I.generators)} generators exceed the lattice cap of {MAX_ATOMS}"
         )
-    elems = {(0,) * I.ambient}
-    for atom in atoms:
-        elems |= {tuple(map(max, e, atom.exponents)) for e in elems}
-        if len(elems) > MAX_ELEMENTS:
-            raise TooLargeError(f"lcm-lattice exceeds the cap of {MAX_ELEMENTS} elements")
-    exps = sorted(elems)
-    top = Monomial(exps[-1], I.ambient)  # the one full check: the rest divide it
-    elements = tuple(Monomial._trusted(e, I.ambient) for e in exps[:-1]) + (top,)
-    return LcmLattice(I.ambient, atoms, elements)
+    return LcmLattice(I.ambient, I.generators)
 
 
 @dataclass(frozen=True)
@@ -219,19 +258,15 @@ class LatticeMap:
     mapping: Mapping[Monomial, Monomial]
 
 
-def _require_atomistic(*lattices: LcmLattice) -> None:
-    if any(len(set(L._support)) != len(L) for L in lattices):
-        raise BadParameterError("lattice elements are not determined by their atom sets")
-
-
 def _atom_step_failure(
     source: LcmLattice, target: LcmLattice, image: Sequence[int], atoms: Sequence[int]
 ) -> tuple[int, int] | None:
     """The first (element s, atom a) index pair, elements in order and atoms
     as given, with image[s join a] != image[s] join image[a]; else None."""
+    codes, at, tcodes, tat = source._codes, source._at, target._codes, target._at
     for k, d in enumerate(image):
-        for a in atoms:
-            if image[source._join(k, a)] != target._join(d, image[a]):
+        for a in atoms:  # the two joins, each one OR of codes
+            if image[at[codes[k] | codes[a]]] != tat[tcodes[d] | tcodes[image[a]]]:
                 return k, a
     return None
 
@@ -244,10 +279,8 @@ def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | 
     assigned in order, each to the first free atom of L2 for which the
     supports made of assigned atoms correspond both ways; the first complete
     assignment is extended to the elements.  Returns the witnessing element
-    bijection, or None.  Raises BadParameterError for a lattice whose
-    elements are not determined by their atom supports.
+    bijection, or None.
     """
-    _require_atomistic(L1, L2)
     m = len(L1.atoms)
     if len(L1) != len(L2) or m != len(L2.atoms):
         return None
@@ -303,9 +336,11 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
     spread = spread_ideal(I, n)
     spr = build_lcm_lattice(spread)
     lifted = [spr.index(sigma_t(g, n).in_ambient(spread.ambient)) for g in src.atoms]
-    delta = [  # source atoms whose spreads lie below each spread element, joined
-        reduce(src._join, (i for i, s in zip(src._atom_at, lifted) if below >> s & 1), 0)
-        for below in spr._below
+    origin = dict(zip(lifted, (src._codes[i] for i in src._atom_at)))
+    codes = [origin[i] for i in spr._atom_at]  # source code of each spread atom
+    delta = [  # the OR of the source codes of the atoms below each spread element
+        src._at[reduce(or_, (c for b, c in enumerate(codes) if s >> b & 1), 0)]
+        for s in spr._support
     ]
     failure = _atom_step_failure(spr, src, delta, lifted)
     if failure is not None:
@@ -330,11 +365,9 @@ def verify_delta(delta: LatticeMap) -> bool:
     as some s maps onto the target bottom, an onto map that passes the atom
     step fixes the bottom, which is therefore not checked on its own.  Then
     induction on the atoms of t gives f(s join t) = f(s) join f(t) for all
-    s, t.  That needs an atomistic source: BadParameterError is raised for
-    one whose elements are not determined by their atom supports.
+    s, t, as every lcm-lattice is atomistic.
     """
     src, tgt, f = delta.source, delta.target, delta.mapping
-    _require_atomistic(src)
     if set(f) != set(src.elements):
         return False
     if set(f.values()) != set(tgt.elements):

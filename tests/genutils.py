@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from spreadpol import Monomial, MonomialIdeal
@@ -85,3 +86,14 @@ def random_equal_degree_ideal(
         if len(gens) == m:
             break
     return MonomialIdeal.from_exponents(n, sorted(gens))
+
+
+def pair_lcm_ideal(m: int) -> MonomialIdeal:
+    """Generators g_i = product of x_P over the pairs P of {1..m} without i.
+
+    Its lcm-lattice is the bottom, m atoms, one element per pair (the lcm of
+    two atoms) and the top, which has m atoms but C(m, 2) lower covers.
+    """
+    pairs = list(itertools.combinations(range(m), 2))
+    rows = [[int(i not in P) for P in pairs] for i in range(m)]
+    return MonomialIdeal.from_exponents(len(pairs), rows)

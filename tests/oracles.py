@@ -23,6 +23,12 @@ elements, where the library checks one atom step per element and atom.
 The subset-resolution reference builds each subset lcm from scratch over
 itertools.combinations and ranks over GF(2) on sets of column indices,
 where the library shares lcms along subset bitmasks and ranks int rows.
+
+The lattice-mask reference builds an lcm-lattice on exponent tuples: the
+closure of the generators under max, sorted, then the order masks from
+per-variable exponent slabs and the atom supports by transposing each
+atom's up-set, where the library ORs rank-polarized atom codes and reads
+the order off the supports.
 """
 
 from __future__ import annotations
@@ -313,3 +319,47 @@ def taylor_betti_by_combinations(I: MonomialIdeal) -> dict[tuple[int, Monomial],
             if h:
                 betti[(size, Monomial(deg, I.ambient))] = h
     return betti
+
+
+def lattice_masks_by_slabs(
+    ambient: int, atoms: Iterable[Monomial]
+) -> tuple[list[tuple[int, ...]], list[int], list[int], list[int], list[tuple[int, int]]]:
+    """(elements, below, above, support, covers) of the lcm-lattice of `atoms`.
+
+    Elements are the sorted exponent tuples of all subset lcms; below[k] and
+    above[k] are bitmasks over element indices, support[k] one over atom
+    indices, and covers the sorted Hasse edges (i, j), i below j.
+    """
+    atoms = [a.exponents for a in atoms]
+    elems = {(0,) * ambient}
+    for atom in atoms:
+        elems |= {tuple(map(max, e, atom)) for e in elems}
+    elements = sorted(elems)
+    full = (1 << len(elements)) - 1
+    below, above = [full] * len(elements), [full] * len(elements)
+    for column in zip(*elements):
+        slab = dict.fromkeys(sorted(set(column)), 0)  # value -> elements at it
+        for k, v in enumerate(column):
+            slab[v] |= 1 << k
+        at_most, at_least, acc = {}, {}, 0
+        for v, mask in slab.items():
+            at_least[v] = full ^ acc
+            acc |= mask
+            at_most[v] = acc
+        for k, v in enumerate(column):
+            below[k] &= at_most[v]
+            above[k] &= at_least[v]
+    support = [0] * len(elements)
+    for a, atom in enumerate(atoms):  # transpose each atom's up-set
+        rest = above[elements.index(atom)]
+        while rest:
+            low = rest & -rest
+            support[low.bit_length() - 1] |= 1 << a
+            rest ^= low
+    covers = [  # i < j with nothing strictly between
+        (i, j)
+        for i in range(len(elements))
+        for j in range(len(elements))
+        if i != j and below[j] >> i & 1 and below[j] & above[i] == 1 << i | 1 << j
+    ]
+    return elements, below, above, support, covers

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadpol import IdealFileError, InvariantViolation, Monomial, MonomialIdeal
+from spreadpol import IdealFileError, InvariantViolation, Monomial, MonomialIdeal, spread_ideal
 from spreadpol import cli
 from spreadpol.cli import format_ideal, main, parse_ideal
+from spreadpol.invariants import MAX_SDEPTH_STATES
 from spreadpol.monomials import MAX_AMBIENT
 from genutils import random_ideal
 
@@ -21,6 +22,7 @@ def write(tmp_path, name, text):
 
 TRIPLE = "n 3\n1 1 1\n0 2 1\n"
 REMARK = "n 2\n# comment\n\n2 1\n0 2\n"
+HARD_SDEPTH = "n 3\n0 3 1\n1 0 2\n1 2 1\n2 2 0\n3 1 1\n"
 
 
 class TestParse:
@@ -239,6 +241,21 @@ class TestExitCodes:
     def test_too_large_is_3(self, tmp_path, capsys):
         path = write(tmp_path, "big.ideal", "n 1\n5000\n")
         assert main(["sdepth", path]) == 3
+
+    @pytest.mark.parametrize(
+        "argv, where", [(["sdepth"], ""), (["verify-laws", "-t", "3"], "3-spread in T_15: ")]
+    )
+    def test_stanley_depth_search_cap_is_3(self, tmp_path, capsys, argv, where):
+        # the quotient search on the 3-spread passes MAX_SDEPTH_STATES;
+        # sdepth reads that spread, verify-laws builds it from the source
+        I, _ = parse_ideal(HARD_SDEPTH)
+        text = format_ideal(spread_ideal(I, 3)) if argv == ["sdepth"] else HARD_SDEPTH
+        assert main(argv + [write(tmp_path, "hard.ideal", text)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {where}Stanley-depth search exceeds {MAX_SDEPTH_STATES} failed states"
+        ]
 
     def test_invariant_violation_is_4(self, tmp_path, capsys, monkeypatch):
         # no valid input is known to break a library guarantee, so a broken

@@ -7,7 +7,6 @@ import pytest
 
 from spreadpol import (
     BadParameterError,
-    LcmLattice,
     Monomial,
     MonomialIdeal,
     TooLargeError,
@@ -23,7 +22,7 @@ from spreadpol import (
 )
 from spreadpol.invariants import MAX_DEPTH_ATOMS
 from spreadpol.taylor import taylor_betti
-from genutils import random_ci_ideal, random_equal_degree_ideal, random_ideal
+from genutils import pair_lcm_ideal, random_ci_ideal, random_equal_degree_ideal, random_ideal
 from oracles import (
     box_partition_by_points,
     order_complex_betti_by_chains,
@@ -39,16 +38,6 @@ def ideal(n, rows):
     return MonomialIdeal.from_exponents(n, rows)
 
 
-def pair_lcm_ideal(m):
-    """Generators g_i = product of x_P over the pairs P of {1..m} without i.
-
-    Its lcm-lattice is the bottom, m atoms, one element per pair (the lcm of
-    two atoms) and the top, which has m atoms but C(m, 2) lower covers.
-    """
-    pairs = list(itertools.combinations(range(m), 2))
-    return ideal(len(pairs), [[int(i not in P) for P in pairs] for i in range(m)])
-
-
 def in_ideal(poset):
     """Membership flags of the poset's points, decoded from its ideal mask."""
     return [bool(poset.ideal_mask >> i & 1) for i in range(len(poset.points))]
@@ -58,6 +47,9 @@ def side_points(poset, ideal_side):
     return [p for p, flag in zip(poset.points, in_ideal(poset)) if flag == ideal_side]
 
 
+# Five generators in 3 variables whose 3-spread defeats the Stanley-depth
+# search of the quotient (see TestSdepth.test_failed_state_cap).
+HARD_SDEPTH = [(0, 3, 1), (1, 0, 2), (1, 2, 1), (2, 2, 0), (3, 1, 1)]
 CYC4 = [(2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)]
 
 
@@ -67,8 +59,10 @@ class TestOrderComplexBetti:
         assert order_complex_betti(L, L.top) == {-1: 1}
 
     def test_cone_is_acyclic(self):
-        chain = LcmLattice(1, (M(1),), (M(0), M(1), M(2)))
-        assert order_complex_betti(chain, M(2)) == {}
+        # path ideal (x1x2, x2x3, x3x4): the open top interval is the path
+        # x1x2 < x1x2x3 > x2x3 < x2x3x4 > x3x4, contractible like a cone
+        L = build_lcm_lattice(ideal(4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]))
+        assert order_complex_betti(L, L.top) == {}
 
     def test_two_points(self):
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
@@ -87,7 +81,7 @@ class TestOrderComplexBetti:
 class TestOrderComplexReference:
     def test_crosscut_matches_chain_complex(self):
         rng = random.Random(93)
-        lattices = [LcmLattice(1, (M(1),), (M(0), M(1), M(2)))]
+        lattices = []
         for _ in range(60):
             n, k, d = rng.randint(2, 4), rng.randint(3, 6), rng.randint(2, 4)
             lattices.append(build_lcm_lattice(random_equal_degree_ideal(rng, n, k, d)))
@@ -261,6 +255,17 @@ class TestSdepth:
     def test_free_variables_count(self):
         # an unused variable raises the quotient sdepth by exactly one
         assert sdepth_quotient(ideal(3, [(1, 1, 0)])).value == 2
+
+    def test_failed_state_cap(self):
+        # the 3-spread of HARD_SDEPTH has 2^12 grid points, within
+        # MAX_POSET_POINTS, but its quotient search memoizes failed states
+        # without end; the cap turns that into TooLargeError
+        spread = spread_ideal(ideal(3, HARD_SDEPTH), 3)
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match="failed states"):
+            sdepth_quotient(spread)
+        assert time.perf_counter() - start < 5.0
+        assert sdepth_ideal(spread).value == 13
 
     def _check_report(self, I, rep, side):
         poset = build_characteristic_poset(I)

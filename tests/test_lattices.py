@@ -20,8 +20,9 @@ from spreadpol import (
     spread_ideal,
     verify_delta,
 )
-from genutils import random_equal_degree_ideal, random_ideal, random_monomial
-from oracles import delta_by_all_pairs, isomorphism_by_permutations
+from spreadpol.monomials import MAX_EXPONENT
+from genutils import pair_lcm_ideal, random_equal_degree_ideal, random_ideal, random_monomial
+from oracles import delta_by_all_pairs, isomorphism_by_permutations, lattice_masks_by_slabs
 
 
 def M(*exps):
@@ -46,6 +47,46 @@ class TestBuild:
                     assert e == checked and hash(e) == hash(checked)
                     assert type(e.exponents) is tuple
                     assert all(type(x) is int for x in e.exponents)
+
+    def test_masks_match_slab_reference(self):
+        """Elements, order masks, supports and covers equal those built on
+        exponent tuples with per-variable slabs."""
+        rng = random.Random(38)
+        family = []
+        for _ in range(40):
+            I = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 6), 3)
+            n = I.ambient
+            family += [I, spread_ideal(I, n), spread_ideal(I, n + 1, pad=True)]
+        family.append(MonomialIdeal(8, [Monomial.variable(j, 8) for j in range(1, 9)]))
+        family += [pair_lcm_ideal(m) for m in range(3, 7)]
+        near_max = [0, MAX_EXPONENT - 3, MAX_EXPONENT - 2, MAX_EXPONENT - 1]
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            rows = [[rng.choice(near_max) for _ in range(n)] for _ in range(rng.randint(2, 5))]
+            family.append(ideal(n, [r for r in rows if any(r)] or [[1] * n]))
+        for I in family:
+            L = build_lcm_lattice(I)
+            elements, below, above, support, covers = lattice_masks_by_slabs(
+                I.ambient, I.generators
+            )
+            assert [e.exponents for e in L.elements] == elements, I
+            assert L._below == below and L._above == above, I
+            assert list(L._support) == support, I
+            assert list(L.covers()) == covers, I
+
+    def test_rank_invariance(self):
+        """Only each variable's order of exponents matters: swapping the
+        exponent 2 for 60000 keeps the supports and covers, and both builds
+        take milliseconds (fields are as wide as the distinct exponents)."""
+        small = ideal(3, [(2, 1, 0), (1, 0, 2), (0, 2, 1), (1, 1, 1)])
+        big = ideal(3, [(60000, 1, 0), (1, 0, 60000), (0, 60000, 1), (1, 1, 1)])
+        start = time.perf_counter()
+        L1, L2 = build_lcm_lattice(small), build_lcm_lattice(big)
+        assert time.perf_counter() - start < 0.5
+        assert len(L1) == len(L2) == 12
+        assert L1._support == L2._support and L1.covers() == L2.covers()
+        widened = [tuple(60000 if x == 2 else x for x in e.exponents) for e in L1.elements]
+        assert widened == [e.exponents for e in L2.elements]
 
     def test_boolean_square(self):
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
@@ -204,11 +245,11 @@ class TestIsomorphism:
         assert is_isomorphic(L, L) == {e: e for e in L.elements}
 
     def test_lattice_not_fixed_by_atom_sets_is_rejected(self):
-        chain = LcmLattice(1, (M(1),), (M(0), M(1), M(2)))
-        two = build_lcm_lattice(ideal(1, [(1,)]))
-        for pair in [(chain, chain), (chain, two), (two, chain)]:
-            with pytest.raises(BadParameterError):
-                is_isomorphic(*pair)
+        # the chain 1 < x < x^2 is not atomistic: its atoms x, x^2 are
+        # comparable, so it cannot be built, in either atom order
+        for atoms in [(M(1), M(2)), (M(2), M(1))]:
+            with pytest.raises(BadParameterError, match="incomparable"):
+                LcmLattice(1, atoms)
 
 
 def _iso_pairs():
@@ -310,10 +351,11 @@ class TestDelta:
         assert verify_delta(ident)
 
     def test_verify_delta_rejects_lattice_not_fixed_by_atom_sets(self):
-        chain = LcmLattice(1, (M(1),), (M(0), M(1), M(2)))
-        ident = LatticeMap(source=chain, target=chain, mapping={e: e for e in chain.elements})
-        with pytest.raises(BadParameterError):
-            verify_delta(ident)
+        # x1*x2 divides x1^2*x2, wherever it stands among the atoms, so no
+        # lattice, and no map out of one, is built on them
+        for atoms in [(M(1, 1), M(0, 3), M(2, 1)), (M(2, 1), M(0, 3), M(1, 1))]:
+            with pytest.raises(BadParameterError, match="incomparable"):
+                LcmLattice(2, atoms)
 
     def test_atom_step_agrees_with_all_pairs_reference(self):
         """Collapse maps, one-entry changes of them, random self-maps, and
@@ -435,12 +477,13 @@ class TestHasseDot:
         edges = [l for l in lines if "->" in l]
         assert len(nodes) == 4 and len(edges) == 4
 
-    def test_chain_of_three(self):
-        chain = LcmLattice(1, (M(1),), (M(0), M(1), M(2)))
-        text = hasse_dot(chain)
+    def test_staircase_of_three_atoms(self):
+        # (x1^2, x1*x2, x2^2): 1, three atoms, two pair lcms and the top;
+        # x1^2 and x2^2 are each covered once, x1*x2 twice
+        text = hasse_dot(build_lcm_lattice(ideal(2, [(2, 0), (1, 1), (0, 2)])))
         nodes = [l for l in text.splitlines() if ";" in l and "->" not in l]
         edges = [l for l in text.splitlines() if "->" in l]
-        assert len(nodes) == 3 and len(edges) == 2
+        assert len(nodes) == 7 and len(edges) == 9
 
     def test_golden_text(self):
         text = hasse_dot(build_lcm_lattice(ideal(2, [(2, 2), (0, 3)])))
@@ -469,12 +512,16 @@ class TestLatticeAccess:
             L.index(M(1, 2))
 
     def test_element_order_is_checked(self):
-        with pytest.raises(BadParameterError):
-            LcmLattice(1, (M(1),), (M(1), M(0)))  # multiple before divisor
-        with pytest.raises(BadParameterError):
-            LcmLattice(1, (M(1),), (M(0), M(1), M(1)))
-        with pytest.raises(BadParameterError):
-            LcmLattice(1, (M(3),), (M(0), M(1)))  # atom outside the lattice
+        # the constructor takes atoms only and orders the closure itself; it
+        # refuses atoms that are not an antichain of non-units in its ambient
+        for atoms in [(M(1), M(1)), (M(0),), (M(0), M(1))]:
+            with pytest.raises(BadParameterError, match="incomparable"):
+                LcmLattice(1, atoms)
+        with pytest.raises(BadParameterError, match="ambient"):
+            LcmLattice(2, (M(1, 0), M(1)))
+        L = LcmLattice(2, (M(0, 1), M(1, 0)))
+        assert L.elements == (M(0, 0), M(0, 1), M(1, 0), M(1, 1))
+        assert L.atoms == (M(0, 1), M(1, 0)) and L.atom_support(M(0, 1)) == {0}
 
     def test_leq(self):
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
