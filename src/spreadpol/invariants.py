@@ -36,6 +36,16 @@ ideal side) and a box [a, c] = up(a) & down(c) are intersections of slabs.
 A box lies in a side exactly when it has no bit outside the side's mask.
 Grid order is lexicographic, so "least uncovered point" is the lowest free
 bit and candidate upper corners are tried from the highest bit down.
+
+Both invariants are computed on the support: the ideal restricted to the
+variables its generators use.  A free variable, one that no generator
+uses, adds exactly 1 to the depth, as the Betti numbers do not see it, and
+exactly 1 to both Stanley depths (Herzog, Vladoiu and Zheng, J. Algebra
+2009, Lemma 3.6); on the grid it is a coordinate with g_j = 0, saturated at
+every point.  So each oracle runs on the restricted ideal and adds the free
+count, and the public reports are lifted back with 0 in each free
+coordinate: the same reports as in the full ambient, at a cost that does not
+grow with it.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
 from .lattices import LcmLattice, build_lcm_lattice, is_isomorphic
@@ -128,9 +138,52 @@ class SdepthReport:
     intervals: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
+def _on_support(I: MonomialIdeal) -> tuple[MonomialIdeal, int]:
+    """I restricted to the variables its generators use, and the count of
+    the others (I itself and 0 when it uses them all).
+
+    Deleting unused columns keeps divisibility and the lexicographic order
+    of the generators, so the restricted generators stay a sorted antichain.
+    """
+    used = [j for j, column in enumerate(zip(*(g.exponents for g in I.generators)))
+            if any(column)]
+    free = I.ambient - len(used)
+    if not free:
+        return I, 0
+    gens = [Monomial._trusted(tuple(g.exponents[j] for j in used), len(used))
+            for g in I.generators]
+    return MonomialIdeal._from_minimal(len(used), gens), free
+
+
+def _lift(I: MonomialIdeal) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Maps a vector on the support of I back into its ambient, with 0 in
+    each free coordinate (where the generator lcm is 0 as well)."""
+    g = I.lcm_of_generators.exponents
+
+    def lift(p: tuple[int, ...]) -> tuple[int, ...]:
+        values = iter(p)
+        return tuple(next(values) if gj else 0 for gj in g)
+    return lift
+
+
 def depth_quotient(I: MonomialIdeal) -> DepthReport:
-    """Depth of the quotient ring, via lcm-lattice Betti numbers."""
-    return _depth_on(_depth_lattice(I))
+    """Depth of the quotient ring, via lcm-lattice Betti numbers.
+
+    Computed on the support of I; each free variable adds 1 to the depth
+    and a 0 coordinate to every Betti multidegree.
+    """
+    J, free = _on_support(I)
+    rep = _depth_on(_depth_lattice(J))
+    if not free:
+        return rep
+    lift = _lift(I)
+    entries = {(i, Monomial._trusted(lift(m.exponents), I.ambient)): v
+               for (i, m), v in rep.betti.entries.items()}
+    return DepthReport(
+        ambient=I.ambient,
+        value=rep.value + free,
+        betti=BettiTable(ambient=I.ambient, entries=entries),
+    )
 
 
 def _depth_lattice(I: MonomialIdeal) -> LcmLattice:
@@ -311,12 +364,28 @@ def _box_search(full, outside, uppers, up, down) -> list[tuple[int, int]] | None
 
 def sdepth_quotient(I: MonomialIdeal) -> SdepthReport:
     """Stanley depth of the quotient ring, by exact partition search."""
-    return _sdepth_on(build_characteristic_poset(I), ideal_side=False)
+    return _sdepth_on_support(I, ideal_side=False)
 
 
 def sdepth_ideal(I: MonomialIdeal) -> SdepthReport:
     """Stanley depth of the ideal itself, by exact partition search."""
-    return _sdepth_on(build_characteristic_poset(I), ideal_side=True)
+    return _sdepth_on_support(I, ideal_side=True)
+
+
+def _sdepth_on_support(I: MonomialIdeal, ideal_side: bool) -> SdepthReport:
+    """The search on the support of I; each free variable adds 1 to the
+    value and a 0 coordinate to the bound and to every box corner."""
+    J, free = _on_support(I)
+    rep = _sdepth_on(build_characteristic_poset(J), ideal_side)
+    if not free:
+        return rep
+    lift = _lift(I)
+    return SdepthReport(
+        ambient=I.ambient,
+        value=rep.value + free,
+        bound=lift(rep.bound),
+        intervals=tuple((lift(a), lift(c)) for a, c in rep.intervals),
+    )
 
 
 def _sdepth_on(poset: CharacteristicPoset, ideal_side: bool) -> SdepthReport:
@@ -356,23 +425,33 @@ class SpreadingLawsReport:
         return all(c.holds for c in self.checks)
 
 
-def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattice]:
-    """Depth and both Stanley depths of I, and the lcm-lattice of I.
+def _stats(
+    I: MonomialIdeal, what: str, memo: dict[MonomialIdeal, tuple[tuple[int, int, int], LcmLattice]]
+) -> tuple[tuple[int, int, int], LcmLattice]:
+    """Depth and both Stanley depths of I, and the lcm-lattice of I on its support.
 
-    One lattice serves the depth and is returned for the isomorphism test;
-    one characteristic poset serves both Stanley depth searches.
+    The invariants are computed once per restricted ideal in `memo`, then
+    shifted by the count of free variables.  One lattice serves the depth
+    and is returned for the isomorphism test; one characteristic poset
+    serves both Stanley depth searches.
     """
-    try:
-        L = _depth_lattice(I)
-        poset = build_characteristic_poset(I)
-        stats = (
-            _depth_on(L).value,
-            _sdepth_on(poset, ideal_side=False).value,
-            _sdepth_on(poset, ideal_side=True).value,
-        )
-    except TooLargeError as e:
-        raise TooLargeError(f"{what}: {e}") from None
-    return stats, L
+    J, free = _on_support(I)
+    if J not in memo:
+        try:
+            L = _depth_lattice(J)
+            poset = build_characteristic_poset(J)
+            memo[J] = (
+                (
+                    _depth_on(L).value,
+                    _sdepth_on(poset, ideal_side=False).value,
+                    _sdepth_on(poset, ideal_side=True).value,
+                ),
+                L,
+            )
+        except TooLargeError as e:
+            raise TooLargeError(f"{what}: {e}") from None
+    stats, L = memo[J]
+    return tuple(v + free for v in stats), L
 
 
 def verify_spreading_laws(
@@ -385,17 +464,27 @@ def verify_spreading_laws(
     particular for smoothly spreadable ideals); the transfer equalities
     linking consecutive spreading steps t >= n; and, for smoothly spreadable
     ideals, the closed-form equalities pinning every spread to the source.
+
+    Every ideal is computed on its support (see the module docstring), once
+    per distinct restricted ideal in this call.  For t >= n the padded
+    t-spread is the image of the n-spread under the strictly increasing
+    SpreadEmbedding.phi, so all of them restrict to one ideal on the same s
+    variables and differ only in their t*d - s free variables: one lattice,
+    one poset and two box searches serve every t >= n.  The transfer
+    equalities then follow from the free-variable lemma; the tests check
+    them against spreads computed in their own ambients.
     """
     n, d = I.ambient, I.deg
     ts = sorted(set(t_range) | {n})
     if any(t < n for t in ts):
         raise BadParameterError(f"law harness needs t >= n = {n}, got {ts}")
 
-    source, source_lattice = _stats(I, f"source ideal in T_{n}")
+    memo: dict[MonomialIdeal, tuple[tuple[int, int, int], LcmLattice]] = {}
+    source, source_lattice = _stats(I, f"source ideal in T_{n}", memo)
     spread_stats: dict[int, tuple[int, int, int]] = {}
     for t in ts:
         spread = spread_ideal(I, t, pad=True)
-        spread_stats[t], lattice = _stats(spread, f"{t}-spread in T_{t * d}")
+        spread_stats[t], lattice = _stats(spread, f"{t}-spread in T_{t * d}", memo)
         if t == n:
             n_spread_lattice = lattice
 

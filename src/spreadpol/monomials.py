@@ -23,7 +23,6 @@ from .errors import (
     BadParameterError,
     DegreeBoundError,
     ExponentOverflowError,
-    InvariantViolation,
     TooLargeError,
     UnitGeneratorError,
     ZeroIdealError,
@@ -249,6 +248,18 @@ class MonomialIdeal:
         raise AttributeError("MonomialIdeal is immutable")
 
     @classmethod
+    def _from_minimal(cls, ambient: int, generators: Iterable[Monomial]) -> "MonomialIdeal":
+        """The ideal of a nonempty antichain of non-units in `ambient`, known
+        to be one (e.g. the images of minimal generators under a map that
+        keeps divisibility both ways); only sorted, not minimalized."""
+        I = object.__new__(cls)
+        gens = tuple(sorted(generators))
+        object.__setattr__(I, "ambient", ambient)
+        object.__setattr__(I, "generators", gens)
+        object.__setattr__(I, "_hash", hash((ambient, gens)))
+        return I
+
+    @classmethod
     def from_exponents(
         cls, ambient: int, rows: Iterable[Sequence[int]]
     ) -> "MonomialIdeal":
@@ -338,7 +349,10 @@ def spread_ideal(I: MonomialIdeal, t: int, pad: bool = False) -> MonomialIdeal:
     For t < n the images of incomparable generators can become comparable
     (the 1-spreads of x3 and x1*x2 in three variables are x3 and x1*x3);
     that step is refused with BadParameterError.  It cannot happen for
-    t >= n.
+    t >= n: the k-th index of an image lies in its own block of t variables,
+    so one image divides another only when the first source's sorted indices
+    are a prefix of the second's, i.e. when the first source divides the
+    second.  There the images are taken as minimal without a check.
     """
     if t < 0:
         raise BadParameterError("spreading step t must be >= 0")
@@ -350,6 +364,8 @@ def spread_ideal(I: MonomialIdeal, t: int, pad: bool = False) -> MonomialIdeal:
             raise BadParameterError(f"padded ambient t*d requires t >= n ({t} < {n})")
         ambient = t * d
     images = [Monomial.from_indices(_spread_indices(g, t), ambient) for g in I.generators]
+    if t >= n:
+        return MonomialIdeal._from_minimal(ambient, images)
     out = MonomialIdeal(ambient, images)
     if len(out.generators) != len(I.generators):
         raise BadParameterError(
@@ -380,10 +396,7 @@ def polarize_ideal(I: MonomialIdeal) -> MonomialIdeal:
     """Polarization of the ideal, in ambient n*deg(I)."""
     d = I.deg
     images = [polarize(g, I.ambient, d) for g in I.generators]
-    out = MonomialIdeal(I.ambient * d, images)
-    if len(out.generators) != len(I.generators):
-        raise InvariantViolation("polarization broke minimality")  # impossible
-    return out
+    return MonomialIdeal._from_minimal(I.ambient * d, images)  # u | v iff pol(u) | pol(v)
 
 
 @dataclass(frozen=True)
@@ -424,7 +437,7 @@ def embed_spread(I: MonomialIdeal, t: int) -> tuple[MonomialIdeal, SpreadEmbeddi
         Monomial.from_indices([emb.phi(i) for i in _spread_indices(g, n)], t * d)
         for g in I.generators
     ]
-    return MonomialIdeal(t * d, images), emb
+    return MonomialIdeal._from_minimal(t * d, images), emb
 
 
 def is_complete_intersection(I: MonomialIdeal) -> bool:

@@ -97,3 +97,18 @@ def pair_lcm_ideal(m: int) -> MonomialIdeal:
     pairs = list(itertools.combinations(range(m), 2))
     rows = [[int(i not in P) for P in pairs] for i in range(m)]
     return MonomialIdeal.from_exponents(len(pairs), rows)
+
+
+def small_family() -> list[MonomialIdeal]:
+    """Every antichain of 2 or 3 nonzero exponent vectors with entries at
+    most 2, in n = 2 or 3 variables: 522 ideals."""
+    out = []
+    for n in (2, 3):
+        vectors = [v for v in itertools.product(range(3), repeat=n) if any(v)]
+        for m in (2, 3):
+            for rows in itertools.combinations(vectors, m):
+                if not any(
+                    u != v and all(a <= b for a, b in zip(u, v)) for u in rows for v in rows
+                ):
+                    out.append(MonomialIdeal.from_exponents(n, rows))
+    return out

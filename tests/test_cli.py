@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +196,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "smooth yes" in out and "ALL LAWS HOLD" in out
 
+    def test_verify_laws_cost_does_not_grow_with_t(self, tmp_path, capsys):
+        # the 3000-spread uses the same 5 variables as the 2-spread; the
+        # other 8995 are free and only counted
+        path = write(tmp_path, "i.ideal", "n 2\n2 1\n0 2\n")
+        start = time.perf_counter()
+        assert main(["verify-laws", "-t", "3000", path]) == 0
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert "spread t=3000 depth-quotient 8998 sdepth-quotient 8998 sdepth-ideal 8999" in out
+
     def test_verify_laws_violation(self, tmp_path, capsys):
         path = write(tmp_path, "i.ideal", "n 3\n0 3 1\n2 0 1\n1 1 2\n")
         assert main(["verify-laws", "-t", "3", path]) == 1
@@ -378,10 +389,12 @@ class TestDeterminism:
         assert first[14][1].startswith("usage: spreadpol")
 
 
-# -t values: small ones, negative ones and ones past the ambient cap; none
-# in between, where one verify-laws step costs about t^2 (see ROADMAP.md)
+# -t values: small ones, negative ones, a mid-size one and ones past the
+# ambient cap; a verify-laws step costs the same at t = 300 as at t = n, but
+# a range of t values builds one padded spread per value
 T_VALUES = st.sampled_from(
-    ["-1000000000000", "-3", "-1", "0", "1", "2", "3", str(MAX_AMBIENT + 1), "1000000000000"]
+    ["-1000000000000", "-3", "-1", "0", "1", "2", "3", "300", str(MAX_AMBIENT + 1),
+     "1000000000000"]
 )
 COMMANDS = (
     "spread", "polarize", "check-smooth", "embed", "lattice", "iso", "delta",

@@ -20,9 +20,16 @@ from spreadpol import (
     spread_ideal,
     verify_spreading_laws,
 )
-from spreadpol.invariants import MAX_DEPTH_ATOMS
+from spreadpol import invariants
+from spreadpol.invariants import MAX_DEPTH_ATOMS, CharacteristicPoset, _depth_on, _sdepth_on
 from spreadpol.taylor import taylor_betti
-from genutils import pair_lcm_ideal, random_ci_ideal, random_equal_degree_ideal, random_ideal
+from genutils import (
+    pair_lcm_ideal,
+    random_ci_ideal,
+    random_equal_degree_ideal,
+    random_ideal,
+    small_family,
+)
 from oracles import (
     box_partition_by_points,
     order_complex_betti_by_chains,
@@ -388,3 +395,39 @@ class TestSpreadingLaws:
             depth_quotient(S).value - (S.ambient - I.ambient)
             == depth_quotient(I).value
         )
+
+    def test_one_depth_computation_for_all_steps_t_at_least_n(self, monkeypatch):
+        # every padded t-spread with t >= n restricts to the same ideal, so
+        # six steps cost one computation besides the source's
+        calls = []
+
+        def counted(L):
+            calls.append(L)
+            return _depth_on(L)
+
+        monkeypatch.setattr(invariants, "_depth_on", counted)
+        rep = verify_spreading_laws(ideal(2, [(2, 1), (0, 2)]), range(2, 8))
+        assert rep.all_hold and rep.t_values == tuple(range(2, 8))
+        assert len(calls) == 2  # the source uses 2 variables, every spread the same 5
+
+
+class TestSupportReference:
+    """The support route against each ideal computed in its own ambient."""
+
+    def test_reports_match_full_ambient(self):
+        for I in small_family():
+            n = I.ambient
+            for S in [I] + [spread_ideal(I, t, pad=True) for t in (n, n + 1, n + 2)]:
+                assert depth_quotient(S) == _depth_on(build_lcm_lattice(S)), S
+                poset = CharacteristicPoset(S)
+                assert sdepth_quotient(S) == _sdepth_on(poset, ideal_side=False), S
+                assert sdepth_ideal(S) == _sdepth_on(poset, ideal_side=True), S
+
+    def test_harness_matches_full_ambient(self, monkeypatch):
+        family = small_family()
+        reports = [verify_spreading_laws(I, range(I.ambient, I.ambient + 3)) for I in family]
+        # with nothing restricted, each spread is computed in ambient t*d by
+        # the reference route, so the transfer equalities are tested, not assumed
+        monkeypatch.setattr(invariants, "_on_support", lambda I: (I, 0))
+        for I, rep in zip(family, reports):
+            assert rep == verify_spreading_laws(I, range(I.ambient, I.ambient + 3)), I

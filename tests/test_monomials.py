@@ -25,6 +25,7 @@ from spreadpol import (
     sigma_t,
     spread_ideal,
 )
+from spreadpol.invariants import _on_support
 from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from genutils import random_ci_ideal, random_ideal, random_monomial
 
@@ -219,6 +220,23 @@ class TestMonomialIdeal:
                 assert u == v or not u.divides(v)
         assert set(out) <= set(gens)
         assert all(any(v.divides(u) for v in out) for u in gens)
+
+    def test_from_minimal_equals_minimalizing_constructor(self):
+        # the images that skip minimalize: polarizations, spreads with t >= n
+        # (padded or not), their re-embeddings and restrictions to the support
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            I = random_ideal(rng, n, rng.randint(1, 5), 3)
+            images = [polarize_ideal(I), embed_spread(I, n + 1)[0]]
+            for t in (n, n + 1, n + 3):
+                images += [spread_ideal(I, t), spread_ideal(I, t, pad=True)]
+            images += [_on_support(J)[0] for J in images]
+            for J in images:
+                shuffled = rng.sample(J.generators, len(J.generators))
+                fresh = MonomialIdeal._from_minimal(J.ambient, shuffled)
+                assert fresh == MonomialIdeal(J.ambient, shuffled) == J
+                assert fresh.generators == J.generators and hash(fresh) == hash(J)
 
 
 class TestSpreadIdeal:
