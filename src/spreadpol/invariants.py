@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
 from .lattices import LcmLattice, build_lcm_lattice, is_isomorphic
-from .monomials import Monomial, MonomialIdeal, spread_ideal
+from .monomials import Monomial, MonomialIdeal, _check_ambient_cap, spread_ideal
 from .smooth import is_smoothly_spreadable
 
 MAX_DEPTH_ATOMS = 8
@@ -425,32 +425,25 @@ class SpreadingLawsReport:
         return all(c.holds for c in self.checks)
 
 
-def _stats(
-    I: MonomialIdeal, what: str, memo: dict[MonomialIdeal, tuple[tuple[int, int, int], LcmLattice]]
-) -> tuple[tuple[int, int, int], LcmLattice]:
+def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattice]:
     """Depth and both Stanley depths of I, and the lcm-lattice of I on its support.
 
-    The invariants are computed once per restricted ideal in `memo`, then
-    shifted by the count of free variables.  One lattice serves the depth
-    and is returned for the isomorphism test; one characteristic poset
-    serves both Stanley depth searches.
+    The invariants are computed on the support, then shifted by the count
+    of free variables.  One lattice serves the depth and is returned for the
+    isomorphism test; one characteristic poset serves both Stanley depth
+    searches.
     """
     J, free = _on_support(I)
-    if J not in memo:
-        try:
-            L = _depth_lattice(J)
-            poset = build_characteristic_poset(J)
-            memo[J] = (
-                (
-                    _depth_on(L).value,
-                    _sdepth_on(poset, ideal_side=False).value,
-                    _sdepth_on(poset, ideal_side=True).value,
-                ),
-                L,
-            )
-        except TooLargeError as e:
-            raise TooLargeError(f"{what}: {e}") from None
-    stats, L = memo[J]
+    try:
+        L = _depth_lattice(J)
+        poset = build_characteristic_poset(J)
+        stats = (
+            _depth_on(L).value,
+            _sdepth_on(poset, ideal_side=False).value,
+            _sdepth_on(poset, ideal_side=True).value,
+        )
+    except TooLargeError as e:
+        raise TooLargeError(f"{what}: {e}") from None
     return tuple(v + free for v in stats), L
 
 
@@ -465,28 +458,25 @@ def verify_spreading_laws(
     linking consecutive spreading steps t >= n; and, for smoothly spreadable
     ideals, the closed-form equalities pinning every spread to the source.
 
-    Every ideal is computed on its support (see the module docstring), once
-    per distinct restricted ideal in this call.  For t >= n the padded
-    t-spread is the image of the n-spread under the strictly increasing
-    SpreadEmbedding.phi, so all of them restrict to one ideal on the same s
-    variables and differ only in their t*d - s free variables: one lattice,
-    one poset and two box searches serve every t >= n.  The transfer
-    equalities then follow from the free-variable lemma; the tests check
-    them against spreads computed in their own ambients.
+    The source and its n-spread are computed on their supports (see the
+    module docstring).  A padded t-spread with t > n is the image of the
+    n-spread under the strictly increasing SpreadEmbedding.phi: the same
+    restricted ideal with (t - n)*d more free variables.  So its invariants
+    are the n-spread's plus (t - n)*d, derived without building it, and the
+    transfer equalities hold by construction; the tests check them against
+    spreads built in their own ambients.  t*d past MAX_AMBIENT is refused.
     """
     n, d = I.ambient, I.deg
     ts = sorted(set(t_range) | {n})
     if any(t < n for t in ts):
         raise BadParameterError(f"law harness needs t >= n = {n}, got {ts}")
 
-    memo: dict[MonomialIdeal, tuple[tuple[int, int, int], LcmLattice]] = {}
-    source, source_lattice = _stats(I, f"source ideal in T_{n}", memo)
-    spread_stats: dict[int, tuple[int, int, int]] = {}
-    for t in ts:
-        spread = spread_ideal(I, t, pad=True)
-        spread_stats[t], lattice = _stats(spread, f"{t}-spread in T_{t * d}", memo)
-        if t == n:
-            n_spread_lattice = lattice
+    source, source_lattice = _stats(I, f"source ideal in T_{n}")
+    n_spread, n_spread_lattice = _stats(spread_ideal(I, n), f"{n}-spread in T_{n * d}")
+    spread_stats = {n: n_spread}
+    for t in ts[1:]:
+        _check_ambient_cap(t * d)
+        spread_stats[t] = tuple(v + (t - n) * d for v in n_spread)
 
     smooth = is_smoothly_spreadable(I)
     iso = is_isomorphic(source_lattice, n_spread_lattice) is not None

@@ -12,13 +12,13 @@ is a union of variables.  So each element is stored as a Python int, the
 set of polarized variables of its exponent vector: the join is one OR and
 divisibility is a subset test.  Elements are listed in increasing code
 order, which is lexicographic order of the exponent vectors and puts every
-divisor before its multiples.  Each element also carries three int
-bitmasks built once in the constructor: its atom support and the elements
-below and above it.  An atomistic lattice is fixed by its family of atom
-supports: u <= v iff support(u) is contained in support(v), and an
-isomorphism is a permutation of atoms carrying one family onto the other.
-The common lower bounds below(u) & below(v) are the down-set of the meet,
-whose index is their highest bit, so no gcd is needed.
+divisor before its multiples.  Each element also carries two int bitmasks
+built once in the constructor: its atom support and the elements below it.
+An atomistic lattice is fixed by its family of atom supports: u <= v iff
+support(u) is contained in support(v), and an isomorphism is a permutation
+of atoms carrying one family onto the other.  The common lower bounds
+below(u) & below(v) are the down-set of the meet, whose index is their
+highest bit, so no gcd is needed.
 
 A map f out of an atomistic lattice with f(bottom) = bottom preserves all
 joins iff f(s join a) = f(s) join f(a) for every element s and atom a (the
@@ -39,10 +39,10 @@ from .errors import (
     TooLargeError,
     WellDefinednessViolation,
 )
-from .monomials import Monomial, MonomialIdeal, spread_ideal, sigma_t
+from .monomials import Monomial, MonomialIdeal, spread_ideal
 
 MAX_ATOMS = 20
-MAX_ELEMENTS = 1 << 14  # each element keeps two masks as long as the lattice
+MAX_ELEMENTS = 1 << 14  # each element keeps a mask as long as the lattice
 
 
 class LcmLattice:
@@ -70,7 +70,7 @@ class LcmLattice:
 
     __slots__ = (
         "ambient", "atoms", "elements", "_index", "_codes", "_at", "_below",
-        "_above", "_atom_at", "_support", "_covers",
+        "_atom_at", "_support", "_covers",
     )
 
     def __init__(self, ambient: int, atoms: tuple[Monomial, ...]):
@@ -119,24 +119,21 @@ class LcmLattice:
                 low = s & -s
                 ups[low.bit_length() - 1] |= 1 << k
                 s ^= low
-        # v >= u iff support(v) holds support(u): above(u) is the AND of the
-        # up-sets of u's atoms, below(u) that of the complements of the rest;
-        # both are read per 4 atoms from tables over the 16 subsets
+        # v <= u iff support(u) holds support(v): below(u) is the AND of the
+        # complements of the up-sets of the atoms outside support(u), read
+        # per 4 atoms from tables over the 16 subsets
         full = (1 << len(self._codes)) - 1
         tables = []
         for lo in range(0, len(atoms), 4):
-            ands, outside = [full], [full]
+            outside = [full]
             for up in ups[lo:lo + 4]:
-                ands += [x & up for x in ands]
                 outside += [x & ~up for x in outside]
-            tables.append((lo, ands, outside[::-1]))
-        self._above, self._below = [], []
+            tables.append((lo, outside[::-1]))
+        self._below = []
         for s in self._support:
-            above = below = full
-            for lo, ands, outside in tables:
-                above &= ands[s >> lo & 15]
+            below = full
+            for lo, outside in tables:
                 below &= outside[s >> lo & 15]
-            self._above.append(above)
             self._below.append(below)
         self._covers = None
 
@@ -205,21 +202,23 @@ class LcmLattice:
         whose faces are the cover sets with a common lower bound above the
         bottom.  Both complexes have the homology of the open interval
         (bottom, u).  The atoms are used unless u has fewer lower covers.
+        An atom set joins to u iff the OR of its codes is the code of u, i.e.
+        iff no bit of u's code lies outside all of them.
         Returns (k, faces): the crosscut's size k and its faces as masks over
         its members 0..k-1 in increasing mask order, the empty face included.
         """
         k = self.index(u)
-        support = self._support[k]
-        ups = [self._above[i] for a, i in enumerate(self._atom_at) if support >> a & 1]
+        code, support = self._codes[k], self._support[k]
+        rests = [code ^ self._codes[i] for a, i in enumerate(self._atom_at) if support >> a & 1]
         downs: list[int] = []  # the down-sets of the lower covers, while fewer
         rest = self._below[k] ^ 1 << k
-        while rest and len(downs) < len(ups):  # the highest bit left is a cover
+        while rest and len(downs) < len(rests):  # the highest bit left is a cover
             i = rest.bit_length() - 1
             downs.append(self._below[i])
             rest &= ~self._below[i]
-        if len(downs) < len(ups):
+        if len(downs) < len(rests):
             return len(downs), _crosscut(downs, self._below[k], self._below[0])
-        return len(ups), _crosscut(ups, self._above[0], self._above[k])
+        return len(rests), _crosscut(rests, code, 0)
 
 
 def _crosscut(masks: list[int], start: int, trivial: int) -> list[int]:
@@ -259,13 +258,13 @@ class LatticeMap:
 
 
 def _atom_step_failure(
-    source: LcmLattice, target: LcmLattice, image: Sequence[int], atoms: Sequence[int]
+    source: LcmLattice, target: LcmLattice, image: Sequence[int]
 ) -> tuple[int, int] | None:
-    """The first (element s, atom a) index pair, elements in order and atoms
-    as given, with image[s join a] != image[s] join image[a]; else None."""
+    """The first (element s, atom a) index pair, elements and atoms in
+    order, with image[s join a] != image[s] join image[a]; else None."""
     codes, at, tcodes, tat = source._codes, source._at, target._codes, target._at
     for k, d in enumerate(image):
-        for a in atoms:  # the two joins, each one OR of codes
+        for a in source._atom_at:  # the two joins, each one OR of codes
             if image[at[codes[k] | codes[a]]] != tat[tcodes[d] | tcodes[image[a]]]:
                 return k, a
     return None
@@ -330,19 +329,18 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
     variables, where the spread lattice has fewer elements than the source
     lattice).  Then no collapse map exists and WellDefinednessViolation is
     raised.
+
+    Spread atom k is the spread of source atom k, as spreading by t >= n
+    keeps the order of the generators (see spread_ideal).
     """
-    n = I.ambient
     src = build_lcm_lattice(I)
-    spread = spread_ideal(I, n)
-    spr = build_lcm_lattice(spread)
-    lifted = [spr.index(sigma_t(g, n).in_ambient(spread.ambient)) for g in src.atoms]
-    origin = dict(zip(lifted, (src._codes[i] for i in src._atom_at)))
-    codes = [origin[i] for i in spr._atom_at]  # source code of each spread atom
+    spr = build_lcm_lattice(spread_ideal(I, I.ambient))
+    codes = [src._codes[i] for i in src._atom_at]  # source code of each spread atom
     delta = [  # the OR of the source codes of the atoms below each spread element
         src._at[reduce(or_, (c for b, c in enumerate(codes) if s >> b & 1), 0)]
         for s in spr._support
     ]
-    failure = _atom_step_failure(spr, src, delta, lifted)
+    failure = _atom_step_failure(spr, src, delta)
     if failure is not None:
         k, s = failure
         up, want = spr._join(k, s), src._join(delta[k], delta[s])
@@ -373,7 +371,7 @@ def verify_delta(delta: LatticeMap) -> bool:
     if set(f.values()) != set(tgt.elements):
         return False
     image = [tgt.index(f[e]) for e in src.elements]
-    return _atom_step_failure(src, tgt, image, src._atom_at) is None
+    return _atom_step_failure(src, tgt, image) is None
 
 
 def hasse_dot(L: LcmLattice) -> str:

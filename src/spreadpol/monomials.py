@@ -35,10 +35,15 @@ MAX_DEGREE = 1 << 31
 MAX_AMBIENT = 1 << 20
 
 
-def _zeros(ambient: int) -> list[int]:
-    """The zero exponent vector of length `ambient`, refused above MAX_AMBIENT."""
+def _check_ambient_cap(ambient: int) -> None:
+    """Refuse an ambient whose dense exponent vectors pass MAX_AMBIENT entries."""
     if ambient > MAX_AMBIENT:
         raise TooLargeError(f"ambient {ambient} exceeds {MAX_AMBIENT} variables")
+
+
+def _zeros(ambient: int) -> list[int]:
+    """The zero exponent vector of length `ambient`, refused above MAX_AMBIENT."""
+    _check_ambient_cap(ambient)
     return [0] * ambient
 
 
@@ -352,7 +357,12 @@ def spread_ideal(I: MonomialIdeal, t: int, pad: bool = False) -> MonomialIdeal:
     t >= n: the k-th index of an image lies in its own block of t variables,
     so one image divides another only when the first source's sorted indices
     are a prefix of the second's, i.e. when the first source divides the
-    second.  There the images are taken as minimal without a check.
+    second.  There the images are taken as minimal without a check.  The
+    blocks also keep the order: exponent vectors compare as their sorted
+    indices do at the first position where these differ (the smaller index,
+    or the only one present, marks the larger vector), and block by block
+    two images meet the same first difference as their sources.  So for
+    t >= n generator k of the result is the image of generator k of I.
     """
     if t < 0:
         raise BadParameterError("spreading step t must be >= 0")

@@ -206,6 +206,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "spread t=3000 depth-quotient 8998 sdepth-quotient 8998 sdepth-ideal 8999" in out
 
+    def test_verify_laws_range_cost_does_not_grow_with_t(self, tmp_path, capsys):
+        # every step past n is derived from the n-spread, so a range of
+        # 2999 steps costs about what one step does
+        path = write(tmp_path, "i.ideal", "n 2\n2 1\n0 2\n")
+        start = time.perf_counter()
+        assert main(["verify-laws", "-t", "2..3000", path]) == 0
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert "spread t=3000 depth-quotient 8998 sdepth-quotient 8998 sdepth-ideal 8999" in out
+        assert "ok   depth of quotient: transfer t=2999 -> t=3000: 8998 == 8998" in out
+
+    def test_verify_laws_ambient_cap(self, tmp_path, capsys):
+        # 349526 * 3 variables pass MAX_AMBIENT = 1048576 by two
+        path = write(tmp_path, "i.ideal", "n 2\n2 1\n0 2\n")
+        assert main(["verify-laws", "-t", "349526", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ambient 1048578 exceeds {MAX_AMBIENT} variables\n"
+
     def test_verify_laws_violation(self, tmp_path, capsys):
         path = write(tmp_path, "i.ideal", "n 3\n0 3 1\n2 0 1\n1 1 2\n")
         assert main(["verify-laws", "-t", "3", path]) == 1
@@ -390,8 +409,8 @@ class TestDeterminism:
 
 
 # -t values: small ones, negative ones, a mid-size one and ones past the
-# ambient cap; a verify-laws step costs the same at t = 300 as at t = n, but
-# a range of t values builds one padded spread per value
+# ambient cap; verify-laws computes only the source and the n-spread, and
+# derives every other step of a range from the n-spread
 T_VALUES = st.sampled_from(
     ["-1000000000000", "-3", "-1", "0", "1", "2", "3", "300", str(MAX_AMBIENT + 1),
      "1000000000000"]

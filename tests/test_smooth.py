@@ -26,7 +26,7 @@ from spreadpol import (
     product_construct,
     verify_certificate,
 )
-from genutils import random_ci_ideal, random_ideal, random_monomial_set
+from genutils import random_ci_ideal, random_ideal, random_monomial_set, small_family
 from oracles import smooth_by_exhaustion
 
 
@@ -114,13 +114,23 @@ class TestOracleAgreement:
             assert got == smooth_by_exhaustion(ms, n)
 
     def test_certificate_soundness(self):
+        # every certificate check_smooth returns passes the first-principles
+        # check, over the small family and decide-shaped sets
         rng = random.Random(102)
+        sets = [(I.generators, I.ambient) for I in small_family()]
         for _ in range(150):
             n = rng.randint(1, 3)
-            ms = random_monomial_set(rng, n, rng.randint(1, 3), 3, max_deg=5)
+            sets.append((random_monomial_set(rng, n, rng.randint(1, 3), 3, max_deg=5), n))
+        for _ in range(300):  # shaped like the benchmark's decide inputs
+            n = rng.randint(2, 4)
+            sets.append((random_monomial_set(rng, n, 5, 2), n))
+        certified = 0
+        for ms, n in sets:
             res = check_smooth(ms, n)
             if isinstance(res, SmoothCertificate):
-                assert verify_certificate(ms, n, res)
+                assert verify_certificate(ms, n, res), (ms, n)
+                certified += 1
+        assert certified > 100
 
     def test_witness_soundness(self):
         rng = random.Random(103)
