@@ -138,32 +138,29 @@ class SdepthReport:
     intervals: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _on_support(I: MonomialIdeal) -> tuple[MonomialIdeal, int]:
-    """I restricted to the variables its generators use, and the count of
-    the others (I itself and 0 when it uses them all).
+def _on_support(
+    I: MonomialIdeal,
+) -> tuple[MonomialIdeal, Callable[[tuple[int, ...]], tuple[int, ...]]]:
+    """I restricted to the variables its generators use, and the map lifting
+    a vector on that support back into the ambient of I with 0 in each free
+    coordinate (I itself and the identity when it uses them all).
 
     Deleting unused columns keeps divisibility and the lexicographic order
     of the generators, so the restricted generators stay a sorted antichain.
     """
     used = [j for j, column in enumerate(zip(*(g.exponents for g in I.generators)))
             if any(column)]
-    free = I.ambient - len(used)
-    if not free:
-        return I, 0
+    if len(used) == I.ambient:
+        return I, lambda p: p
     gens = [Monomial._trusted(tuple(g.exponents[j] for j in used), len(used))
             for g in I.generators]
-    return MonomialIdeal._from_minimal(len(used), gens), free
-
-
-def _lift(I: MonomialIdeal) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """Maps a vector on the support of I back into its ambient, with 0 in
-    each free coordinate (where the generator lcm is 0 as well)."""
-    g = I.lcm_of_generators.exponents
 
     def lift(p: tuple[int, ...]) -> tuple[int, ...]:
-        values = iter(p)
-        return tuple(next(values) if gj else 0 for gj in g)
-    return lift
+        out = [0] * I.ambient
+        for j, v in zip(used, p):
+            out[j] = v
+        return tuple(out)
+    return MonomialIdeal._from_minimal(len(used), gens), lift
 
 
 def depth_quotient(I: MonomialIdeal) -> DepthReport:
@@ -172,16 +169,13 @@ def depth_quotient(I: MonomialIdeal) -> DepthReport:
     Computed on the support of I; each free variable adds 1 to the depth
     and a 0 coordinate to every Betti multidegree.
     """
-    J, free = _on_support(I)
+    J, lift = _on_support(I)
     rep = _depth_on(_depth_lattice(J))
-    if not free:
-        return rep
-    lift = _lift(I)
     entries = {(i, Monomial._trusted(lift(m.exponents), I.ambient)): v
                for (i, m), v in rep.betti.entries.items()}
     return DepthReport(
         ambient=I.ambient,
-        value=rep.value + free,
+        value=rep.value + I.ambient - J.ambient,
         betti=BettiTable(ambient=I.ambient, entries=entries),
     )
 
@@ -375,14 +369,11 @@ def sdepth_ideal(I: MonomialIdeal) -> SdepthReport:
 def _sdepth_on_support(I: MonomialIdeal, ideal_side: bool) -> SdepthReport:
     """The search on the support of I; each free variable adds 1 to the
     value and a 0 coordinate to the bound and to every box corner."""
-    J, free = _on_support(I)
+    J, lift = _on_support(I)
     rep = _sdepth_on(build_characteristic_poset(J), ideal_side)
-    if not free:
-        return rep
-    lift = _lift(I)
     return SdepthReport(
         ambient=I.ambient,
-        value=rep.value + free,
+        value=rep.value + I.ambient - J.ambient,
         bound=lift(rep.bound),
         intervals=tuple((lift(a), lift(c)) for a, c in rep.intervals),
     )
@@ -433,7 +424,7 @@ def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattic
     isomorphism test; one characteristic poset serves both Stanley depth
     searches.
     """
-    J, free = _on_support(I)
+    J, _ = _on_support(I)
     try:
         L = _depth_lattice(J)
         poset = build_characteristic_poset(J)
@@ -444,7 +435,7 @@ def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattic
         )
     except TooLargeError as e:
         raise TooLargeError(f"{what}: {e}") from None
-    return tuple(v + free for v in stats), L
+    return tuple(v + I.ambient - J.ambient for v in stats), L
 
 
 def verify_spreading_laws(
@@ -481,49 +472,27 @@ def verify_spreading_laws(
     smooth = is_smoothly_spreadable(I)
     iso = is_isomorphic(source_lattice, n_spread_lattice) is not None
 
-    names = ("depth of quotient", "sdepth of quotient", "sdepth of ideal")
     checks: list[LawCheck] = []
-    shift = n * (d - 1)
-    for pos, name in enumerate(names):
-        checks.append(
-            LawCheck(
-                name=f"{name}: n-spread bound (t={n})",
-                lhs=spread_stats[n][pos],
-                relation="<=",
-                rhs=source[pos] + shift,
+
+    def law(label, relation, lhs, rhs, step):  # one check per invariant
+        checks.extend(
+            LawCheck(name=f"{name}: {label}", lhs=x, relation=relation, rhs=y + step)
+            for name, x, y in zip(
+                ("depth of quotient", "sdepth of quotient", "sdepth of ideal"), lhs, rhs
             )
         )
+
+    shift = n * (d - 1)
+    law(f"n-spread bound (t={n})", "<=", spread_stats[n], source, shift)
     for t1, t2 in zip(ts, ts[1:]):
-        for pos, name in enumerate(names):
-            checks.append(
-                LawCheck(
-                    name=f"{name}: transfer t={t1} -> t={t2}",
-                    lhs=spread_stats[t2][pos],
-                    relation="==",
-                    rhs=spread_stats[t1][pos] + (t2 - t1) * d,
-                )
-            )
+        law(f"transfer t={t1} -> t={t2}", "==", spread_stats[t2], spread_stats[t1],
+            (t2 - t1) * d)
     if iso:
-        for pos, name in enumerate(names):
-            checks.append(
-                LawCheck(
-                    name=f"{name}: equality from lattice isomorphism (t={n})",
-                    lhs=spread_stats[n][pos],
-                    relation="==",
-                    rhs=source[pos] + shift,
-                )
-            )
+        law(f"equality from lattice isomorphism (t={n})", "==", spread_stats[n],
+            source, shift)
     if smooth:
         for t in ts:
-            for pos, name in enumerate(names):
-                checks.append(
-                    LawCheck(
-                        name=f"{name}: smooth closed form (t={t})",
-                        lhs=spread_stats[t][pos],
-                        relation="==",
-                        rhs=source[pos] + t * d - n,
-                    )
-                )
+            law(f"smooth closed form (t={t})", "==", spread_stats[t], source, t * d - n)
     return SpreadingLawsReport(
         ambient=n,
         deg=d,

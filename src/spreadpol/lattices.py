@@ -49,18 +49,19 @@ class LcmLattice:
     """The lcm-lattice of an antichain of monomials, the atoms kept in order.
 
     Each atom gets one int code, the polarization of its exponent vector
-    after a rank step.  Per variable, an exponent is replaced by its rank in
-    {0} together with that variable's atom exponents, and the rank r is
+    after a rank step.  Per column, an exponent is replaced by its rank in
+    {0} together with that column's atom exponents, and the rank r is
     written in unary (r low bits set) in a field as wide as the number of
-    distinct nonzero values; variable 1 takes the most significant field and
-    variables no atom uses take none.  Within a field, OR is max and a
-    subset is a smaller rank, so the code of an lcm is the OR of the codes,
-    u divides v iff code(u) is a subset of code(v), and the int order of
-    codes is the lexicographic order of exponent vectors.  The rank step
-    changes no lcm or divisibility among the atoms, as the ranks keep each
-    variable's order of exponents, and it keeps a field at most as wide as
-    the number of atoms: unary fields of raw exponents could be 2^16 bits
-    wide per variable.
+    distinct nonzero values.  Only the first occurrence of each distinct
+    column gets a field, earlier ones more significant.  Within a field, OR
+    is max and a subset is a smaller rank, so the code of an lcm is the OR
+    of the codes, u divides v iff code(u) is a subset of code(v), and the
+    int order of codes is the lexicographic order of exponent vectors: two
+    elements first differ in a column unlike every earlier one, as equal
+    columns give them equal values.  The rank step changes no lcm or
+    divisibility, as the ranks keep each column's order of exponents, and
+    it keeps a field at most as wide as the number of atoms: unary fields
+    of raw exponents could be 2^16 bits wide per variable.
 
     The elements are the OR-closure of the atom codes, each one carrying
     its atom support; its exponent vector is computed once, when its code
@@ -79,15 +80,14 @@ class LcmLattice:
         self.ambient = ambient
         self.atoms = atoms
         rows = [a.exponents for a in atoms]
-        digits = {}  # each distinct column -> the atoms' unary fields, in binary
-        for column in set(zip(*rows)):
+        # a leading 0 per atom, then each distinct column's field: one join
+        # per atom keeps this linear in the ambient, where shifting is not
+        fields = [["0"] * len(atoms)]
+        for column in dict.fromkeys(zip(*rows)):
             values = sorted(set(column) | {0})
             width = len(values) - 1
             unary = {v: "0" * (width - r) + "1" * r for r, v in enumerate(values)}
-            digits[column] = [unary[v] for v in column]
-        # a leading 0 per atom, then every column's field: one join per atom
-        # keeps this linear in the ambient, where shifting per column is not
-        fields = [["0"] * len(atoms), *map(digits.__getitem__, zip(*rows))]
+            fields.append([unary[v] for v in column])
         codes = [int("".join(f), 2) for f in zip(*fields)]
         exps = {0: (0,) * ambient}  # code -> exponent vector
         support = {0: 0}  # code -> mask of the atoms below it

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,7 +55,10 @@ class Monomial:
     __slots__ = ("ambient", "exponents", "_hash")
 
     def __init__(self, exponents: Sequence[int], ambient: int | None = None):
-        exps = tuple(map(int, exponents))
+        try:
+            exps = tuple(map(operator.index, exponents))
+        except TypeError:  # e.g. 2.5, "3", nan or None: never truncated or parsed
+            raise BadParameterError(f"non-integer exponent in {exponents!r}") from None
         if ambient is None:
             ambient = len(exps)
         if ambient < 0 or len(exps) != ambient:

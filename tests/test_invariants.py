@@ -10,7 +10,9 @@ from spreadpol import (
     Monomial,
     MonomialIdeal,
     TooLargeError,
+    WellDefinednessViolation,
     build_characteristic_poset,
+    build_delta,
     build_lcm_lattice,
     depth_quotient,
     is_isomorphic,
@@ -377,6 +379,26 @@ class TestSpreadingLaws:
         }
         assert all(c.holds for c in rep.checks if "transfer" in c.name)
 
+    def test_failing_bounds_only_without_collapse_map(self):
+        # observed on the small family, not proved: the n-spread bounds fail
+        # only where no collapse map exists, and every such ideal has a
+        # variable dividing all its generators
+        collapsing, failing = [], []
+        for I in small_family():
+            try:
+                build_delta(I)
+            except WellDefinednessViolation:
+                collapsing.append(I)
+            if not verify_spreading_laws(I, [I.ambient]).all_hold:
+                failing.append(I)
+        assert len(collapsing) == 15
+        assert all(
+            any(all(g.exponents[j] for g in I.generators) for j in range(I.ambient))
+            for I in collapsing
+        )
+        assert len(failing) == 14
+        assert all(I in collapsing for I in failing)
+
     def test_bounds_hold_on_small_spreads(self):
         rng = random.Random(94)
         for _ in range(25):
@@ -397,8 +419,8 @@ class TestSpreadingLaws:
         )
 
     def test_one_depth_computation_for_all_steps_t_at_least_n(self, monkeypatch):
-        # every padded t-spread with t >= n restricts to the same ideal, so
-        # six steps cost one computation besides the source's
+        # only the source and the n-spread are computed; each t-spread with
+        # t > n is derived from the n-spread, so six steps cost two
         calls = []
 
         def counted(L):
@@ -408,7 +430,7 @@ class TestSpreadingLaws:
         monkeypatch.setattr(invariants, "_depth_on", counted)
         rep = verify_spreading_laws(ideal(2, [(2, 1), (0, 2)]), range(2, 8))
         assert rep.all_hold and rep.t_values == tuple(range(2, 8))
-        assert len(calls) == 2  # the source uses 2 variables, every spread the same 5
+        assert len(calls) == 2  # the source and the 2-spread, nothing per t > 2
 
 
 class TestSupportReference:

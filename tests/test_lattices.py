@@ -65,6 +65,8 @@ class TestBuild:
             n = rng.randint(2, 4)
             rows = [[rng.choice(near_max) for _ in range(n)] for _ in range(rng.randint(2, 5))]
             family.append(ideal(n, [r for r in rows if any(r)] or [[1] * n]))
+        few_columns = ideal(3, [(300, 1, 0), (299, 0, 300), (0, 300, 298)])
+        family += [few_columns, spread_ideal(few_columns, 3)]  # 6 distinct columns of 1797
         for I in family:
             L = build_lcm_lattice(I)
             elements, below, above, support, covers = lattice_masks_by_slabs(

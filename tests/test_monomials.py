@@ -82,6 +82,12 @@ class TestMonomialBasics:
         with pytest.raises(BadParameterError):
             Monomial((-1,))
 
+    @pytest.mark.parametrize("bad", [2.5, "3", float("nan"), float("inf"), None])
+    def test_non_integer_exponent_refused(self, bad):
+        # never truncated (2.7 -> 2) or parsed ("3" -> 3)
+        with pytest.raises(BadParameterError, match="non-integer exponent"):
+            Monomial((bad, 1))
+
     def test_overflow_is_too_large(self):
         with pytest.raises(TooLargeError):
             Monomial((1 << 16,))
