@@ -37,15 +37,16 @@ A box lies in a side exactly when it has no bit outside the side's mask.
 Grid order is lexicographic, so "least uncovered point" is the lowest free
 bit and candidate upper corners are tried from the highest bit down.
 
-Both invariants are computed on the support: the ideal restricted to the
-variables its generators use.  A free variable, one that no generator
-uses, adds exactly 1 to the depth, as the Betti numbers do not see it, and
-exactly 1 to both Stanley depths (Herzog, Vladoiu and Zheng, J. Algebra
-2009, Lemma 3.6); on the grid it is a coordinate with g_j = 0, saturated at
-every point.  So each oracle runs on the restricted ideal and adds the free
-count, and the public reports are lifted back with 0 in each free
-coordinate: the same reports as in the full ambient, at a cost that does not
-grow with it.
+Stanley depth and the law harness are computed on the support: the ideal
+restricted to the variables its generators use.  A free variable, one that
+no generator uses, adds exactly 1 to the depth, as the Betti numbers do not
+see it, and exactly 1 to both Stanley depths (Herzog, Vladoiu and Zheng,
+J. Algebra 2009, Lemma 3.6); on the grid it is a coordinate with g_j = 0,
+saturated at every point.  So each oracle runs on the restricted ideal and
+adds the free count, and the public reports are lifted back with 0 in each
+free coordinate: the same reports as in the full ambient, at a cost that
+does not grow with it.  The lcm-lattice needs no restriction, as a free
+column adds nothing to an atom code (see lattices.LcmLattice).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
-from .lattices import LcmLattice, build_lcm_lattice, is_isomorphic
+from .lattices import LcmLattice, _atom_image, build_lcm_lattice
 from .monomials import Monomial, MonomialIdeal, _check_ambient_cap, spread_ideal
 from .smooth import is_smoothly_spreadable
 
@@ -88,9 +89,15 @@ def order_complex_betti(L: LcmLattice, m: Monomial) -> dict[int, int]:
     {dimension: rank} with zero ranks omitted; the empty interval yields
     {-1: 1}.
     """
-    if m == L.bottom:
+    k = L.index(m)
+    if k == 0:
         raise BadParameterError("open interval below the bottom is undefined")
-    size, faces = L.crosscut_faces(m)
+    return _betti_at(L, k)
+
+
+def _betti_at(L: LcmLattice, k: int) -> dict[int, int]:
+    """order_complex_betti at the element of index k > 0."""
+    size, faces = L._crosscut_at(k)
     levels: list[dict[int, int]] = [{} for _ in range(size + 1)]
     for face in faces:  # by face size: face mask -> position
         level = levels[face.bit_count()]
@@ -166,18 +173,16 @@ def _on_support(
 def depth_quotient(I: MonomialIdeal) -> DepthReport:
     """Depth of the quotient ring, via lcm-lattice Betti numbers.
 
-    Computed on the support of I; each free variable adds 1 to the depth
-    and a 0 coordinate to every Betti multidegree.
+    The lattice is built on I itself, so each Betti multidegree is one of its
+    elements, decoded once in the ambient of I.
     """
-    J, lift = _on_support(I)
-    rep = _depth_on(_depth_lattice(J))
-    entries = {(i, Monomial._trusted(lift(m.exponents), I.ambient)): v
-               for (i, m), v in rep.betti.entries.items()}
-    return DepthReport(
-        ambient=I.ambient,
-        value=rep.value + I.ambient - J.ambient,
-        betti=BettiTable(ambient=I.ambient, entries=entries),
-    )
+    L = _depth_lattice(I)
+    entries: dict[tuple[int, Monomial], int] = {(0, L.bottom): 1}
+    for e in L.elements[1:]:
+        for k, v in order_complex_betti(L, e).items():
+            entries[(k + 2, e)] = v
+    table = BettiTable(ambient=I.ambient, entries=entries)
+    return DepthReport(I.ambient, I.ambient - table.projective_dimension, table)
 
 
 def _depth_lattice(I: MonomialIdeal) -> LcmLattice:
@@ -188,20 +193,9 @@ def _depth_lattice(I: MonomialIdeal) -> LcmLattice:
     return build_lcm_lattice(I)
 
 
-def _depth_on(L: LcmLattice) -> DepthReport:
-    """Depth of the quotient by the ideal whose lcm-lattice is L."""
-    entries: dict[tuple[int, Monomial], int] = {(0, L.bottom): 1}
-    for e in L.elements:
-        if e == L.bottom:
-            continue
-        for k, v in order_complex_betti(L, e).items():
-            entries[(k + 2, e)] = v
-    table = BettiTable(ambient=L.ambient, entries=entries)
-    return DepthReport(
-        ambient=L.ambient,
-        value=L.ambient - table.projective_dimension,
-        betti=table,
-    )
+def _projective_dimension(L: LcmLattice) -> int:
+    """Projective dimension of the quotient by the ideal of L, by index."""
+    return max((i + 2 for k in range(1, len(L)) for i in _betti_at(L, k)), default=0)
 
 
 class CharacteristicPoset:
@@ -420,16 +414,16 @@ def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattic
     """Depth and both Stanley depths of I, and the lcm-lattice of I on its support.
 
     The invariants are computed on the support, then shifted by the count
-    of free variables.  One lattice serves the depth and is returned for the
-    isomorphism test; one characteristic poset serves both Stanley depth
-    searches.
+    of free variables.  One lattice serves the projective dimension and is
+    returned for the isomorphism test; one characteristic poset serves both
+    Stanley depth searches.
     """
     J, _ = _on_support(I)
     try:
         L = _depth_lattice(J)
         poset = build_characteristic_poset(J)
         stats = (
-            _depth_on(L).value,
+            J.ambient - _projective_dimension(L),
             _sdepth_on(poset, ideal_side=False).value,
             _sdepth_on(poset, ideal_side=True).value,
         )
@@ -450,12 +444,15 @@ def verify_spreading_laws(
     ideals, the closed-form equalities pinning every spread to the source.
 
     The source and its n-spread are computed on their supports (see the
-    module docstring).  A padded t-spread with t > n is the image of the
-    n-spread under the strictly increasing SpreadEmbedding.phi: the same
-    restricted ideal with (t - n)*d more free variables.  So its invariants
-    are the n-spread's plus (t - n)*d, derived without building it, and the
-    transfer equalities hold by construction; the tests check them against
-    spreads built in their own ambients.  t*d past MAX_AMBIENT is refused.
+    module docstring), and only values are read: the projective dimension
+    from element indices, the isomorphism verdict from atom supports; no
+    lattice element is decoded.  A padded t-spread with t > n is the image
+    of the n-spread under the strictly increasing SpreadEmbedding.phi: the
+    same restricted ideal with (t - n)*d more free variables.  So its
+    invariants are the n-spread's plus (t - n)*d, derived without building
+    it, and the transfer equalities hold by construction; the tests check
+    them against spreads built in their own ambients.  t*d past MAX_AMBIENT
+    is refused.
     """
     n, d = I.ambient, I.deg
     ts = sorted(set(t_range) | {n})
@@ -470,7 +467,7 @@ def verify_spreading_laws(
         spread_stats[t] = tuple(v + (t - n) * d for v in n_spread)
 
     smooth = is_smoothly_spreadable(I)
-    iso = is_isomorphic(source_lattice, n_spread_lattice) is not None
+    iso = _atom_image(source_lattice, n_spread_lattice) is not None
 
     checks: list[LawCheck] = []
 

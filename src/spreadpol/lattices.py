@@ -8,17 +8,17 @@ bound *within the lattice* (which may properly divide the gcd).
 
 Polarization keeps the lcm-lattice (Gasharov, Peeva and Welker, "The
 lcm-lattice in monomial resolutions", 1999), and after polarization an lcm
-is a union of variables.  So each element is stored as a Python int, the
-set of polarized variables of its exponent vector: the join is one OR and
+is a union of variables.  So each element is stored as a Python int, the set
+of polarized variables of its exponent vector: the join is one OR and
 divisibility is a subset test.  Elements are listed in increasing code
 order, which is lexicographic order of the exponent vectors and puts every
 divisor before its multiples.  Each element also carries two int bitmasks
-built once in the constructor: its atom support and the elements below it.
-An atomistic lattice is fixed by its family of atom supports: u <= v iff
-support(u) is contained in support(v), and an isomorphism is a permutation
-of atoms carrying one family onto the other.  The common lower bounds
-below(u) & below(v) are the down-set of the meet, whose index is their
-highest bit, so no gcd is needed.
+built once in the constructor: its atom support and the elements below it;
+exponent vectors are made only when asked for.  An atomistic lattice is
+fixed by its family of atom supports: u <= v iff support(u) is contained in
+support(v), and an isomorphism is a permutation of atoms carrying one family
+onto the other.  The common lower bounds below(u) & below(v) are the
+down-set of the meet, whose index is their highest bit, so no gcd is needed.
 
 A map f out of an atomistic lattice with f(bottom) = bottom preserves all
 joins iff f(s join a) = f(s) join f(a) for every element s and atom a (the
@@ -29,7 +29,7 @@ f(s join t) = f(s) join f(b_1) join ... join f(b_m) = f(s) join f(t).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Mapping, Sequence
 
@@ -64,15 +64,12 @@ class LcmLattice:
     of raw exponents could be 2^16 bits wide per variable.
 
     The elements are the OR-closure of the atom codes, each one carrying
-    its atom support; its exponent vector is computed once, when its code
-    first appears.  BadParameterError is raised when the atoms are not an
-    antichain of non-units, i.e. some atom lies below another or at 1.
+    its atom support.  The constructor makes only these ints and masks, and
+    runs every check, so a bad input fails where it is built and not where
+    an element is first read: antichain of non-units, the MAX_ELEMENTS cap,
+    and the full Monomial check of the top, which the rest divide.  Vectors
+    are decoded on demand: `_element(k)` one alone, `elements` all at once.
     """
-
-    __slots__ = (
-        "ambient", "atoms", "elements", "_index", "_codes", "_at", "_below",
-        "_atom_at", "_support", "_covers",
-    )
 
     def __init__(self, ambient: int, atoms: tuple[Monomial, ...]):
         if any(a.ambient != ambient for a in atoms):
@@ -89,9 +86,8 @@ class LcmLattice:
             unary = {v: "0" * (width - r) + "1" * r for r, v in enumerate(values)}
             fields.append([unary[v] for v in column])
         codes = [int("".join(f), 2) for f in zip(*fields)]
-        exps = {0: (0,) * ambient}  # code -> exponent vector
         support = {0: 0}  # code -> mask of the atoms below it
-        for a, (g, row) in enumerate(zip(codes, rows)):
+        for a, g in enumerate(codes):
             bit = 1 << a
             for e, s in list(support.items()):
                 f = e | g
@@ -99,7 +95,6 @@ class LcmLattice:
                     support[f] |= s | bit
                 else:
                     support[f] = s | bit
-                    exps[f] = tuple(map(max, exps[e], row))
             if len(support) > MAX_ELEMENTS:
                 raise TooLargeError(f"lcm-lattice exceeds the cap of {MAX_ELEMENTS} elements")
         if support[0] or any(support[g] != 1 << a for a, g in enumerate(codes)):
@@ -108,11 +103,7 @@ class LcmLattice:
         self._at = {c: k for k, c in enumerate(self._codes)}
         self._atom_at = tuple(self._at[g] for g in codes)
         self._support = tuple(support[c] for c in self._codes)
-        *rest, top = self._codes
-        self.elements = tuple(Monomial._trusted(exps[c], ambient) for c in rest) + (
-            Monomial(exps[top], ambient),  # the one full check: the rest divide it
-        )
-        self._index = {e: k for k, e in enumerate(self.elements)}
+        Monomial(_lcm(rows, ambient), ambient)  # the one full check: the rest divide the top
         ups = [0] * len(atoms)  # ups[a]: the elements above atom a
         for k, s in enumerate(self._support):
             while s:
@@ -138,7 +129,7 @@ class LcmLattice:
         self._covers = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._codes)
 
     def __contains__(self, u: Monomial) -> bool:
         return u in self._index
@@ -149,13 +140,39 @@ class LcmLattice:
         except KeyError:
             raise BadParameterError(f"{u} is not a lattice element") from None
 
+    @cached_property
+    def _index(self) -> dict[Monomial, int]:
+        return {e: k for k, e in enumerate(self.elements)}
+
+    @cached_property
+    def elements(self) -> tuple[Monomial, ...]:
+        """Every element in code order, decoded when first read by a replay of
+        the closure: a new code's vector is an earlier one raised to an atom row."""
+        exps = {0: (0,) * self.ambient}  # code -> exponent vector
+        for atom, i in zip(self.atoms, self._atom_at):
+            g = self._codes[i]
+            raise_to = [(j, v) for j, v in enumerate(atom.exponents) if v]
+            for e, x in list(exps.items()):
+                f = e | g
+                if f not in exps:
+                    y = list(x)
+                    for j, v in raise_to:
+                        y[j] = max(y[j], v)
+                    exps[f] = tuple(y)
+        return tuple(Monomial._trusted(exps[c], self.ambient) for c in self._codes)
+
+    def _element(self, k: int) -> Monomial:
+        """Element k alone, the lcm of the atom rows below it."""
+        rows = [u.exponents for a, u in enumerate(self.atoms) if self._support[k] >> a & 1]
+        return Monomial._trusted(_lcm(rows, self.ambient), self.ambient)
+
     @property
     def bottom(self) -> Monomial:
-        return self.elements[0]
+        return self._element(0)
 
     @property
     def top(self) -> Monomial:
-        return self.elements[-1]
+        return self._element(len(self) - 1)
 
     def atom_support(self, u: Monomial) -> frozenset[int]:
         """Indices of the atoms lying below u (the maximal atom subset)."""
@@ -207,7 +224,9 @@ class LcmLattice:
         Returns (k, faces): the crosscut's size k and its faces as masks over
         its members 0..k-1 in increasing mask order, the empty face included.
         """
-        k = self.index(u)
+        return self._crosscut_at(self.index(u))
+
+    def _crosscut_at(self, k: int) -> tuple[int, list[int]]:
         code, support = self._codes[k], self._support[k]
         rests = [code ^ self._codes[i] for a, i in enumerate(self._atom_at) if support >> a & 1]
         downs: list[int] = []  # the down-sets of the lower covers, while fewer
@@ -219,6 +238,10 @@ class LcmLattice:
         if len(downs) < len(rests):
             return len(downs), _crosscut(downs, self._below[k], self._below[0])
         return len(rests), _crosscut(rests, code, 0)
+
+
+def _lcm(rows: list[tuple[int, ...]], ambient: int) -> tuple[int, ...]:
+    return tuple(map(max, (0,) * ambient, *rows)) if rows else (0,) * ambient
 
 
 def _crosscut(masks: list[int], start: int, trivial: int) -> list[int]:
@@ -273,12 +296,24 @@ def _atom_step_failure(
 def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | None:
     """Search for a join- and meet-preserving bijection between two lattices.
 
+    Returns the witnessing element bijection, decoded only on a hit, or None.
+    """
+    image = _atom_image(L1, L2)
+    if image is None:
+        return None
+    target = dict(zip(L2._support, L2.elements))
+    return {e: target[sum(b for a, b in enumerate(image) if s >> a & 1)]
+            for e, s in zip(L1.elements, L1._support)}
+
+
+def _atom_image(L1: LcmLattice, L2: LcmLattice) -> list[int] | None:
+    """An atom bijection carrying the atom supports of L1 onto those of L2.
+
     An isomorphism of atomistic lattices is a bijection of atoms carrying
     the family of atom supports of L1 onto that of L2.  The atoms of L1 are
     assigned in order, each to the first free atom of L2 for which the
-    supports made of assigned atoms correspond both ways; the first complete
-    assignment is extended to the elements.  Returns the witnessing element
-    bijection, or None.
+    supports made of assigned atoms correspond both ways.  Returns the first
+    complete assignment, image[a] the bit of the L2 atom of atom a, or None.
     """
     m = len(L1.atoms)
     if len(L1) != len(L2) or m != len(L2.atoms):
@@ -287,9 +322,9 @@ def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | 
     for s in L1._support:  # each nonempty support, under its highest atom
         if s:
             closing[s.bit_length() - 1].append([a for a in range(m) if s >> a & 1])
-    target = dict(zip(L2._support, L2.elements))
+    target = set(L2._support)
     holding = [[t for t in L2._support if t >> b & 1] for b in range(m)]
-    image = [0] * m  # image[a]: the bit of the L2 atom assigned to atom a
+    image = [0] * m
 
     def place(a: int, used: int) -> bool:
         if a == m:
@@ -307,12 +342,7 @@ def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | 
                 return True
         return False
 
-    if not place(0, 0):
-        return None
-    return {
-        e: target[sum(image[a] for a in range(m) if s >> a & 1)]
-        for e, s in zip(L1.elements, L1._support)
-    }
+    return image if place(0, 0) else None
 
 
 def build_delta(I: MonomialIdeal) -> LatticeMap:
@@ -333,8 +363,11 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
     Spread atom k is the spread of source atom k, as spreading by t >= n
     keeps the order of the generators (see spread_ideal).
     """
-    src = build_lcm_lattice(I)
-    spr = build_lcm_lattice(spread_ideal(I, I.ambient))
+    return _delta_on(build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, I.ambient)))
+
+
+def _delta_on(src: LcmLattice, spr: LcmLattice) -> LatticeMap:
+    """The collapse map of spr onto src; a collapse decodes only the 3 elements it names."""
     codes = [src._codes[i] for i in src._atom_at]  # source code of each spread atom
     delta = [  # the OR of the source codes of the atoms below each spread element
         src._at[reduce(or_, (c for b, c in enumerate(codes) if s >> b & 1), 0)]
@@ -345,9 +378,9 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
         k, s = failure
         up, want = spr._join(k, s), src._join(delta[k], delta[s])
         raise WellDefinednessViolation(
-            f"spreading collapsed the lcm-lattice: {spr.elements[up]} is the "
+            f"spreading collapsed the lcm-lattice: {spr._element(up)} is the "
             f"lcm of spread generator subsets with different source lcms "
-            f"{src.elements[delta[up]]} and {src.elements[want]}; "
+            f"{src._element(delta[up])} and {src._element(want)}; "
             f"no collapse map exists"
         )
     mapping = {e: src.elements[d] for e, d in zip(spr.elements, delta)}

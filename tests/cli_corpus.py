@@ -26,7 +26,8 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from genutils import random_ideal, small_family  # noqa: E402
+from genutils import random_equal_degree_ideal, random_ideal, small_family  # noqa: E402
+from spreadpol import MonomialIdeal, spread_ideal  # noqa: E402
 from spreadpol.cli import format_ideal, main  # noqa: E402
 
 
@@ -58,7 +59,25 @@ def corpus_files() -> list[tuple[str, str]]:
         I = random_ideal(rng, rng.randint(1, 3), rng.randint(1, 4), 3)
         files.append((f"seeded/{k}", format_ideal(I)))
     files.append(("huge", HUGE_EXPONENTS))
-    return files
+    return files + lattice_files()
+
+
+def lattice_files() -> list[tuple[str, str]]:
+    """Ideals of the size where lattice isomorphism hits and collapse maps
+    exist: 20 seeded equal-degree ideals (degree 3-4, 6-8 generators, 3-5
+    variables), then a complete intersection of 6 generators followed by its
+    n-spread, so that `iso` on it finds and prints a 64-element witness."""
+    rng = random.Random(2026)
+    files = []
+    for k in range(20):
+        n, d, m = rng.randint(3, 5), rng.randint(3, 4), rng.randint(6, 8)
+        files.append((f"lattice/{k}", format_ideal(random_equal_degree_ideal(rng, n, m, d))))
+    ci = MonomialIdeal.from_exponents(8, [
+        (2, 0, 0, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0, 0),
+        (0, 0, 0, 0, 2, 1, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 0, 3),
+    ])
+    return files + [("lattice/ci", format_ideal(ci)),
+                    ("lattice/ci-spread", format_ideal(spread_ideal(ci, 8)))]
 
 
 def _n(text: str) -> int:
@@ -86,6 +105,8 @@ def commands(name: str, text: str, other: str) -> list[list[str]]:
         ["verify-laws", "-t", f"{n}..{n + 2}", name],
         ["verify-laws", "-t", "3000", name],
     ]
+    if name.startswith("lattice/"):  # the lattice commands only
+        tails = tails[1:6]
     return [pre + tail for tail in tails for pre in ([], ["--pretty"])]
 
 

@@ -29,6 +29,11 @@ closure of the generators under max, sorted, then the order masks from
 per-variable exponent slabs and the atom supports by transposing each
 atom's up-set, where the library ORs rank-polarized atom codes and reads
 the order off the supports.
+
+The eager-decode reference is the lattice constructor as it was before
+elements were decoded on demand: each element's exponent vector is made
+when its code first appears in the OR-closure of the rank-polarized atom
+codes, and only the top gets the full Monomial check.
 """
 
 from __future__ import annotations
@@ -363,3 +368,23 @@ def lattice_masks_by_slabs(
         if i != j and below[j] >> i & 1 and below[j] & above[i] == 1 << i | 1 << j
     ]
     return elements, below, above, support, covers
+
+
+def lattice_elements_eagerly(ambient: int, atoms: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The elements of the lcm-lattice of `atoms`, in code order, decoded
+    while the closure of the atom codes is built."""
+    rows = [a.exponents for a in atoms]
+    fields = [["0"] * len(rows)]
+    for column in dict.fromkeys(zip(*rows)):
+        values = sorted(set(column) | {0})
+        width = len(values) - 1
+        unary = {v: "0" * (width - r) + "1" * r for r, v in enumerate(values)}
+        fields.append([unary[v] for v in column])
+    codes = [int("".join(f), 2) for f in zip(*fields)]
+    exps = {0: (0,) * ambient}  # code -> exponent vector
+    for g, row in zip(codes, rows):
+        for e, x in list(exps.items()):
+            if (e | g) not in exps:
+                exps[e | g] = tuple(map(max, x, row))
+    *rest, top = sorted(exps)
+    return tuple(Monomial._trusted(exps[c], ambient) for c in rest) + (Monomial(exps[top], ambient),)

@@ -23,7 +23,12 @@ from spreadpol import (
     verify_spreading_laws,
 )
 from spreadpol import invariants
-from spreadpol.invariants import MAX_DEPTH_ATOMS, CharacteristicPoset, _depth_on, _sdepth_on
+from spreadpol.invariants import (
+    MAX_DEPTH_ATOMS,
+    CharacteristicPoset,
+    _projective_dimension,
+    _sdepth_on,
+)
 from spreadpol.taylor import taylor_betti
 from genutils import (
     pair_lcm_ideal,
@@ -425,9 +430,9 @@ class TestSpreadingLaws:
 
         def counted(L):
             calls.append(L)
-            return _depth_on(L)
+            return _projective_dimension(L)
 
-        monkeypatch.setattr(invariants, "_depth_on", counted)
+        monkeypatch.setattr(invariants, "_projective_dimension", counted)
         rep = verify_spreading_laws(ideal(2, [(2, 1), (0, 2)]), range(2, 8))
         assert rep.all_hold and rep.t_values == tuple(range(2, 8))
         assert len(calls) == 2  # the source and the 2-spread, nothing per t > 2
@@ -440,7 +445,9 @@ class TestSupportReference:
         for I in small_family():
             n = I.ambient
             for S in [I] + [spread_ideal(I, t, pad=True) for t in (n, n + 1, n + 2)]:
-                assert depth_quotient(S) == _depth_on(build_lcm_lattice(S)), S
+                rep = depth_quotient(S)  # its lattice is built in the full ambient
+                assert dict(rep.betti.entries) == taylor_betti(S), S
+                assert rep.value == S.ambient - _projective_dimension(build_lcm_lattice(S)), S
                 poset = CharacteristicPoset(S)
                 assert sdepth_quotient(S) == _sdepth_on(poset, ideal_side=False), S
                 assert sdepth_ideal(S) == _sdepth_on(poset, ideal_side=True), S
@@ -453,7 +460,7 @@ class TestSupportReference:
         def full(S):
             poset = CharacteristicPoset(S)
             return (
-                _depth_on(build_lcm_lattice(S)).value,
+                depth_quotient(S).value,
                 _sdepth_on(poset, ideal_side=False).value,
                 _sdepth_on(poset, ideal_side=True).value,
             )

@@ -1,5 +1,6 @@
 import random
 import time
+from functools import cached_property
 
 import pytest
 
@@ -13,16 +14,31 @@ from spreadpol import (
     WellDefinednessViolation,
     build_delta,
     build_lcm_lattice,
+    depth_quotient,
     hasse_dot,
     is_isomorphic,
     is_smoothly_spreadable,
     sigma_t,
     spread_ideal,
     verify_delta,
+    verify_spreading_laws,
 )
+from spreadpol.invariants import _betti_at
+from spreadpol.lattices import _atom_image
 from spreadpol.monomials import MAX_EXPONENT
-from genutils import pair_lcm_ideal, random_equal_degree_ideal, random_ideal, random_monomial
-from oracles import delta_by_all_pairs, isomorphism_by_permutations, lattice_masks_by_slabs
+from genutils import (
+    pair_lcm_ideal,
+    random_equal_degree_ideal,
+    random_ideal,
+    random_monomial,
+    small_family,
+)
+from oracles import (
+    delta_by_all_pairs,
+    isomorphism_by_permutations,
+    lattice_elements_eagerly,
+    lattice_masks_by_slabs,
+)
 
 
 def M(*exps):
@@ -534,3 +550,106 @@ class TestLatticeAccess:
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
         assert L.leq(L.bottom, L.top)
         assert not L.leq(M(1, 0), M(0, 1))
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """A counter of decoded elements: one per `_element` call, and every
+    element of a lattice whose `elements` are read."""
+    count = [0]
+    element, decode_all = LcmLattice._element, LcmLattice.__dict__["elements"].func
+
+    def counted_element(self, k):
+        count[0] += 1
+        return element(self, k)
+
+    def counted_all(self):
+        out = decode_all(self)
+        count[0] += len(out)
+        return out
+
+    prop = cached_property(counted_all)
+    prop.__set_name__(LcmLattice, "elements")
+    monkeypatch.setattr(LcmLattice, "_element", counted_element)
+    monkeypatch.setattr(LcmLattice, "elements", prop)
+    return count
+
+
+class TestLazyDecode:
+    """Elements are decoded only at the API edge."""
+
+    @staticmethod
+    def sources():
+        """The small family, 60 seeded ideals and three generators with
+        exponents near 300; each is paired with its n-spread."""
+        rng = random.Random(43)
+        seeded = [random_ideal(rng, rng.randint(1, 4), rng.randint(1, 6), 3) for _ in range(60)]
+        return small_family() + seeded + [ideal(3, [(300, 1, 0), (299, 0, 300), (0, 300, 298)])]
+
+    def test_lazy_decode_matches_eager_reference(self):
+        """Elements, index, single decodes, and the depth, isomorphism and
+        collapse-map outputs equal those keyed by the eagerly decoded elements."""
+        for I in self.sources():
+            S = spread_ideal(I, I.ambient)
+            for J in (I, S):
+                L, E = build_lcm_lattice(J), lattice_elements_eagerly(J.ambient, J.generators)
+                assert [L._element(k) for k in range(len(L))] == list(E), J
+                assert L.elements == E and all(L.index(e) == k for k, e in enumerate(E)), J
+                entries = {(0, E[0]): 1}
+                for k in range(1, len(E)):
+                    entries.update(((i + 2, E[k]), v) for i, v in _betti_at(L, k).items())
+                rep = depth_quotient(J)
+                assert dict(rep.betti.entries) == entries, J
+                assert rep.value == J.ambient - max(i for i, _ in entries), J
+            L, LS = build_lcm_lattice(I), build_lcm_lattice(S)
+            E, ES = L.elements, LS.elements
+            image = _atom_image(L, LS)
+            want = image and {
+                e: ES[LS._support.index(sum(b for a, b in enumerate(image) if s >> a & 1))]
+                for e, s in zip(E, L._support)
+            }
+            assert is_isomorphic(L, LS) == want, I
+            # delta(s): the lcm of the source atoms whose spreads lie below s
+            delta = [E.index(lcm_list([I.generators[a] for a in LS.atom_support(e)] or [E[0]]))
+                     for e in ES]
+            failure = next((
+                (k, a) for k in range(len(ES)) for a in map(ES.index, LS.atoms)
+                if delta[ES.index(ES[k].lcm(ES[a]))] != E.index(E[delta[k]].lcm(E[delta[a]]))
+            ), None)
+            if failure is None:
+                assert build_delta(I).mapping == {ES[k]: E[d] for k, d in enumerate(delta)}, I
+                continue
+            k, a = failure
+            up = ES.index(ES[k].lcm(ES[a]))
+            with pytest.raises(WellDefinednessViolation) as exc:
+                build_delta(I)
+            assert str(exc.value) == (
+                f"spreading collapsed the lcm-lattice: {ES[up]} is the lcm of spread "
+                f"generator subsets with different source lcms {E[delta[up]]} and "
+                f"{E[delta[k]].lcm(E[delta[a]])}; no collapse map exists"
+            ), I
+
+    def test_checks_run_before_any_decode(self, decoded):
+        top, half = MAX_EXPONENT - 1, 20000
+        u = Monomial((top,) * half + (0,) * half)
+        v = Monomial((0,) * half + (top,) * half)
+        with pytest.raises(TooLargeError, match="degree exceeds"):
+            build_lcm_lattice(MonomialIdeal(2 * half, [u, v]))
+        with pytest.raises(BadParameterError, match="incomparable"):
+            LcmLattice(1, (M(1), M(2)))
+        with pytest.raises(TooLargeError, match="exceeds the cap"):
+            build_lcm_lattice(MonomialIdeal(15, [Monomial.variable(j, 15) for j in range(1, 16)]))
+        assert decoded[0] == 0
+
+    def test_law_harness_decodes_nothing(self, decoded):
+        for I in small_family():
+            verify_spreading_laws(I, [I.ambient, I.ambient + 1])
+        assert decoded[0] == 0
+
+    def test_collapse_decodes_the_three_elements_it_names(self, decoded):
+        I = ideal(3, TestCollapseCounterexample.IDEAL)
+        assert is_isomorphic(build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, 3))) is None
+        assert decoded[0] == 0
+        with pytest.raises(WellDefinednessViolation):
+            build_delta(I)
+        assert decoded[0] == 3
