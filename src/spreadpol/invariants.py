@@ -27,26 +27,24 @@ points but not the search, so the search raises TooLargeError once it has
 memoized more than MAX_SDEPTH_STATES failed states.
 
 Every point set of that search is a Python int used as a bitmask over the
-whole grid prod(g_j + 1), bit i standing for the i-th point in
-itertools.product order.  The characteristic poset is that grid as one
-object: the table decoding bits to points, the ideal side as one mask, and
-per coordinate j and value v the slabs x_j >= v and x_j <= v.  The up-set
-and the down-set of a point, the generator up-sets (whose union is the
-ideal side) and a box [a, c] = up(a) & down(c) are intersections of slabs.
-A box lies in a side exactly when it has no bit outside the side's mask.
-Grid order is lexicographic, so "least uncovered point" is the lowest free
-bit and candidate upper corners are tried from the highest bit down.
+grid, bit i standing for the i-th point in itertools.product order.  The
+characteristic poset is that grid as one object: the table decoding bits to
+points, the ideal side as one mask, and per coordinate j and value v the
+slabs x_j >= v and x_j <= v.  The up-set and the down-set of a point, the
+generator up-sets (whose union is the ideal side) and a box [a, c] =
+up(a) & down(c) are intersections of slabs.  A box lies in a side exactly
+when it has no bit outside the side's mask.  Grid order is lexicographic,
+so "least uncovered point" is the lowest free bit and candidate upper
+corners are tried from the highest bit down.
 
-Stanley depth and the law harness are computed on the support: the ideal
-restricted to the variables its generators use.  A free variable, one that
-no generator uses, adds exactly 1 to the depth, as the Betti numbers do not
-see it, and exactly 1 to both Stanley depths (Herzog, Vladoiu and Zheng,
-J. Algebra 2009, Lemma 3.6); on the grid it is a coordinate with g_j = 0,
-saturated at every point.  So each oracle runs on the restricted ideal and
-adds the free count, and the public reports are lifted back with 0 in each
-free coordinate: the same reports as in the full ambient, at a cost that
-does not grow with it.  The lcm-lattice needs no restriction, as a free
-column adds nothing to an atom code (see lattices.LcmLattice).
+The grid spans only the coordinates some generator uses.  A free
+coordinate (g_j = 0) is saturated at every point and adds exactly 1 to both
+Stanley depths (Herzog, Vladoiu and Zheng, J. Algebra 2009, Lemma 3.6), so
+the poset counts it in every score without spanning it, and a box corner
+is lifted into the ambient of the ideal, with 0 there, only when a public
+report is made.  Depth needs no such rule: a free column adds nothing to an
+atom code (see lattices.LcmLattice), and the ambient count minus the
+projective dimension counts it.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
 from .lattices import LcmLattice, _atom_image, build_lcm_lattice
@@ -139,35 +137,16 @@ class DepthReport:
 
 @dataclass(frozen=True)
 class SdepthReport:
+    """A Stanley depth with the box partition that attains it.
+
+    `bound` (the generator lcm g) and both corners of every interval are in
+    the ambient of the ideal, with 0 in each free coordinate.
+    """
+
     ambient: int
     value: int
     bound: tuple[int, ...]
     intervals: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-def _on_support(
-    I: MonomialIdeal,
-) -> tuple[MonomialIdeal, Callable[[tuple[int, ...]], tuple[int, ...]]]:
-    """I restricted to the variables its generators use, and the map lifting
-    a vector on that support back into the ambient of I with 0 in each free
-    coordinate (I itself and the identity when it uses them all).
-
-    Deleting unused columns keeps divisibility and the lexicographic order
-    of the generators, so the restricted generators stay a sorted antichain.
-    """
-    used = [j for j, column in enumerate(zip(*(g.exponents for g in I.generators)))
-            if any(column)]
-    if len(used) == I.ambient:
-        return I, lambda p: p
-    gens = [Monomial._trusted(tuple(g.exponents[j] for j in used), len(used))
-            for g in I.generators]
-
-    def lift(p: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * I.ambient
-        for j, v in zip(used, p):
-            out[j] = v
-        return tuple(out)
-    return MonomialIdeal._from_minimal(len(used), gens), lift
 
 
 def depth_quotient(I: MonomialIdeal) -> DepthReport:
@@ -199,19 +178,27 @@ def _projective_dimension(L: LcmLattice) -> int:
 
 
 class CharacteristicPoset:
-    """All exponent vectors below the generator lcm, as one bitmask grid.
+    """All exponent vectors below the generator lcm g, as one bitmask grid.
 
-    Bit i is points[i], the i-th point of itertools.product(range(g_1 + 1),
-    ...), so the point p sits at bit sum(p_j * stride_j).  `ideal_mask` holds
-    the points x^p in the ideal; per coordinate j and value v, `at_least[j][v]`
+    `bound` is g in the ambient of the ideal.  The grid spans only the
+    coordinates some generator uses, `used`, so `points` are tuples over
+    those coordinates: bit i is points[i], the i-th point of
+    itertools.product(range(g_j + 1) for j in used), and the point p sits at
+    bit sum(p_j * stride_j).  `corner(i)` is points[i] in the ambient of the
+    ideal, with 0 in each free coordinate.  `ideal_mask` holds the points
+    x^p in the ideal; per used coordinate j and value v, `at_least[j][v]`
     and `at_most[j][v]` hold the points with p_j >= v and p_j <= v.
     """
 
-    __slots__ = ("bound", "points", "full", "stride", "at_least", "at_most",
+    __slots__ = ("bound", "used", "points", "full", "stride", "at_least", "at_most",
                  "ideal_mask")
 
     def __init__(self, I: MonomialIdeal):
-        g = I.lcm_of_generators.exponents
+        columns = [(j, column)
+                   for j, column in enumerate(zip(*(u.exponents for u in I.generators)))
+                   if any(column)]
+        self.used = tuple(j for j, _ in columns)
+        g = [max(column) for _, column in columns]
         size = 1
         for gj in g:
             size *= gj + 1
@@ -219,7 +206,10 @@ class CharacteristicPoset:
                 raise TooLargeError(
                     f"characteristic poset exceeds {MAX_POSET_POINTS} points"
                 )
-        self.bound = g
+        bound = [0] * I.ambient
+        for j, gj in zip(self.used, g):
+            bound[j] = gj
+        self.bound = tuple(bound)
         self.points = tuple(itertools.product(*(range(gj + 1) for gj in g)))
         self.full = (1 << size) - 1
         self.stride: list[int] = []
@@ -239,7 +229,7 @@ class CharacteristicPoset:
             )
         self.ideal_mask = 0
         for u in I.generators:
-            self.ideal_mask |= self.up(u.exponents)
+            self.ideal_mask |= self.up(tuple(u.exponents[j] for j in self.used))
 
     def up(self, p: tuple[int, ...]) -> int:
         mask = self.full
@@ -254,22 +244,32 @@ class CharacteristicPoset:
         return mask
 
     def down_closure(self, mask: int) -> int:
-        for gj, stride, slabs in zip(self.bound, self.stride, self.at_least):
-            for _ in range(gj):
+        for stride, slabs in zip(self.stride, self.at_least):
+            for _ in range(len(slabs) - 1):
                 mask |= (mask & slabs[1]) >> stride
         return mask
 
     def saturated_at_least(self) -> list[int]:
-        """Entry k: points with at least k coordinates saturated (p_j = g_j)."""
-        levels = [self.full] + [0] * len(self.bound)
-        for j, gj in enumerate(self.bound):
-            top = self.at_least[j][gj]
+        """Entry k: points with at least k coordinates saturated (p_j = g_j).
+
+        A free coordinate is saturated at every point, so the first entries,
+        one per free coordinate and one more, are the whole grid.
+        """
+        levels = [self.full] + [0] * len(self.used)
+        for j, slabs in enumerate(self.at_least):
             for k in range(j + 1, 0, -1):
-                levels[k] |= levels[k - 1] & top
-        return levels
+                levels[k] |= levels[k - 1] & slabs[-1]
+        return [self.full] * (len(self.bound) - len(self.used)) + levels
 
     def side_mask(self, ideal_side: bool) -> int:
         return self.ideal_mask if ideal_side else self.full & ~self.ideal_mask
+
+    def corner(self, i: int) -> tuple[int, ...]:
+        """points[i] in the ambient of the ideal, with 0 in each free coordinate."""
+        out = [0] * len(self.bound)
+        for j, v in zip(self.used, self.points[i]):
+            out[j] = v
+        return tuple(out)
 
 
 def build_characteristic_poset(I: MonomialIdeal) -> CharacteristicPoset:
@@ -279,8 +279,9 @@ def build_characteristic_poset(I: MonomialIdeal) -> CharacteristicPoset:
 
 def _box_partition_value(
     poset: CharacteristicPoset, side: int
-) -> tuple[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
-    """Best achievable min-score over box partitions of the points in `side`.
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Best achievable min-score over box partitions of the points in `side`,
+    with the winning boxes as sorted (lower, upper) point-index pairs.
 
     Branch and bound on a target score k, high to low: repeatedly take the
     least uncovered point and try to close it off with a box whose upper
@@ -302,7 +303,7 @@ def _box_partition_value(
     for k in range(start, -1, -1):
         result = _box_search(poset.full, outside, side & levels[k], up, down)
         if result is not None:
-            return k, tuple((points[a], points[c]) for a, c in sorted(result))
+            return k, tuple(sorted(result))
     raise AssertionError("score 0 partition into singletons always exists")
 
 
@@ -352,31 +353,21 @@ def _box_search(full, outside, uppers, up, down) -> list[tuple[int, int]] | None
 
 def sdepth_quotient(I: MonomialIdeal) -> SdepthReport:
     """Stanley depth of the quotient ring, by exact partition search."""
-    return _sdepth_on_support(I, ideal_side=False)
+    return _sdepth_on(build_characteristic_poset(I), ideal_side=False)
 
 
 def sdepth_ideal(I: MonomialIdeal) -> SdepthReport:
     """Stanley depth of the ideal itself, by exact partition search."""
-    return _sdepth_on_support(I, ideal_side=True)
-
-
-def _sdepth_on_support(I: MonomialIdeal, ideal_side: bool) -> SdepthReport:
-    """The search on the support of I; each free variable adds 1 to the
-    value and a 0 coordinate to the bound and to every box corner."""
-    J, lift = _on_support(I)
-    rep = _sdepth_on(build_characteristic_poset(J), ideal_side)
-    return SdepthReport(
-        ambient=I.ambient,
-        value=rep.value + I.ambient - J.ambient,
-        bound=lift(rep.bound),
-        intervals=tuple((lift(a), lift(c)) for a, c in rep.intervals),
-    )
+    return _sdepth_on(build_characteristic_poset(I), ideal_side=True)
 
 
 def _sdepth_on(poset: CharacteristicPoset, ideal_side: bool) -> SdepthReport:
     value, boxes = _box_partition_value(poset, poset.side_mask(ideal_side))
     return SdepthReport(
-        ambient=len(poset.bound), value=value, bound=poset.bound, intervals=boxes
+        ambient=len(poset.bound),
+        value=value,
+        bound=poset.bound,
+        intervals=tuple((poset.corner(a), poset.corner(c)) for a, c in boxes),
     )
 
 
@@ -411,25 +402,23 @@ class SpreadingLawsReport:
 
 
 def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattice]:
-    """Depth and both Stanley depths of I, and the lcm-lattice of I on its support.
+    """Depth and both Stanley depths of I, and the lcm-lattice of I.
 
-    The invariants are computed on the support, then shifted by the count
-    of free variables.  One lattice serves the projective dimension and is
-    returned for the isomorphism test; one characteristic poset serves both
-    Stanley depth searches.
+    One lattice serves the projective dimension and is returned for the
+    isomorphism test; one characteristic poset serves both Stanley depth
+    searches, whose boxes are not decoded.
     """
-    J, _ = _on_support(I)
     try:
-        L = _depth_lattice(J)
-        poset = build_characteristic_poset(J)
+        L = _depth_lattice(I)
+        poset = build_characteristic_poset(I)
         stats = (
-            J.ambient - _projective_dimension(L),
-            _sdepth_on(poset, ideal_side=False).value,
-            _sdepth_on(poset, ideal_side=True).value,
+            I.ambient - _projective_dimension(L),
+            _box_partition_value(poset, poset.side_mask(ideal_side=False))[0],
+            _box_partition_value(poset, poset.side_mask(ideal_side=True))[0],
         )
     except TooLargeError as e:
         raise TooLargeError(f"{what}: {e}") from None
-    return tuple(v + I.ambient - J.ambient for v in stats), L
+    return stats, L
 
 
 def verify_spreading_laws(
@@ -443,12 +432,13 @@ def verify_spreading_laws(
     linking consecutive spreading steps t >= n; and, for smoothly spreadable
     ideals, the closed-form equalities pinning every spread to the source.
 
-    The source and its n-spread are computed on their supports (see the
-    module docstring), and only values are read: the projective dimension
-    from element indices, the isomorphism verdict from atom supports; no
-    lattice element is decoded.  A padded t-spread with t > n is the image
-    of the n-spread under the strictly increasing SpreadEmbedding.phi: the
-    same restricted ideal with (t - n)*d more free variables.  So its
+    Only the source and its n-spread are computed, and only values are
+    read: the projective dimension from element indices, the isomorphism
+    verdict from atom supports, the Stanley depths from scores; no lattice
+    element or box corner is decoded.  A padded t-spread with t > n is the
+    image of the n-spread under the strictly increasing SpreadEmbedding.phi:
+    the same generators on the used coordinates, with (t - n)*d more free
+    variables.  So its
     invariants are the n-spread's plus (t - n)*d, derived without building
     it, and the transfer equalities hold by construction; the tests check
     them against spreads built in their own ambients.  t*d past MAX_AMBIENT

@@ -34,6 +34,13 @@ The eager-decode reference is the lattice constructor as it was before
 elements were decoded on demand: each element's exponent vector is made
 when its code first appears in the OR-closure of the rank-polarized atom
 codes, and only the top gets the full Monomial check.
+
+The support reference computes a Stanley depth by restriction, where the
+library's characteristic poset skips the free coordinates inside one grid:
+it restricts the generators' exponent tuples to the variables they use,
+runs the search on that ideal, adds 1 per free variable (Herzog, Vladoiu
+and Zheng, J. Algebra 2009, Lemma 3.6) and lifts the bound and every box
+corner back with 0 in each free coordinate.
 """
 
 from __future__ import annotations
@@ -43,7 +50,16 @@ import sys
 from collections import defaultdict
 from typing import Iterable
 
-from spreadpol import BadParameterError, LatticeMap, LcmLattice, Monomial, MonomialIdeal
+from spreadpol import (
+    BadParameterError,
+    LatticeMap,
+    LcmLattice,
+    Monomial,
+    MonomialIdeal,
+    SdepthReport,
+    sdepth_ideal,
+    sdepth_quotient,
+)
 
 
 def smooth_by_exhaustion(monomials: list[Monomial], n: int) -> bool:
@@ -388,3 +404,26 @@ def lattice_elements_eagerly(ambient: int, atoms: Iterable[Monomial]) -> tuple[M
                 exps[e | g] = tuple(map(max, x, row))
     *rest, top = sorted(exps)
     return tuple(Monomial._trusted(exps[c], ambient) for c in rest) + (Monomial(exps[top], ambient),)
+
+
+def sdepth_on_support(I: MonomialIdeal, ideal_side: bool) -> SdepthReport:
+    """The Stanley-depth report of I (of the ideal if `ideal_side`, else of
+    the quotient), searched on the variables the generators use and lifted
+    back into the ambient of I."""
+    rows = [g.exponents for g in I.generators]
+    used = [j for j in range(I.ambient) if any(row[j] for row in rows)]
+    J = MonomialIdeal.from_exponents(len(used), [[row[j] for j in used] for row in rows])
+    rep = sdepth_ideal(J) if ideal_side else sdepth_quotient(J)
+
+    def lift(p: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * I.ambient
+        for j, v in zip(used, p):
+            out[j] = v
+        return tuple(out)
+
+    return SdepthReport(
+        ambient=I.ambient,
+        value=rep.value + I.ambient - len(used),
+        bound=lift(rep.bound),
+        intervals=tuple((lift(a), lift(c)) for a, c in rep.intervals),
+    )

@@ -27,7 +27,6 @@ from spreadpol.invariants import (
     MAX_DEPTH_ATOMS,
     CharacteristicPoset,
     _projective_dimension,
-    _sdepth_on,
 )
 from spreadpol.taylor import taylor_betti
 from genutils import (
@@ -40,6 +39,7 @@ from genutils import (
 from oracles import (
     box_partition_by_points,
     order_complex_betti_by_chains,
+    sdepth_on_support,
     taylor_betti_by_combinations,
 )
 
@@ -57,8 +57,14 @@ def in_ideal(poset):
     return [bool(poset.ideal_mask >> i & 1) for i in range(len(poset.points))]
 
 
-def side_points(poset, ideal_side):
-    return [p for p, flag in zip(poset.points, in_ideal(poset)) if flag == ideal_side]
+def side_points(I, ideal_side):
+    """The exponent vectors c <= g of one side, walked over every coordinate
+    of I from the definition, without the characteristic poset."""
+    g = I.lcm_of_generators.exponents
+    return [
+        p for p in itertools.product(*(range(gj + 1) for gj in g))
+        if I.contains(Monomial(p, I.ambient)) == ideal_side
+    ]
 
 
 # Five generators in 3 variables whose 3-spread defeats the Stanley-depth
@@ -246,6 +252,17 @@ class TestCharacteristicPoset:
                 if all(a <= b for a, b in zip(p, q)) and flag[p]:
                     assert flag[q]
 
+    def test_free_coordinate_is_not_spanned(self):
+        I = ideal(3, [(2, 0, 1), (0, 0, 2)])
+        poset = build_characteristic_poset(I)
+        assert poset.used == (0, 2) and poset.bound == (2, 0, 2)
+        assert len(poset.points) == 9
+        for i, (p, flag) in enumerate(zip(poset.points, in_ideal(poset))):
+            assert poset.corner(i) == (p[0], 0, p[1])
+            assert flag == I.contains(Monomial(poset.corner(i), 3))
+        levels = poset.saturated_at_least()
+        assert len(levels) == 4 and levels[0] == levels[1] == poset.full
+
     def test_poset_cap(self):
         with pytest.raises(TooLargeError):
             build_characteristic_poset(ideal(1, [(5000,)]))
@@ -282,8 +299,7 @@ class TestSdepth:
         assert sdepth_ideal(spread).value == 13
 
     def _check_report(self, I, rep, side):
-        poset = build_characteristic_poset(I)
-        points = set(side_points(poset, side))
+        points = set(side_points(I, side))
         covered = set()
         for lo, hi in rep.intervals:
             box = set(
@@ -328,10 +344,10 @@ class TestSdepthReference:
                 continue
             checked += 1
             for J in family:
-                poset = build_characteristic_poset(J)
+                g = J.lcm_of_generators.exponents
                 for side, sdepth in ((False, sdepth_quotient), (True, sdepth_ideal)):
                     rep = sdepth(J)
-                    expected = box_partition_by_points(side_points(poset, side), poset.bound)
+                    expected = box_partition_by_points(side_points(J, side), g)
                     assert (rep.value, rep.intervals) == expected, (J, side)
 
     def test_leaves_the_recursion_limit_alone(self, monkeypatch):
@@ -439,7 +455,7 @@ class TestSpreadingLaws:
 
 
 class TestSupportReference:
-    """The support route against each ideal computed in its own ambient."""
+    """Free coordinates against the restrict-and-lift reference of oracles.py."""
 
     def test_reports_match_full_ambient(self):
         for I in small_family():
@@ -448,21 +464,19 @@ class TestSupportReference:
                 rep = depth_quotient(S)  # its lattice is built in the full ambient
                 assert dict(rep.betti.entries) == taylor_betti(S), S
                 assert rep.value == S.ambient - _projective_dimension(build_lcm_lattice(S)), S
-                poset = CharacteristicPoset(S)
-                assert sdepth_quotient(S) == _sdepth_on(poset, ideal_side=False), S
-                assert sdepth_ideal(S) == _sdepth_on(poset, ideal_side=True), S
+                assert sdepth_quotient(S) == sdepth_on_support(S, ideal_side=False), S
+                assert sdepth_ideal(S) == sdepth_on_support(S, ideal_side=True), S
 
     def test_harness_matches_full_ambient(self):
-        # the harness derives every t-spread past n from the n-spread and
-        # compares lattices on the supports; here each spread is built and
-        # computed in its own ambient t*d by the reference route, so the
-        # transfer equalities and the isomorphism verdict are tested, not assumed
+        # the harness derives every t-spread past n from the n-spread; here
+        # each spread is built in its own ambient t*d and computed by the
+        # reference, so the transfer equalities and the isomorphism verdict
+        # are tested, not assumed
         def full(S):
-            poset = CharacteristicPoset(S)
             return (
                 depth_quotient(S).value,
-                _sdepth_on(poset, ideal_side=False).value,
-                _sdepth_on(poset, ideal_side=True).value,
+                sdepth_on_support(S, ideal_side=False).value,
+                sdepth_on_support(S, ideal_side=True).value,
             )
 
         for I in small_family():
@@ -473,3 +487,28 @@ class TestSupportReference:
             assert rep.lattice_isomorphic == (iso is not None), I
             for t in (n, n + 1, n + 2):
                 assert rep.spread[t] == full(spread_ideal(I, t, pad=True)), (I, t)
+
+
+class TestFreeCoordinates:
+    """The grid never spans a free coordinate, and the harness decodes no
+    box corner."""
+
+    def test_grid_spans_only_used_coordinates(self):
+        I = ideal(2, [(2, 1), (0, 2)])
+        S2, S = spread_ideal(I, 2), spread_ideal(I, 3000, pad=True)
+        assert S.ambient == 9000
+        assert len(build_characteristic_poset(S).points) == len(
+            build_characteristic_poset(S2).points
+        )
+        for sdepth in (sdepth_quotient, sdepth_ideal):
+            assert sdepth(S).value == sdepth(S2).value + (3000 - 2) * 3
+
+    def test_harness_decodes_no_corner(self, monkeypatch):
+        def refuse(self, i):
+            raise AssertionError("box corner decoded")
+
+        monkeypatch.setattr(CharacteristicPoset, "corner", refuse)
+        for I in small_family():
+            verify_spreading_laws(I, [I.ambient, I.ambient + 1])
+        with pytest.raises(AssertionError, match="box corner decoded"):
+            sdepth_quotient(ideal(2, [(2, 1), (0, 2)]))  # the public report does
