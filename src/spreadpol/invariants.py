@@ -37,20 +37,29 @@ when it has no bit outside the side's mask.  Grid order is lexicographic,
 so "least uncovered point" is the lowest free bit and candidate upper
 corners are tried from the highest bit down.
 
-The grid spans only the coordinates some generator uses.  A free
-coordinate (g_j = 0) is saturated at every point and adds exactly 1 to both
-Stanley depths (Herzog, Vladoiu and Zheng, J. Algebra 2009, Lemma 3.6), so
-the poset counts it in every score without spanning it, and a box corner
-is lifted into the ambient of the ideal, with 0 there, only when a public
-report is made.  Depth needs no such rule: a free column adds nothing to an
-atom code (see lattices.LcmLattice), and the ambient count minus the
-projective dimension counts it.
+Two rules shrink the grid, each Stanley depth shifting by what they remove:
+a free coordinate (g_j = 0) adds exactly 1 (Herzog, Vladoiu and Zheng, J.
+Algebra 2009, Lemma 3.6), and so does each variable polarization adds
+(Ichim, Katthan and Moyano-Fernandez, J. Combin. Theory Ser. A 135, 2015).
+So the grid spans only the used coordinates and counts a free one as
+saturated everywhere; a public report writes 0 there in each box corner.
+The law harness also depolarizes: a column of the standard polarization of
+I is the set of generators with x_j-exponent >= v, as a bitmask, the equal
+columns of one x_j being one column with a multiplicity.  The columns of
+each x_j form a chain under inclusion.  Chains whose union is a chain are
+merged, which never enlarges the grid (a + b + 1 <= (a + 1)(b + 1)), and
+each chain is one variable of an ideal J, where a generator's exponent is
+the summed multiplicity of the chain's columns it lies in.  So pol(J) =
+pol(I) up to renaming variables, and each Stanley depth of I is that of J
+plus ambient(I) - ambient(J).  Depth needs neither rule: a free column adds
+nothing to an atom code (see lattices.LcmLattice), and the ambient count
+minus the projective dimension counts it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -173,8 +182,15 @@ def _depth_lattice(I: MonomialIdeal) -> LcmLattice:
 
 
 def _projective_dimension(L: LcmLattice) -> int:
-    """Projective dimension of the quotient by the ideal of L, by index."""
-    return max((i + 2 for k in range(1, len(L)) for i in _betti_at(L, k)), default=0)
+    """Projective dimension of the quotient by the ideal of L, by index.  As
+    b_{i,m} != 0 needs i <= (atoms below m) (Taylor), elements go by
+    decreasing atom count until that count cannot beat the best i found."""
+    best = 0
+    for atoms, k in sorted(zip(map(int.bit_count, L._support), itertools.count()), reverse=True):
+        if atoms <= best:
+            break
+        best = max([best, *(i + 2 for i in _betti_at(L, k))])
+    return best
 
 
 class CharacteristicPoset:
@@ -187,11 +203,13 @@ class CharacteristicPoset:
     bit sum(p_j * stride_j).  `corner(i)` is points[i] in the ambient of the
     ideal, with 0 in each free coordinate.  `ideal_mask` holds the points
     x^p in the ideal; per used coordinate j and value v, `at_least[j][v]`
-    and `at_most[j][v]` hold the points with p_j >= v and p_j <= v.
+    and `at_most[j][v]` hold the points with p_j >= v and p_j <= v, `ups[i]`
+    and `downs[i]` the up-set and the down-set of points[i], and `levels`
+    is saturated_at_least(): the tables of every search on the poset.
     """
 
     __slots__ = ("bound", "used", "points", "full", "stride", "at_least", "at_most",
-                 "ideal_mask")
+                 "ideal_mask", "levels", "ups", "downs")
 
     def __init__(self, I: MonomialIdeal):
         columns = [(j, column)
@@ -215,33 +233,24 @@ class CharacteristicPoset:
         self.stride: list[int] = []
         self.at_least: list[list[int]] = []
         self.at_most: list[list[int]] = []
+        self.ups, self.downs = [self.full], [self.full]
         stride = size
         for gj in g:
             stride //= gj + 1
             period = stride * (gj + 1)
             repeat = self.full // ((1 << period) - 1)
             self.stride.append(stride)
-            self.at_least.append(
-                [repeat * ((1 << period) - (1 << v * stride)) for v in range(gj + 1)]
-            )
-            self.at_most.append(
-                [repeat * ((1 << (v + 1) * stride) - 1) for v in range(gj + 1)]
-            )
+            least = [repeat * ((1 << period) - (1 << v * stride)) for v in range(gj + 1)]
+            most = [repeat * ((1 << (v + 1) * stride) - 1) for v in range(gj + 1)]
+            self.at_least.append(least)
+            self.at_most.append(most)
+            self.ups = [mask & slab for mask in self.ups for slab in least]
+            self.downs = [mask & slab for mask in self.downs for slab in most]
         self.ideal_mask = 0
         for u in I.generators:
-            self.ideal_mask |= self.up(tuple(u.exponents[j] for j in self.used))
-
-    def up(self, p: tuple[int, ...]) -> int:
-        mask = self.full
-        for slabs, v in zip(self.at_least, p):
-            mask &= slabs[v]
-        return mask
-
-    def down(self, p: tuple[int, ...]) -> int:
-        mask = self.full
-        for slabs, v in zip(self.at_most, p):
-            mask &= slabs[v]
-        return mask
+            bit = sum(u.exponents[j] * stride for j, stride in zip(self.used, self.stride))
+            self.ideal_mask |= self.ups[bit]
+        self.levels = self.saturated_at_least()
 
     def down_closure(self, mask: int) -> int:
         for stride, slabs in zip(self.stride, self.at_least):
@@ -288,26 +297,22 @@ def _box_partition_value(
     corner saturates at least k coordinates of g.  The search starts at the
     largest k for which every point of the side has such a corner above it.
     """
-    points = poset.points
     n = len(poset.bound)
     if not side:
         return n, ()
-    levels = poset.saturated_at_least()
     start = n
-    while side & ~poset.down_closure(side & levels[start]):
+    while side & ~poset.down_closure(side & poset.levels[start]):
         start -= 1
 
-    up = functools.cache(lambda a: poset.up(points[a]))
-    down = functools.cache(lambda c: poset.down(points[c]))
     outside = poset.full & ~side
     for k in range(start, -1, -1):
-        result = _box_search(poset.full, outside, side & levels[k], up, down)
+        result = _box_search(poset.full, outside, side & poset.levels[k], poset.ups, poset.downs)
         if result is not None:
             return k, tuple(sorted(result))
     raise AssertionError("score 0 partition into singletons always exists")
 
 
-def _box_search(full, outside, uppers, up, down) -> list[tuple[int, int]] | None:
+def _box_search(full, outside, uppers, ups, downs) -> list[tuple[int, int]] | None:
     """Depth-first search for a box partition of the grid minus `outside`.
 
     The state is the blocked set: points covered so far or outside the side,
@@ -321,17 +326,17 @@ def _box_search(full, outside, uppers, up, down) -> list[tuple[int, int]] | None
 
     def frame(blocked: int) -> list[int]:
         a = (~blocked & (blocked + 1)).bit_length() - 1
-        return [blocked, a, up(a) & uppers, -1]
+        return [blocked, a, ups[a] & uppers, -1]
 
     stack = [frame(outside)]
     while stack:
         top = stack[-1]
         blocked, a, untried, _ = top
-        up_a = up(a)
+        up_a = ups[a]
         while untried:
             c = untried.bit_length() - 1
             untried ^= 1 << c
-            mask = up_a & down(c)
+            mask = up_a & downs[c]
             if mask & blocked:
                 continue
             nxt = blocked | mask
@@ -401,20 +406,42 @@ class SpreadingLawsReport:
         return all(c.holds for c in self.checks)
 
 
-def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattice]:
-    """Depth and both Stanley depths of I, and the lcm-lattice of I.
+def _compress(I: MonomialIdeal) -> MonomialIdeal:
+    """The depolarization J of I (see the module docstring): pol(J) = pol(I)
+    up to renaming variables, and the grid of J is no larger than I's."""
+    chains: list[dict[int, int]] = []  # column mask -> multiplicity
+    columns = Counter(c for c in zip(*(u.exponents for u in I.generators)) if any(c))
+    for column, copies in columns.items():
+        chain, below = {}, 0
+        for v in sorted(set(column) - {0}):
+            chain[sum(1 << i for i, e in enumerate(column) if e >= v)] = (v - below) * copies
+            below = v
+        for other in chains:
+            if all(a & b in (a, b) for a in other for b in chain):
+                for mask, m in chain.items():
+                    other[mask] = other.get(mask, 0) + m
+                break
+        else:
+            chains.append(chain)
+    # degrees are kept; an exponent past the Monomial cap makes a grid the poset refuses
+    n = len(chains)
+    return MonomialIdeal._from_minimal(n, (Monomial._trusted(tuple(
+        sum(m for mask, m in chain.items() if mask >> i & 1) for chain in chains), n)
+        for i in range(len(I.generators))))
 
-    One lattice serves the projective dimension and is returned for the
-    isomorphism test; one characteristic poset serves both Stanley depth
-    searches, whose boxes are not decoded.
-    """
+
+def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattice]:
+    """Depth and both Stanley depths of I, and the lcm-lattice of I for the
+    isomorphism test.  Both Stanley depth searches run on one poset, of the
+    depolarization J of I, and decode no box."""
     try:
         L = _depth_lattice(I)
-        poset = build_characteristic_poset(I)
+        J = _compress(I)
+        poset, shift = build_characteristic_poset(J), I.ambient - J.ambient
         stats = (
             I.ambient - _projective_dimension(L),
-            _box_partition_value(poset, poset.side_mask(ideal_side=False))[0],
-            _box_partition_value(poset, poset.side_mask(ideal_side=True))[0],
+            _box_partition_value(poset, poset.side_mask(ideal_side=False))[0] + shift,
+            _box_partition_value(poset, poset.side_mask(ideal_side=True))[0] + shift,
         )
     except TooLargeError as e:
         raise TooLargeError(f"{what}: {e}") from None
@@ -435,10 +462,13 @@ def verify_spreading_laws(
     Only the source and its n-spread are computed, and only values are
     read: the projective dimension from element indices, the isomorphism
     verdict from atom supports, the Stanley depths from scores; no lattice
-    element or box corner is decoded.  A padded t-spread with t > n is the
-    image of the n-spread under the strictly increasing SpreadEmbedding.phi:
-    the same generators on the used coordinates, with (t - n)*d more free
-    variables.  So its
+    element or box corner is decoded.  Each Stanley depth is searched on the
+    depolarization J, whose polarization is that of the ideal up to renaming
+    variables, plus the variables J lacks (Ichim, Katthan and
+    Moyano-Fernandez, JCTA 2015; Herzog, Vladoiu and Zheng, J. Algebra 2009,
+    Lemma 3.6).  A padded t-spread with t > n is the image of the n-spread
+    under the strictly increasing SpreadEmbedding.phi: the same generators
+    on the used coordinates, with (t - n)*d more free variables.  So its
     invariants are the n-spread's plus (t - n)*d, derived without building
     it, and the transfer equalities hold by construction; the tests check
     them against spreads built in their own ambients.  t*d past MAX_AMBIENT

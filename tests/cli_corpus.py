@@ -8,12 +8,17 @@ script on both trees and diffing the two outputs:
 
     python tests/cli_corpus.py > after.txt
 
+With ``--expect HEX`` it also checks the sha256 of its whole output (the
+digest ``sha256sum after.txt`` prints) and exits 1 when it differs; CI pins
+the digest that way.
+
 The script imports ``spreadpol`` from the ``src`` directory next to it.  Its
 name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -118,20 +123,33 @@ def run(argv: list[str], paths: dict[str, str], root: str) -> str:
     return " ".join(argv) + "  " + hashlib.sha1(repr(result).encode()).hexdigest()
 
 
-def main_corpus() -> None:
+def main_corpus(expect: str | None = None) -> int:
     files = corpus_files()
+    digest = hashlib.sha256()
+
+    def emit(line: str) -> None:
+        print(line, flush=True)
+        digest.update(line.encode() + b"\n")
+
     with tempfile.TemporaryDirectory() as root:
         paths = {}
         for k, (name, text) in enumerate(files):
             paths[name] = os.path.join(root, f"{k}.ideal")
             with open(paths[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
-        print(run(["verify-paper"], paths, root), flush=True)
+        emit(run(["verify-paper"], paths, root))
         for k, (name, text) in enumerate(files):
             other = files[(k + 1) % len(files)][0]
             for argv in commands(name, text, other):
-                print(run(argv, paths, root), flush=True)
+                emit(run(argv, paths, root))
+    if expect is not None and digest.hexdigest() != expect:
+        print(f"corpus sha256 {digest.hexdigest()}, expected {expect}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main_corpus()
+    parser = argparse.ArgumentParser(description="Print the CLI output-identity corpus.")
+    parser.add_argument("--expect", metavar="HEX",
+                        help="exit 1 unless the output's sha256 is HEX")
+    sys.exit(main_corpus(parser.parse_args().expect))

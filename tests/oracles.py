@@ -41,6 +41,14 @@ it restricts the generators' exponent tuples to the variables they use,
 runs the search on that ideal, adds 1 per free variable (Herzog, Vladoiu
 and Zheng, J. Algebra 2009, Lemma 3.6) and lifts the bound and every box
 corner back with 0 in each free coordinate.
+
+The depolarization reference partitions the columns of the standard
+polarization (per variable x_j and value v, the set of generators with
+x_j-exponent >= v) one column at a time, first fit from the smallest set
+up, on frozensets; the library seeds one chain per variable from grouped
+bitmask columns and merges whole chains.  Both give an ideal whose
+polarization is that of I up to renaming variables, but this one can have a
+larger grid than I.
 """
 
 from __future__ import annotations
@@ -427,3 +435,32 @@ def sdepth_on_support(I: MonomialIdeal, ideal_side: bool) -> SdepthReport:
         bound=lift(rep.bound),
         intervals=tuple((lift(a), lift(c)) for a, c in rep.intervals),
     )
+
+
+def polarization_columns(I: MonomialIdeal) -> list[frozenset[int]]:
+    """The generator set (indices into I.generators) of each variable of the
+    standard polarization of I, one per (j, v) with 1 <= v <= max x_j-exponent,
+    smallest sets first."""
+    return sorted(
+        (frozenset(i for i, u in enumerate(I.generators) if u.exponents[j] >= v)
+         for j in range(I.ambient)
+         for v in range(1, max(u.exponents[j] for u in I.generators) + 1)),
+        key=lambda c: (len(c), sorted(c)),
+    )
+
+
+def depolarize_first_fit(I: MonomialIdeal) -> MonomialIdeal:
+    """An ideal whose polarization is that of I up to renaming variables: each
+    polarization column, smallest first, joins the first chain all of whose
+    columns it contains or lies in, and each chain is one variable, where a
+    generator's exponent is the number of the chain's columns it lies in."""
+    chains: list[list[frozenset[int]]] = []
+    for c in polarization_columns(I):
+        for chain in chains:
+            if all(c <= d or d <= c for d in chain):
+                chain.append(c)
+                break
+        else:
+            chains.append([c])
+    rows = [[sum(i in c for c in chain) for chain in chains] for i in range(len(I.generators))]
+    return MonomialIdeal.from_exponents(len(chains), rows)

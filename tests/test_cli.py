@@ -217,6 +217,17 @@ class TestCommands:
         assert "spread t=3000 depth-quotient 8998 sdepth-quotient 8998 sdepth-ideal 8999" in out
         assert "ok   depth of quotient: transfer t=2999 -> t=3000: 8998 == 8998" in out
 
+    def test_verify_laws_answers_hard_sdepth(self, tmp_path, capsys):
+        # `sdepth` on the 3-spread passes the failed-state cap (TestExitCodes);
+        # the harness searches the compressed ideal, a grid of 90 points
+        path = write(tmp_path, "hard.ideal", HARD_SDEPTH)
+        start = time.perf_counter()
+        assert main(["verify-laws", "-t", "3", path]) == 0
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert "spread t=3 depth-quotient 12 sdepth-quotient 12 sdepth-ideal 13" in out
+        assert "ALL LAWS HOLD" in out
+
     def test_verify_laws_ambient_cap(self, tmp_path, capsys):
         # 349526 * 3 variables pass MAX_AMBIENT = 1048576 by two
         path = write(tmp_path, "i.ideal", "n 2\n2 1\n0 2\n")
@@ -272,19 +283,16 @@ class TestExitCodes:
         path = write(tmp_path, "big.ideal", "n 1\n5000\n")
         assert main(["sdepth", path]) == 3
 
-    @pytest.mark.parametrize(
-        "argv, where", [(["sdepth"], ""), (["verify-laws", "-t", "3"], "3-spread in T_15: ")]
-    )
-    def test_stanley_depth_search_cap_is_3(self, tmp_path, capsys, argv, where):
-        # the quotient search on the 3-spread passes MAX_SDEPTH_STATES;
-        # sdepth reads that spread, verify-laws builds it from the source
+    def test_stanley_depth_search_cap_is_3(self, tmp_path, capsys):
+        # the quotient search on the 3-spread of HARD_SDEPTH passes
+        # MAX_SDEPTH_STATES; verify-laws answers it (TestCommands)
         I, _ = parse_ideal(HARD_SDEPTH)
-        text = format_ideal(spread_ideal(I, 3)) if argv == ["sdepth"] else HARD_SDEPTH
-        assert main(argv + [write(tmp_path, "hard.ideal", text)]) == 3
+        path = write(tmp_path, "hard.ideal", format_ideal(spread_ideal(I, 3)))
+        assert main(["sdepth", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: {where}Stanley-depth search exceeds {MAX_SDEPTH_STATES} failed states"
+            f"error: Stanley-depth search exceeds {MAX_SDEPTH_STATES} failed states"
         ]
 
     def test_invariant_violation_is_4(self, tmp_path, capsys, monkeypatch):

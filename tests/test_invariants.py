@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import time
@@ -26,6 +27,7 @@ from spreadpol import invariants
 from spreadpol.invariants import (
     MAX_DEPTH_ATOMS,
     CharacteristicPoset,
+    _compress,
     _projective_dimension,
 )
 from spreadpol.taylor import taylor_betti
@@ -38,7 +40,9 @@ from genutils import (
 )
 from oracles import (
     box_partition_by_points,
+    depolarize_first_fit,
     order_complex_betti_by_chains,
+    polarization_columns,
     sdepth_on_support,
     taylor_betti_by_combinations,
 )
@@ -68,9 +72,33 @@ def side_points(I, ideal_side):
 
 
 # Five generators in 3 variables whose 3-spread defeats the Stanley-depth
-# search of the quotient (see TestSdepth.test_failed_state_cap).
+# search of the quotient (see TestSdepth.test_failed_state_cap); the law
+# harness answers it on the compressed ideal (see TestCompress).
 HARD_SDEPTH = [(0, 3, 1), (1, 0, 2), (1, 2, 1), (2, 2, 0), (3, 1, 1)]
 CYC4 = [(2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)]
+CI8 = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+
+
+def grid_size(I):
+    """Points of the characteristic poset of I: the product of g_j + 1."""
+    return math.prod(g + 1 for g in I.lcm_of_generators.exponents)
+
+
+def laws_shaped(rng, count):
+    """`count` seeded coprime antichains of the law benchmark's shape (n = 2
+    with 2-4 generators and exponents up to 4, or n = 3 with 3 generators
+    and exponents up to 3) whose source and n-spread grids have at most 256
+    points, so the uncompressed searches stay quick."""
+    out = []
+    while len(out) < count:
+        n = rng.choice((2, 3))
+        m = rng.randint(2, 4) if n == 2 else 3
+        I = random_ideal(rng, n, m, 4 if n == 2 else 3)
+        coprime = not any(all(u.exponents[j] for u in I.generators) for j in range(n))
+        if coprime and len(I.generators) == m and max(
+                grid_size(I), grid_size(spread_ideal(I, n))) <= 256:
+            out.append(I)
+    return out
 
 
 class TestOrderComplexBetti:
@@ -288,7 +316,7 @@ class TestSdepth:
         assert sdepth_quotient(ideal(3, [(1, 1, 0)])).value == 2
 
     def test_failed_state_cap(self):
-        # the 3-spread of HARD_SDEPTH has 2^12 grid points, within
+        # the 3-spread of HARD_SDEPTH has 2^11 grid points, within
         # MAX_POSET_POINTS, but its quotient search memoizes failed states
         # without end; the cap turns that into TooLargeError
         spread = spread_ideal(ideal(3, HARD_SDEPTH), 3)
@@ -326,13 +354,6 @@ class TestSdepth:
 class TestSdepthReference:
     """The grid-bitmask search against the point-walking reference."""
 
-    @staticmethod
-    def _grid_size(I):
-        size = 1
-        for g in I.lcm_of_generators.exponents:
-            size *= g + 1
-        return size
-
     def test_same_partitions_as_reference(self):
         rng = random.Random(95)
         checked = 0
@@ -340,7 +361,7 @@ class TestSdepthReference:
             n = rng.randint(1, 4)
             I = random_ideal(rng, n, rng.randint(2, 4), 3)
             family = [I, spread_ideal(I, n, pad=True), spread_ideal(I, n + 1, pad=True)]
-            if max(self._grid_size(J) for J in family) > 256:
+            if max(grid_size(J) for J in family) > 256:
                 continue
             checked += 1
             for J in family:
@@ -358,6 +379,103 @@ class TestSdepthReference:
         S = spread_ideal(ideal(4, CYC4), 4, pad=True)
         assert sdepth_quotient(S).value == 8
         assert sdepth_ideal(S).value == 10
+
+
+class TestCompress:
+    """_compress against the uncompressed searches: pol(J) = pol(I) up to
+    renaming variables, so each Stanley depth of I is that of J plus the
+    variables compression removes (Ichim, Katthan and Moyano-Fernandez,
+    JCTA 2015; Herzog, Vladoiu and Zheng, J. Algebra 2009, Lemma 3.6)."""
+
+    @staticmethod
+    def _same_polarization(I, J):
+        # the columns of pol(J) are those of pol(I) for some matching of the
+        # generators of J to those of I
+        want = sorted(map(sorted, polarization_columns(I)))
+        cols = polarization_columns(J)
+        return any(
+            sorted(sorted(perm[i] for i in c) for c in cols) == want
+            for perm in itertools.permutations(range(len(I.generators)))
+        )
+
+    def _check(self, I):
+        J = _compress(I)
+        shift = I.ambient - J.ambient
+        assert grid_size(J) <= grid_size(I), I
+        assert self._same_polarization(I, J), I
+        assert sdepth_quotient(J).value + shift == sdepth_quotient(I).value, I
+        assert sdepth_ideal(J).value + shift == sdepth_ideal(I).value, I
+
+    def test_small_family_and_its_spreads(self):
+        for I in small_family():
+            n = I.ambient
+            for S in (I, spread_ideal(I, n), spread_ideal(I, n + 1, pad=True)):
+                self._check(S)
+
+    def test_laws_shaped_ideals(self):
+        for I in laws_shaped(random.Random(97), 100):
+            for S in (I, spread_ideal(I, I.ambient)):
+                self._check(S)
+
+    def test_grid_never_grows_where_first_fit_does(self):
+        # first fit over single columns, smallest first, splits the chain of
+        # x1's three columns between two variables here; merging whole
+        # chains cannot
+        I = ideal(3, [(0, 2, 0), (1, 1, 1), (3, 0, 0)])
+        assert grid_size(I) == 24
+        assert grid_size(depolarize_first_fit(I)) == 27
+        assert _compress(I) == I
+
+    def test_repeated_thresholds_make_one_column(self):
+        # x1^5000 has 5000 polarization columns, all the same generator set
+        assert _compress(ideal(1, [(5000,)])) == ideal(1, [(5000,)])
+        with pytest.raises(TooLargeError, match="source ideal"):
+            verify_spreading_laws(ideal(1, [(5000,)]), [1])
+
+    def test_hard_sdepth_spread_by_two_chain_partitions(self):
+        # the public quotient search on this 3-spread passes the failed-state
+        # cap; two different depolarizations agree on its Stanley depths
+        I = ideal(3, HARD_SDEPTH)
+        rep = verify_spreading_laws(I, [3])
+        assert rep.spread[3] == (12, 12, 13) and rep.all_hold
+        S = spread_ideal(I, 3)
+        first_fit = depolarize_first_fit(S)
+        assert first_fit != _compress(S)
+        for J in (_compress(S), first_fit):
+            assert self._same_polarization(S, J)
+            shift = S.ambient - J.ambient
+            assert sdepth_quotient(J).value + shift == 12
+            assert sdepth_ideal(J).value + shift == 13
+
+
+class TestProjectiveDimension:
+    """The Taylor-bound cut of _projective_dimension against both Betti
+    routes, which compute every entry."""
+
+    def test_matches_both_betti_routes(self):
+        family = [S for I in small_family() for S in (I, spread_ideal(I, I.ambient))]
+        family += [pair_lcm_ideal(m) for m in range(5, 9)] + [ideal(8, CI8)]
+        # a principal ideal, and ideals where pd is found only below the top
+        rng = random.Random(98)
+        family += [ideal(2, [(2, 0)])] + [
+            random_ideal(rng, rng.randint(2, 5), rng.randint(2, 7), 3) for _ in range(200)]
+        for I in family:
+            pd = _projective_dimension(build_lcm_lattice(I))
+            assert pd == depth_quotient(I).betti.projective_dimension, I
+            assert pd == max(i for i, _ in taylor_betti(I)), I
+
+    def test_betti_calls_on_the_small_family(self, monkeypatch):
+        calls = []
+        betti_at = invariants._betti_at
+
+        def counted(L, k):
+            calls.append(k)
+            return betti_at(L, k)
+
+        monkeypatch.setattr(invariants, "_betti_at", counted)
+        for I in small_family():
+            verify_spreading_laws(I, [I.ambient, I.ambient + 1])
+        assert len(calls) == 1325  # every element above the bottom: 5452
 
 
 class TestSpreadingLaws:
