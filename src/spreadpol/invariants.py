@@ -13,6 +13,13 @@ the two is used (the atoms on a tie), so an element with a atoms and c
 lower covers costs at most 2^min(a, c) faces; neither kind alone is always
 small (the top of the lattice of the pair lcms has m atoms but C(m, 2)
 lower covers, and a top above many atoms may cover only two elements).
+Before any face is listed, one walk over the lower covers of m ANDs their
+down-sets.  If every lower cover lies above one common element other than
+1, each set of covers is a face and the lower-cover complex is a full
+simplex, which is contractible: every Betti number at m is 0, exactly, with
+no face listed and no rank taken (the cone rule).  The walk stops early
+only once the AND is down to 1 and it has passed as many covers as atoms,
+as the rule then cannot fire and the atoms are the smaller crosscut.
 The projective dimension is the largest i carrying a nonzero entry and
 depth is the ambient count minus it.
 
@@ -103,8 +110,11 @@ def order_complex_betti(L: LcmLattice, m: Monomial) -> dict[int, int]:
 
 
 def _betti_at(L: LcmLattice, k: int) -> dict[int, int]:
-    """order_complex_betti at the element of index k > 0."""
-    size, faces = L._crosscut_at(k)
+    """order_complex_betti at the element of index k > 0; {} on a cone."""
+    crosscut = L._crosscut_at(k, cones=False)
+    if crosscut is None:
+        return {}
+    size, faces = crosscut
     levels: list[dict[int, int]] = [{} for _ in range(size + 1)]
     for face in faces:  # by face size: face mask -> position
         level = levels[face.bit_count()]

@@ -12,9 +12,13 @@ is a union of variables.  So each element is stored as a Python int, the set
 of polarized variables of its exponent vector: the join is one OR and
 divisibility is a subset test.  Elements are listed in increasing code
 order, which is lexicographic order of the exponent vectors and puts every
-divisor before its multiples.  Each element also carries two int bitmasks
-built once in the constructor: its atom support and the elements below it;
-exponent vectors are made only when asked for.  An atomistic lattice is
+divisor before its multiples.  Each element also carries two int bitmasks:
+its atom support, built by the constructor, and the elements below it,
+built for all elements when first read, as the isomorphism test and the
+collapse map never read it; exponent vectors are made only when asked for.
+Both a down-set and the collapse map's image of an element are ORs over
+its atom support, read per 4 atoms from a table of the 16 subset ORs.
+An atomistic lattice is
 fixed by its family of atom supports: u <= v iff support(u) is contained in
 support(v), and an isomorphism is a permutation of atoms carrying one family
 onto the other.  The common lower bounds below(u) & below(v) are the
@@ -29,8 +33,7 @@ f(s join t) = f(s) join f(b_1) join ... join f(b_m) = f(s) join f(t).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -69,6 +72,10 @@ class LcmLattice:
     an element is first read: antichain of non-units, the MAX_ELEMENTS cap,
     and the full Monomial check of the top, which the rest divide.  Vectors
     are decoded on demand: `_element(k)` one alone, `elements` all at once.
+    The down-set masks `_below` are built on first read too, all at once
+    from 4-atom OR tables of the atoms' up-sets: order, meet, covers and
+    the crosscuts read them; the isomorphism test and the collapse map
+    work on codes and supports alone.
     """
 
     def __init__(self, ambient: int, atoms: tuple[Monomial, ...]):
@@ -104,28 +111,6 @@ class LcmLattice:
         self._atom_at = tuple(self._at[g] for g in codes)
         self._support = tuple(support[c] for c in self._codes)
         Monomial(_lcm(rows, ambient), ambient)  # the one full check: the rest divide the top
-        ups = [0] * len(atoms)  # ups[a]: the elements above atom a
-        for k, s in enumerate(self._support):
-            while s:
-                low = s & -s
-                ups[low.bit_length() - 1] |= 1 << k
-                s ^= low
-        # v <= u iff support(u) holds support(v): below(u) is the AND of the
-        # complements of the up-sets of the atoms outside support(u), read
-        # per 4 atoms from tables over the 16 subsets
-        full = (1 << len(self._codes)) - 1
-        tables = []
-        for lo in range(0, len(atoms), 4):
-            outside = [full]
-            for up in ups[lo:lo + 4]:
-                outside += [x & ~up for x in outside]
-            tables.append((lo, outside[::-1]))
-        self._below = []
-        for s in self._support:
-            below = full
-            for lo, outside in tables:
-                below &= outside[s >> lo & 15]
-            self._below.append(below)
         self._covers = None
 
     def __len__(self) -> int:
@@ -160,6 +145,21 @@ class LcmLattice:
                         y[j] = max(y[j], v)
                     exps[f] = tuple(y)
         return tuple(Monomial._trusted(exps[c], self.ambient) for c in self._codes)
+
+    @cached_property
+    def _below(self) -> list[int]:
+        """below[k]: the elements v <= element k, built when first read.
+
+        v <= u iff support(u) holds support(v), so below(u) is the complement
+        of the union of the up-sets of the atoms outside support(u)."""
+        ups = [0] * len(self.atoms)  # ups[a]: the elements above atom a
+        for k, s in enumerate(self._support):
+            while s:
+                low = s & -s
+                ups[low.bit_length() - 1] |= 1 << k
+                s ^= low
+        full, atoms = (1 << len(self._codes)) - 1, (1 << len(self.atoms)) - 1
+        return [full ^ u for u in _subset_ors(ups, [atoms ^ s for s in self._support])]
 
     def _element(self, k: int) -> Monomial:
         """Element k alone, the lcm of the atom rows below it."""
@@ -226,22 +226,51 @@ class LcmLattice:
         """
         return self._crosscut_at(self.index(u))
 
-    def _crosscut_at(self, k: int) -> tuple[int, list[int]]:
-        code, support = self._codes[k], self._support[k]
-        rests = [code ^ self._codes[i] for a, i in enumerate(self._atom_at) if support >> a & 1]
-        downs: list[int] = []  # the down-sets of the lower covers, while fewer
-        rest = self._below[k] ^ 1 << k
-        while rest and len(downs) < len(rests):  # the highest bit left is a cover
+    def _crosscut_at(self, k: int, cones: bool = True) -> tuple[int, list[int]] | None:
+        """crosscut_faces at index k; with cones=False, None if the lower
+        covers of k have a common lower bound above the bottom (a cone)."""
+        below, code, support = self._below, self._codes[k], self._support[k]
+        atoms = support.bit_count()
+        downs: list[int] = []  # the down-sets of the lower covers walked
+        common = below[k]  # their AND
+        rest = common ^ 1 << k
+        # the highest bit left is a cover; past the atom count, walk on only
+        # while the covers may still be a cone, so it ends above the bottom
+        # only once every cover is walked
+        while rest and (len(downs) < atoms or common != below[0]):
             i = rest.bit_length() - 1
-            downs.append(self._below[i])
-            rest &= ~self._below[i]
-        if len(downs) < len(rests):
-            return len(downs), _crosscut(downs, self._below[k], self._below[0])
-        return len(rests), _crosscut(rests, code, 0)
+            downs.append(below[i])
+            common &= below[i]
+            rest &= ~below[i]
+        if not cones and common != below[0]:
+            return None
+        if len(downs) < atoms:
+            return len(downs), _crosscut(downs, below[k], below[0])
+        rests = [code ^ self._codes[i] for a, i in enumerate(self._atom_at) if support >> a & 1]
+        return atoms, _crosscut(rests, code, 0)
 
 
 def _lcm(rows: list[tuple[int, ...]], ambient: int) -> tuple[int, ...]:
     return tuple(map(max, (0,) * ambient, *rows)) if rows else (0,) * ambient
+
+
+def _subset_ors(values: list[int], masks: list[int]) -> list[int]:
+    """Per mask, the OR of the values whose bits it sets (bit a picks
+    values[a]), read per 4 values from a table of their 16 subset ORs."""
+    tables = []
+    for lo in range(0, len(values), 4):
+        table = [0]
+        for v in values[lo:lo + 4]:
+            table += [x | v for x in table]
+        tables.append(table)
+    out = []
+    for s in masks:
+        union = 0
+        for table in tables:
+            union |= table[s & 15]
+            s >>= 4
+        out.append(union)
+    return out
 
 
 def _crosscut(masks: list[int], start: int, trivial: int) -> list[int]:
@@ -369,10 +398,8 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
 def _delta_on(src: LcmLattice, spr: LcmLattice) -> LatticeMap:
     """The collapse map of spr onto src; a collapse decodes only the 3 elements it names."""
     codes = [src._codes[i] for i in src._atom_at]  # source code of each spread atom
-    delta = [  # the OR of the source codes of the atoms below each spread element
-        src._at[reduce(or_, (c for b, c in enumerate(codes) if s >> b & 1), 0)]
-        for s in spr._support
-    ]
+    # the OR of the source codes of the atoms below each spread element
+    delta = [src._at[c] for c in _subset_ors(codes, spr._support)]
     failure = _atom_step_failure(spr, src, delta)
     if failure is not None:
         k, s = failure

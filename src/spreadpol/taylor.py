@@ -9,11 +9,19 @@ keeping only the drops that do not change the lcm.
 
 Subsets are bitmasks S over the generators, and all 2^m subset lcms come
 from one pass in increasing order: lcm(S) is lcm(S minus its lowest
-generator) raised to that generator, on plain exponent tuples.  Within a
+generator) raised to that generator.  A multidegree is an int code, so
+raising is one OR: per distinct column of the generator matrix (equal
+columns give every lcm equal values there) an exponent becomes its rank
+among that column's values and 0, written in unary, so within a field OR
+is max, and a field is at most as wide as the number of generators where
+raw exponents could need 2^16 bits.  The subsets are grouped by code, and
+a group's exponent vector, with its full Monomial check, is made only for
+a nonzero entry, as the lcm of the group's first subset.  Within a
 multidegree each boundary row is an int whose bits are the surviving
 subsets one smaller, and homology is taken over the two-element field by
-elimination on these rows.  Nothing here touches the lcm-lattice machinery,
-so agreement of the two routes is a real cross-check.
+elimination on these rows.  The code is built here, apart from the
+lcm-lattice's own: nothing here touches the lcm-lattice machinery, so
+agreement of the two routes is a real cross-check.
 """
 
 from __future__ import annotations
@@ -47,16 +55,28 @@ def taylor_betti(I: MonomialIdeal) -> dict[tuple[int, Monomial], int]:
         raise TooLargeError(
             f"{m} generators exceed the subset-resolution cap of {MAX_TAYLOR_ATOMS}"
         )
-    lcms = [(0,) * I.ambient]  # lcms[S]: the lcm of the generator subset S
+    exps = [g.exponents for g in gens]
+    # each generator's code: per distinct column, the rank of its exponent
+    # among the column's values and 0, in unary; the OR of codes is the lcm
+    columns: dict[tuple[int, ...], int] = {}  # distinct column -> its place
+    where = [columns.setdefault(c, len(columns)) for c in zip(*exps)]
+    short = list(zip(*columns))  # the generators on the distinct columns
+    fields = []
+    for column in columns:
+        values = sorted(set(column) | {0})
+        unary = {v: "0" * (len(values) - 1 - r) + "1" * r for r, v in enumerate(values)}
+        fields.append([unary[v] for v in column])
+    codes = [int("".join(f), 2) for f in zip(*fields)]
+    lcms = [0]  # lcms[S]: the code of the lcm of the generator subset S
     for S in range(1, 1 << m):
         low = S & -S
-        lcms.append(tuple(map(max, lcms[S ^ low], gens[low.bit_length() - 1].exponents)))
-    subsets: dict[tuple[int, ...], list[int]] = {}  # multidegree -> its subsets
-    for S, deg in enumerate(lcms):
-        subsets.setdefault(deg, []).append(S)
+        lcms.append(lcms[S ^ low] | codes[low.bit_length() - 1])
+    subsets: dict[int, list[int]] = {}  # lcm code -> its subsets
+    for S, code in enumerate(lcms):
+        subsets.setdefault(code, []).append(S)
 
     betti: dict[tuple[int, Monomial], int] = {}
-    for deg, same in subsets.items():
+    for same in subsets.values():
         col = {S: c for c, S in enumerate(same)}
         rows: dict[int, list[int]] = {}  # size -> boundary rows, as column masks
         for S in same:
@@ -69,8 +89,13 @@ def taylor_betti(I: MonomialIdeal) -> dict[tuple[int, Monomial], int]:
                     row |= 1 << face
             rows.setdefault(S.bit_count(), []).append(row)
         ranks = {size: _rank_mod2(r) for size, r in rows.items()}
+        deg = None
         for size, r in rows.items():
             h = len(r) - ranks[size] - ranks.get(size + 1, 0)
             if h:
-                betti[(size, Monomial(deg, I.ambient))] = h
+                if deg is None:  # the lcm of the group's first subset, per column
+                    picked = [short[a] for a in range(m) if same[0] >> a & 1]
+                    top = list(map(max, zip((0,) * len(columns), *picked)))
+                    deg = Monomial(tuple(map(top.__getitem__, where)), I.ambient)
+                betti[(size, deg)] = h
     return betti

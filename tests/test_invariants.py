@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -30,6 +31,7 @@ from spreadpol.invariants import (
     _compress,
     _projective_dimension,
 )
+from spreadpol.monomials import MAX_EXPONENT
 from spreadpol.taylor import taylor_betti
 from genutils import (
     pair_lcm_ideal,
@@ -149,6 +151,70 @@ class TestOrderComplexReference:
         assert dims == {-1, 0, 1, 2}
         assert smaller == {"atoms", "lower covers"}
 
+    @staticmethod
+    def crosscut_by_definition(L, m):
+        """crosscut_faces(m) from the definitions: the lower covers, highest
+        index first, if fewer than the atoms, faces the cover sets with a
+        common lower bound above the bottom; else the atoms, faces the atom
+        sets whose lcm is not m."""
+        k = L.index(m)
+        atoms = sorted(L.atom_support(m))
+        covers = sorted((i for i, j in L.covers() if j == k), reverse=True)
+        if len(covers) < len(atoms):
+            def face(s):
+                picked = [L.elements[c] for b, c in enumerate(covers) if s >> b & 1]
+                return any(all(L.leq(e, c) for c in picked) for e in L.elements[1:])
+            size = len(covers)
+        else:
+            def face(s):
+                picked = [L.atoms[a] for b, a in enumerate(atoms) if s >> b & 1]
+                return functools.reduce(Monomial.lcm, picked, L.bottom) != m
+            size = len(atoms)
+        return size, [s for s in range(1 << size) if face(s)]
+
+    def test_cone_rule_answers_only_acyclic_intervals(self):
+        """Where the lower covers of an element have a common lower bound
+        above the bottom, the Betti numbers are {} with no face listed: the
+        chain complex agrees there.  On every element the pruned route
+        equals the chain complex and crosscut_faces its definition."""
+        rng = random.Random(96)
+        small = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
+        more = []
+        for _ in range(60):
+            n, k, d = rng.randint(2, 4), rng.randint(3, 6), rng.randint(2, 4)
+            more.append(random_equal_degree_ideal(rng, n, k, d))
+        more += [pair_lcm_ideal(m) for m in (4, 5, 6)]
+        answered = {}
+        for family, ideals in (("small", small), ("more", more)):
+            cones = elements = 0
+            for I in ideals:
+                L = build_lcm_lattice(I)
+                for k, m in enumerate(L.elements[1:], 1):
+                    reference = order_complex_betti_by_chains(L, m)
+                    assert order_complex_betti(L, m) == reference, (I, m)
+                    assert L.crosscut_faces(m) == self.crosscut_by_definition(L, m), (I, m)
+                    if L._crosscut_at(k, cones=False) is None:
+                        cones += 1
+                        assert reference == {}, (I, m)
+                    elements += 1
+            answered[family] = cones, elements
+        assert answered["small"] == (281, 5452)
+        assert answered["more"][0] > 0
+
+    def test_cone_needs_every_lower_cover(self):
+        """Five of six lower covers sharing an atom make no cone.
+
+        Generator i is the product of x_F over the facets F without i, so
+        the lattice's top has atoms 1..5 and one lower cover per facet,
+        walked from the last facet back.  The five walked first, as many as
+        the atoms, all hold atom 1, but {2, 3, 4, 5} does not, and the open
+        interval below the top has homology in dimension 2."""
+        facets = [{2, 3, 4, 5}, {1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {1, 2, 5}, {1, 3, 5}]
+        L = build_lcm_lattice(ideal(6, [[int(i not in F) for F in facets] for i in range(1, 6)]))
+        assert L.crosscut_faces(L.top)[0] == 5
+        assert L._crosscut_at(len(L) - 1, cones=False) is not None
+        assert order_complex_betti(L, L.top) == order_complex_betti_by_chains(L, L.top) == {2: 2}
+
     def test_crosscut_faces_of_both_kinds(self):
         # the pair-lcm top: faces are the atom sets of size at most 2
         L = build_lcm_lattice(pair_lcm_ideal(4))
@@ -235,9 +301,26 @@ class TestTaylorAgreement:
         with pytest.raises(TooLargeError):
             taylor_betti(MonomialIdeal(n, gens))
 
+    @staticmethod
+    def first_reached(I, betti):
+        """The keys of `betti` in the order of the least generator bitmask
+        whose lcm is the multidegree, then of the least such one per size."""
+        exps = [u.exponents for u in I.generators]
+        first = {}
+        for S in range(1 << len(exps)):
+            picked = [e for a, e in enumerate(exps) if S >> a & 1]
+            deg = tuple(max(column, default=0) for column in zip(*picked)) or (0,) * I.ambient
+            first.setdefault(deg, S)
+            first.setdefault((deg, S.bit_count()), S)
+        return sorted(betti, key=lambda key: (first[key[1].exponents],
+                                              first[(key[1].exponents, key[0])]))
+
     def test_bitmask_route_matches_combinations_reference(self):
+        """Same entries as the reference, keys in first-reached order; the
+        huge-exponent file's unary fields would be 2^16 bits wide unranked."""
         rng = random.Random(94)
         counts = set()
+        family = []
         for _ in range(60):
             n = rng.randint(1, 5)
             if rng.random() < 0.5:
@@ -245,12 +328,22 @@ class TestTaylorAgreement:
             else:
                 I = random_equal_degree_ideal(rng, n + 1, rng.randint(1, 10), 3)
             counts.add(len(I.generators))
-            assert taylor_betti(I) == taylor_betti_by_combinations(I), I.generators
+            family.append(I)
         assert counts == set(range(1, 11))
+        family.append(ideal(3, [(65535, 1, 0), (65534, 0, 65535), (0, 65535, 65533)]))
+        for I in family:
+            betti = taylor_betti(I)
+            assert betti == taylor_betti_by_combinations(I), I.generators
+            assert list(betti) == self.first_reached(I, betti), I.generators
         I = random_equal_degree_ideal(rng, 4, 11, 4)
         assert len(I.generators) == 11
         with pytest.raises(TooLargeError):
             taylor_betti(I)
+        top, half = MAX_EXPONENT - 1, 20000  # the top's degree passes the cap
+        u = Monomial((top,) * half + (0,) * half)
+        v = Monomial((0,) * half + (top,) * half)
+        with pytest.raises(TooLargeError, match="degree exceeds"):
+            taylor_betti(MonomialIdeal(2 * half, [u, v]))
 
     def test_pair_lcm_family_on_the_smaller_crosscut(self):
         # every top has C(m, 2) lower covers: the atom crosscut keeps depth cheap

@@ -18,6 +18,7 @@ from spreadpol import (
     hasse_dot,
     is_isomorphic,
     is_smoothly_spreadable,
+    order_complex_betti,
     sigma_t,
     spread_ideal,
     verify_delta,
@@ -653,3 +654,42 @@ class TestLazyDecode:
         with pytest.raises(WellDefinednessViolation):
             build_delta(I)
         assert decoded[0] == 3
+
+
+class TestLazyMasks:
+    """Down-set masks are built when first read, not by the constructor."""
+
+    def test_build_iso_and_delta_leave_masks_unbuilt(self):
+        collapsed = verified = 0
+        for I in small_family()[::5] + [ideal(3, TestCollapseCounterexample.IDEAL)]:
+            L, LS = build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, I.ambient))
+            is_isomorphic(L, LS)
+            lattices = [L, LS]
+            try:
+                delta = build_delta(I)
+            except WellDefinednessViolation:
+                collapsed += 1
+            else:
+                verified += verify_delta(delta)
+                lattices += [delta.source, delta.target]
+            assert all("_below" not in M.__dict__ for M in lattices), I
+        assert collapsed and verified
+
+    def test_first_read_builds_the_slab_masks(self):
+        reads = [
+            lambda L: L.covers(),
+            lambda L: L.leq(L.bottom, L.top),
+            lambda L: L.meet(L.atoms[0], L.top),
+            lambda L: L.crosscut_faces(L.top),
+            lambda L: order_complex_betti(L, L.top),
+        ]
+        rng = random.Random(44)
+        family = [random_ideal(rng, rng.randint(2, 4), rng.randint(2, 6), 3) for _ in range(10)]
+        family += [pair_lcm_ideal(5), spread_ideal(pair_lcm_ideal(4), 6)]
+        for I in family:
+            below = lattice_masks_by_slabs(I.ambient, I.generators)[1]
+            for read in reads:
+                L = build_lcm_lattice(I)
+                assert "_below" not in L.__dict__
+                read(L)
+                assert L.__dict__["_below"] == below, I
