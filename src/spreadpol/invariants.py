@@ -20,6 +20,8 @@ simplex, which is contractible: every Betti number at m is 0, exactly, with
 no face listed and no rank taken (the cone rule).  The walk stops early
 only once the AND is down to 1 and it has passed as many covers as atoms,
 as the rule then cannot fire and the atoms are the smaller crosscut.
+A crosscut of at most 3 members takes no rank either: its complex has
+homology in one degree at most, read off the reduced Euler characteristic.
 The projective dimension is the largest i carrying a nonzero entry and
 depth is the ambient count minus it.
 
@@ -110,11 +112,35 @@ def order_complex_betti(L: LcmLattice, m: Monomial) -> dict[int, int]:
 
 
 def _betti_at(L: LcmLattice, k: int) -> dict[int, int]:
-    """order_complex_betti at the element of index k > 0; {} on a cone."""
+    """order_complex_betti at the element of index k > 0; {} on a cone.
+
+    A crosscut of at most 3 members is answered from the Euler
+    characteristic of its complex alone (_euler_betti), a larger one by
+    ranks over GF(2) (_rank_betti)."""
     crosscut = L._crosscut_at(k, cones=False)
     if crosscut is None:
         return {}
     size, faces = crosscut
+    return _euler_betti(faces) if size <= 3 else _rank_betti(size, faces)
+
+
+def _euler_betti(faces: list[int]) -> dict[int, int]:
+    """Reduced Betti numbers of a complex on at most 3 vertices, its faces
+    listed as masks with the empty face, from its reduced Euler
+    characteristic chi.  Such a complex has homology in at most one degree:
+    a 2-sphere needs 4 vertices, and a 1-cycle on 3 vertices is the hollow
+    triangle, which is connected.  That degree is -1 if the empty face is the
+    only one, else 0 if chi > 0 and 1 if chi < 0; its Betti number is |chi|.
+    """
+    if len(faces) == 1:
+        return {-1: 1}
+    chi = sum(1 if f.bit_count() & 1 else -1 for f in faces)
+    return {0 if chi > 0 else 1: abs(chi)} if chi else {}
+
+
+def _rank_betti(size: int, faces: list[int]) -> dict[int, int]:
+    """Reduced Betti numbers of a complex on the vertices 0..size-1, its
+    faces listed as masks with the empty face, by boundary ranks over GF(2)."""
     levels: list[dict[int, int]] = [{} for _ in range(size + 1)]
     for face in faces:  # by face size: face mask -> position
         level = levels[face.bit_count()]

@@ -28,6 +28,11 @@ A map f out of an atomistic lattice with f(bottom) = bottom preserves all
 joins iff f(s join a) = f(s) join f(a) for every element s and atom a (the
 atom step): peeling the atoms b_1, ..., b_m of t off one at a time gives
 f(s join t) = f(s) join f(b_1) join ... join f(b_m) = f(s) join f(t).
+verify_delta checks a given map that way.  The collapse map of a spread
+lattice onto its source needs less: it exists iff every atom support of the
+source is one of the spread as well (the support lemma, proved at
+build_delta), so one set inclusion decides it, and the atom step is run
+only on failure, to name an element and an atom it fails at.
 """
 
 from __future__ import annotations
@@ -379,15 +384,29 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
 
     delta(s) is the join of the source atoms whose spreads lie below s.  It
     is the collapse map, sending the lcm of any spread generators to the lcm
-    of their originals, exactly when delta(s join sigma(a)) = delta(s) join a
-    for every element s and atom a, which is verified (the atom step, as
-    spreading keeps generators incomparable and so delta(sigma(a)) = a).
-    That fails for some ideals: the spread-side lcm only remembers, per
-    variable, the union of offset intervals, and distinct source lcms can
-    produce identical unions (e.g. (x2^3*x3, x1^2*x3, x1*x2*x3^2) in three
-    variables, where the spread lattice has fewer elements than the source
-    lattice).  Then no collapse map exists and WellDefinednessViolation is
-    raised.
+    of their originals, exactly when it preserves joins.  That fails for
+    some ideals: the spread-side lcm only remembers, per variable, the union
+    of offset intervals, and distinct source lcms can produce identical
+    unions (e.g. (x2^3*x3, x1^2*x3, x1*x2*x3^2) in three variables, where
+    the spread lattice has fewer elements than the source lattice).  Then no
+    collapse map exists and WellDefinednessViolation is raised, naming the
+    first element s and atom a, in order, with delta(s join a) !=
+    delta(s) join delta(a).
+
+    The support lemma: delta preserves joins iff every atom support of the
+    source lattice is one of the spread lattice.  Write cl(U) and cl'(U) for
+    the least atom supports holding the atom set U in the source and in the
+    spread lattice; a support is the closure of itself, and
+    cl(cl(S) | cl(T)) = cl(S | T).  The element of support T maps to the
+    source element of support cl(T).  So delta(s join t) has support
+    cl(cl'(S | T)) and delta(s) join delta(t) has support cl(S | T), for s
+    and t of supports S and T.  If cl'(U) <= cl(U) for every U, these agree,
+    as S | T <= cl'(S | T) <= cl(S | T).  Conversely, if delta preserves
+    joins, the spread join of the atoms in U, of support cl'(U), maps to the
+    source join of those atoms, of support cl(U), so cl(cl'(U)) = cl(U) and
+    cl'(U) <= cl(U).  Lastly, cl'(U) <= cl(U) for every U iff every source
+    support C is a spread one: then cl(U) is a spread support holding U, so
+    it holds cl'(U); and for a source support C, cl'(C) <= cl(C) = C.
 
     Spread atom k is the spread of source atom k, as spreading by t >= n
     keeps the order of the generators (see spread_ideal).
@@ -396,13 +415,13 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
 
 
 def _delta_on(src: LcmLattice, spr: LcmLattice) -> LatticeMap:
-    """The collapse map of spr onto src; a collapse decodes only the 3 elements it names."""
+    """The collapse map of spr onto src, decided by the support lemma; a
+    collapse decodes only the 3 elements it names."""
     codes = [src._codes[i] for i in src._atom_at]  # source code of each spread atom
     # the OR of the source codes of the atoms below each spread element
     delta = [src._at[c] for c in _subset_ors(codes, spr._support)]
-    failure = _atom_step_failure(spr, src, delta)
-    if failure is not None:
-        k, s = failure
+    if not set(src._support) <= set(spr._support):  # the support lemma
+        k, s = _atom_step_failure(spr, src, delta)  # the witness the lemma promises
         up, want = spr._join(k, s), src._join(delta[k], delta[s])
         raise WellDefinednessViolation(
             f"spreading collapsed the lcm-lattice: {spr._element(up)} is the "

@@ -8,25 +8,39 @@ exactly that multidegree, and the boundary drops one generator at a time,
 keeping only the drops that do not change the lcm.
 
 Subsets are bitmasks S over the generators, and all 2^m subset lcms come
-from one pass in increasing order: lcm(S) is lcm(S minus its lowest
-generator) raised to that generator.  A multidegree is an int code, so
-raising is one OR: per distinct column of the generator matrix (equal
-columns give every lcm equal values there) an exponent becomes its rank
-among that column's values and 0, written in unary, so within a field OR
-is max, and a field is at most as wide as the number of generators where
-raw exponents could need 2^16 bits.  The subsets are grouped by code, and
-a group's exponent vector, with its full Monomial check, is made only for
-a nonzero entry, as the lcm of the group's first subset.  Within a
-multidegree each boundary row is an int whose bits are the surviving
-subsets one smaller, and homology is taken over the two-element field by
-elimination on these rows.  The code is built here, apart from the
-lcm-lattice's own: nothing here touches the lcm-lattice machinery, so
-agreement of the two routes is a real cross-check.
+from one doubling pass: the subsets holding generator a are those without
+it, 2^a further on, each raised to that generator.  A multidegree is an int
+code, so raising is one OR: per distinct column of the generator matrix
+(equal columns give every lcm equal values there) an exponent becomes its
+rank among that column's values and 0, written in unary, so within a field
+OR is max, and a field is at most as wide as the number of generators where
+raw exponents could need 2^16 bits.  The subsets are grouped by code.  A
+group of one subset S is one basis element with no boundary in or out of
+the group, as every drop changes the lcm: it gives 1 in size |S| and no
+rank is taken.  In a larger group the boundary row of S is an int with bit
+T set for each surviving subset T one smaller, and homology is taken over
+the two-element field by elimination on these rows.  A group's exponent
+vector is made only for a nonzero entry, as the lcm of its first subset.
+The lcm of all generators gets the full Monomial check once: as every entry
+divides it, every entry is made unchecked if it passes, and each entry gets
+the full check of its own if it fails.  The code is built here, apart
+from the lcm-lattice's own: nothing here touches the lcm-lattice machinery,
+so agreement of the two routes is a real cross-check.
+
+The two routes refuse different inputs.  This one refuses more than
+MAX_TAYLOR_ATOMS generators and an ideal with a nonzero entry whose
+multidegree fails the Monomial check (its degree past MAX_DEGREE).  The
+lattice route (invariants.depth_quotient) refuses more than MAX_DEPTH_ATOMS
+generators, a lattice past MAX_ELEMENTS, and any ideal whose lcm of all
+generators fails that check, even when no nonzero entry sits there: on
+(X^2e, X^e Y^e, Y^2e), X^e the product of x_1^e, ..., x_k^e and Y^e that of
+the next k variables, with k = 20000 and e = 32767, the top's degree passes
+MAX_DEGREE but no entry's does, so this route answers and that one raises.
 """
 
 from __future__ import annotations
 
-from .errors import TooLargeError
+from .errors import ExponentOverflowError, TooLargeError
 from .monomials import Monomial, MonomialIdeal
 
 MAX_TAYLOR_ATOMS = 10
@@ -68,34 +82,44 @@ def taylor_betti(I: MonomialIdeal) -> dict[tuple[int, Monomial], int]:
         fields.append([unary[v] for v in column])
     codes = [int("".join(f), 2) for f in zip(*fields)]
     lcms = [0]  # lcms[S]: the code of the lcm of the generator subset S
-    for S in range(1, 1 << m):
-        low = S & -S
-        lcms.append(lcms[S ^ low] | codes[low.bit_length() - 1])
+    for code in codes:  # the subsets holding generator a sit 2^a past those without
+        lcms += [x | code for x in lcms]
     subsets: dict[int, list[int]] = {}  # lcm code -> its subsets
     for S, code in enumerate(lcms):
         subsets.setdefault(code, []).append(S)
 
+    def degree(S: int) -> tuple[int, ...]:  # the lcm of subset S, per column
+        picked = [short[a] for a in range(m) if S >> a & 1]
+        short_lcm = list(map(max, zip((0,) * len(columns), *picked)))
+        return tuple(map(short_lcm.__getitem__, where))
+
+    try:  # every entry divides the top: if the top passes, so do they all
+        Monomial(degree((1 << m) - 1), I.ambient)
+        decode = Monomial._trusted
+    except ExponentOverflowError:
+        decode = Monomial
+
     betti: dict[tuple[int, Monomial], int] = {}
-    for same in subsets.values():
-        col = {S: c for c, S in enumerate(same)}
-        rows: dict[int, list[int]] = {}  # size -> boundary rows, as column masks
+    for code, same in subsets.items():
+        if len(same) == 1:  # no drop keeps the lcm: one cycle, no boundary
+            S = same[0]
+            betti[(S.bit_count(), decode(degree(S), I.ambient))] = 1
+            continue
+        rows: dict[int, list[int]] = {}  # size -> boundary rows, as subset masks
         for S in same:
             row, rest = 0, S
             while rest:
                 low = rest & -rest
                 rest ^= low
-                face = col.get(S ^ low)  # kept iff dropping the generator keeps deg
-                if face is not None:
-                    row |= 1 << face
+                if lcms[S ^ low] == code:  # kept iff dropping the generator keeps deg
+                    row |= 1 << (S ^ low)
             rows.setdefault(S.bit_count(), []).append(row)
         ranks = {size: _rank_mod2(r) for size, r in rows.items()}
         deg = None
         for size, r in rows.items():
             h = len(r) - ranks[size] - ranks.get(size + 1, 0)
             if h:
-                if deg is None:  # the lcm of the group's first subset, per column
-                    picked = [short[a] for a in range(m) if same[0] >> a & 1]
-                    top = list(map(max, zip((0,) * len(columns), *picked)))
-                    deg = Monomial(tuple(map(top.__getitem__, where)), I.ambient)
+                if deg is None:  # the lcm of the group's first subset
+                    deg = decode(degree(same[0]), I.ambient)
                 betti[(size, deg)] = h
     return betti

@@ -127,6 +127,25 @@ class TestOrderComplexBetti:
         with pytest.raises(BadParameterError):
             order_complex_betti(L, L.bottom)
 
+    def test_euler_form_matches_ranks_on_every_complex_on_3_vertices(self):
+        """Every simplicial complex on the vertices 0..size-1, size <= 3, its
+        faces listed in increasing mask order with the empty face."""
+        answers = set()
+        complexes = 0
+        for size in range(4):
+            nonempty = range(1, 1 << size)
+            for picked in range(1 << len(nonempty)):
+                faces = [0] + [f for b, f in enumerate(nonempty) if picked >> b & 1]
+                if any(f ^ 1 << a not in faces
+                       for f in faces for a in range(size) if f >> a & 1):
+                    continue  # not closed under taking subsets
+                betti = invariants._rank_betti(size, faces)
+                assert invariants._euler_betti(faces) == betti, (size, faces)
+                answers.add(tuple(betti.items()))
+                complexes += 1
+        assert complexes == 1 + 2 + 5 + 19  # Dedekind numbers less one
+        assert answers == {((-1, 1),), (), ((0, 1),), ((0, 2),), ((1, 1),)}
+
 
 class TestOrderComplexReference:
     def test_crosscut_matches_chain_complex(self):
@@ -344,6 +363,32 @@ class TestTaylorAgreement:
         v = Monomial((0,) * half + (top,) * half)
         with pytest.raises(TooLargeError, match="degree exceeds"):
             taylor_betti(MonomialIdeal(2 * half, [u, v]))
+
+    @staticmethod
+    def top_past_the_degree_cap():
+        """(X^2e, X^e Y^e, Y^2e) in 2k variables, X^e raising each of the
+        first k variables to e and Y^e each of the last k: every Betti
+        multidegree passes the degree cap, the lcm of all three does not."""
+        k, e = 20000, 32767
+        X = (e,) * k + (0,) * k
+        Y = (0,) * k + (e,) * k
+        rows = [tuple(2 * x for x in X), tuple(x + y for x, y in zip(X, Y)),
+                tuple(2 * y for y in Y)]
+        return ideal(2 * k, rows)
+
+    def test_top_past_the_degree_cap_checks_each_entry(self):
+        I = self.top_past_the_degree_cap()
+        betti = taylor_betti(I)
+        assert betti == taylor_betti_by_combinations(I)
+        assert sorted((i, u.degree) for (i, u) in betti) == [
+            (0, 0), *[(1, 1310680000)] * 3, *[(2, 1966020000)] * 2]
+        assert 4 * 32767 * 20000 >= 1 << 31  # the top's degree
+
+    def test_lattice_route_refuses_a_top_past_the_degree_cap(self):
+        """The lattice checks its top in full, so depth_quotient refuses an
+        ideal the subset-resolution route answers."""
+        with pytest.raises(TooLargeError, match="degree exceeds"):
+            depth_quotient(self.top_past_the_degree_cap())
 
     def test_pair_lcm_family_on_the_smaller_crosscut(self):
         # every top has C(m, 2) lower covers: the atom crosscut keeps depth cheap

@@ -132,6 +132,18 @@ class TestOracleAgreement:
                 certified += 1
         assert certified > 100
 
+    def test_verdict_without_certificate_matches_check_smooth(self):
+        rng = random.Random(105)
+        ideals = small_family()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            ideals.append(random_ideal(rng, n, rng.randint(1, 5), 3))
+        verdicts = []
+        for I in ideals:
+            verdicts.append(is_smoothly_spreadable(I))
+            assert verdicts[-1] == isinstance(check_smooth_ideal(I), SmoothCertificate), I
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
     def test_witness_soundness(self):
         rng = random.Random(103)
         for _ in range(150):
