@@ -52,30 +52,32 @@ Algebra 2009, Lemma 3.6), and so does each variable polarization adds
 (Ichim, Katthan and Moyano-Fernandez, J. Combin. Theory Ser. A 135, 2015).
 So the grid spans only the used coordinates and counts a free one as
 saturated everywhere; a public report writes 0 there in each box corner.
-The law harness also depolarizes: a column of the standard polarization of
-I is the set of generators with x_j-exponent >= v, as a bitmask, the equal
-columns of one x_j being one column with a multiplicity.  The columns of
-each x_j form a chain under inclusion.  Chains whose union is a chain are
-merged, which never enlarges the grid (a + b + 1 <= (a + 1)(b + 1)), and
-each chain is one variable of an ideal J, where a generator's exponent is
-the summed multiplicity of the chain's columns it lies in.  So pol(J) =
-pol(I) up to renaming variables, and each Stanley depth of I is that of J
-plus ambient(I) - ambient(J).  Depth needs neither rule: a free column adds
-nothing to an atom code (see lattices.LcmLattice), and the ambient count
-minus the projective dimension counts it.
+The law harness works on the columns of the standard polarization alone: a
+column is the set of generators with x_j-exponent >= v, as a bitmask, the
+equal columns of one x_j being one column with a multiplicity (see
+lattices._columns).  They give the lcm-lattice codes, and the harness
+depolarizes with them.  The columns of each x_j form a chain under
+inclusion.  Chains whose union is a chain are merged, which never enlarges
+the grid (a + b + 1 <= (a + 1)(b + 1)), and each chain is one variable of an
+ideal J, where a generator's exponent is the summed multiplicity of the
+chain's columns it lies in.  So pol(J) = pol(I) up to renaming variables,
+and each Stanley depth of I is that of J plus ambient(I) - ambient(J).
+Depth needs neither rule: a free column adds nothing to an atom code (see
+lattices.LcmLattice), and the ambient count minus the projective dimension
+counts it.  The n-spread's columns come from a sweep over the generators'
+blocks, without the spread (_spread_columns).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
 from .lattices import LcmLattice, _atom_image, build_lcm_lattice
-from .monomials import Monomial, MonomialIdeal, _check_ambient_cap, spread_ideal
-from .smooth import is_smoothly_spreadable
+from .monomials import Monomial, MonomialIdeal, _check_ambient_cap
+from .smooth import _blocks, _first_violation
 
 MAX_DEPTH_ATOMS = 8
 MAX_POSET_POINTS = 4096
@@ -236,7 +238,8 @@ class CharacteristicPoset:
     coordinates some generator uses, `used`, so `points` are tuples over
     those coordinates: bit i is points[i], the i-th point of
     itertools.product(range(g_j + 1) for j in used), and the point p sits at
-    bit sum(p_j * stride_j).  `corner(i)` is points[i] in the ambient of the
+    bit sum(p_j * stride_j); `points` is decoded when first read, as the
+    searches read masks alone.  `corner(i)` is points[i] in the ambient of the
     ideal, with 0 in each free coordinate.  `ideal_mask` holds the points
     x^p in the ideal; per used coordinate j and value v, `at_least[j][v]`
     and `at_most[j][v]` hold the points with p_j >= v and p_j <= v, `ups[i]`
@@ -244,7 +247,7 @@ class CharacteristicPoset:
     is saturated_at_least(): the tables of every search on the poset.
     """
 
-    __slots__ = ("bound", "used", "points", "full", "stride", "at_least", "at_most",
+    __slots__ = ("bound", "used", "_points", "full", "stride", "at_least", "at_most",
                  "ideal_mask", "levels", "ups", "downs")
 
     def __init__(self, I: MonomialIdeal):
@@ -264,7 +267,6 @@ class CharacteristicPoset:
         for j, gj in zip(self.used, g):
             bound[j] = gj
         self.bound = tuple(bound)
-        self.points = tuple(itertools.product(*(range(gj + 1) for gj in g)))
         self.full = (1 << size) - 1
         self.stride: list[int] = []
         self.at_least: list[list[int]] = []
@@ -287,6 +289,12 @@ class CharacteristicPoset:
             bit = sum(u.exponents[j] * stride for j, stride in zip(self.used, self.stride))
             self.ideal_mask |= self.ups[bit]
         self.levels = self.saturated_at_least()
+
+    @property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        if not hasattr(self, "_points"):
+            self._points = tuple(itertools.product(*(range(self.bound[j] + 1) for j in self.used)))
+        return self._points
 
     def down_closure(self, mask: int) -> int:
         for stride, slabs in zip(self.stride, self.at_least):
@@ -442,40 +450,69 @@ class SpreadingLawsReport:
         return all(c.holds for c in self.checks)
 
 
-def _compress(I: MonomialIdeal) -> MonomialIdeal:
-    """The depolarization J of I (see the module docstring): pol(J) = pol(I)
-    up to renaming variables, and the grid of J is no larger than I's."""
+def _compress(columns: list[dict[int, int]], m: int) -> MonomialIdeal:
+    """The depolarization J of the ideal of m generators whose polarization
+    columns are `columns`, in the form lattices._columns gives (see the
+    module docstring): pol(J) is that polarization up to renaming
+    variables, and the grid of J is no larger than the ideal's."""
     chains: list[dict[int, int]] = []  # column mask -> multiplicity
-    columns = Counter(c for c in zip(*(u.exponents for u in I.generators)) if any(c))
-    for column, copies in columns.items():
-        chain, below = {}, 0
-        for v in sorted(set(column) - {0}):
-            chain[sum(1 << i for i, e in enumerate(column) if e >= v)] = (v - below) * copies
-            below = v
+    for chain in columns:
         for other in chains:
             if all(a & b in (a, b) for a in other for b in chain):
-                for mask, m in chain.items():
-                    other[mask] = other.get(mask, 0) + m
+                for mask, k in chain.items():
+                    other[mask] = other.get(mask, 0) + k
                 break
         else:
-            chains.append(chain)
+            chains.append(dict(chain))
     # degrees are kept; an exponent past the Monomial cap makes a grid the poset refuses
     n = len(chains)
     return MonomialIdeal._from_minimal(n, (Monomial._trusted(tuple(
-        sum(m for mask, m in chain.items() if mask >> i & 1) for chain in chains), n)
-        for i in range(len(I.generators))))
+        sum(k for mask, k in chain.items() if mask >> i & 1) for chain in chains), n)
+        for i in range(m)))
 
 
-def _stats(I: MonomialIdeal, what: str) -> tuple[tuple[int, int, int], LcmLattice]:
-    """Depth and both Stanley depths of I, and the lcm-lattice of I for the
-    isomorphism test.  Both Stanley depth searches run on one poset, of the
-    depolarization J of I, and decode no box."""
+def _spread_columns(blocks: list[list[tuple[int, int]]], n: int) -> list[dict[int, int]]:
+    """The polarization columns of the n-spread, in the form lattices._columns
+    gives, from the generators' smooth._blocks alone.
+
+    Generator g covers spread variable j + k*n iff p <= k < p + a, for (p, a)
+    its block at j.  So the spread is squarefree, and a sweep over the 2m
+    block ends of each j gives runs of k with one generator mask; each
+    distinct nonzero mask, first met at the least (k, j), is a chain of one
+    mask whose multiplicity is the summed length of its runs."""
+    runs = []  # (first k, j, mask, length)
+    for j in range(n):
+        ends: dict[int, int] = {}  # k -> generators entering or leaving at k
+        for g, row in enumerate(blocks):
+            p, a = row[j]
+            if a:
+                ends[p] = ends.get(p, 0) ^ 1 << g
+                ends[p + a] = ends.get(p + a, 0) ^ 1 << g
+        ks, mask = sorted(ends), 0
+        for k, nxt in zip(ks, ks[1:]):
+            mask ^= ends[k]
+            if mask:
+                runs.append((k, j, mask, nxt - k))
+    columns: dict[int, int] = {}
+    for _, _, mask, length in sorted(runs):
+        columns[mask] = columns.get(mask, 0) + length
+    return [{mask: k} for mask, k in columns.items()]
+
+
+def _stats(
+    what: str, ambient: int, lattice: Callable[..., LcmLattice], *args
+) -> tuple[tuple[int, int, int], LcmLattice]:
+    """Depth and both Stanley depths of the ideal in `ambient` whose
+    lcm-lattice is lattice(*args), and that lattice for the isomorphism
+    test; each TooLargeError is prefixed with `what`.  Both Stanley depth
+    searches run on one poset, of the depolarization J of the lattice's
+    polarization columns, and decode no box."""
     try:
-        L = _depth_lattice(I)
-        J = _compress(I)
-        poset, shift = build_characteristic_poset(J), I.ambient - J.ambient
+        L = lattice(*args)
+        J = _compress(L._columns, len(L._atom_at))
+        poset, shift = build_characteristic_poset(J), ambient - J.ambient
         stats = (
-            I.ambient - _projective_dimension(L),
+            ambient - _projective_dimension(L),
             _box_partition_value(poset, poset.side_mask(ideal_side=False))[0] + shift,
             _box_partition_value(poset, poset.side_mask(ideal_side=True))[0] + shift,
         )
@@ -495,34 +532,42 @@ def verify_spreading_laws(
     linking consecutive spreading steps t >= n; and, for smoothly spreadable
     ideals, the closed-form equalities pinning every spread to the source.
 
-    Only the source and its n-spread are computed, and only values are
-    read: the projective dimension from element indices, the isomorphism
-    verdict from atom supports, the Stanley depths from scores; no lattice
-    element or box corner is decoded.  Each Stanley depth is searched on the
+    Only the source and its n-spread are computed, each from its
+    polarization columns alone, and only values are read: the projective
+    dimension from element indices, the isomorphism verdict from atom
+    supports, the Stanley depths from scores; no lattice element, poset
+    point or box corner is decoded.  Each Stanley depth is searched on the
     depolarization J, whose polarization is that of the ideal up to renaming
     variables, plus the variables J lacks (Ichim, Katthan and
     Moyano-Fernandez, JCTA 2015; Herzog, Vladoiu and Zheng, J. Algebra 2009,
-    Lemma 3.6).  A padded t-spread with t > n is the image of the n-spread
-    under the strictly increasing SpreadEmbedding.phi: the same generators
-    on the used coordinates, with (t - n)*d more free variables.  So its
-    invariants are the n-spread's plus (t - n)*d, derived without building
-    it, and the transfer equalities hold by construction; the tests check
-    them against spreads built in their own ambients.  t*d past MAX_AMBIENT
-    is refused.
+    Lemma 3.6).  The n-spread is never built: its columns come from the
+    generators' blocks (_spread_columns), which also decide smoothness.  Its
+    lattice needs no Monomial check of its top, which cannot fail once n*d
+    passes _check_ambient_cap: the top is squarefree in at most MAX_AMBIENT
+    < MAX_DEGREE variables.  A padded t-spread with
+    t > n is the image of the n-spread under the strictly increasing
+    SpreadEmbedding.phi: the same generators on the used coordinates, with
+    (t - n)*d more free variables.  So its invariants are the n-spread's
+    plus (t - n)*d, derived without building it, and the transfer equalities
+    hold by construction; the tests check them against spreads built in
+    their own ambients.  t*d past MAX_AMBIENT is refused.
     """
     n, d = I.ambient, I.deg
     ts = sorted(set(t_range) | {n})
     if any(t < n for t in ts):
         raise BadParameterError(f"law harness needs t >= n = {n}, got {ts}")
 
-    source, source_lattice = _stats(I, f"source ideal in T_{n}")
-    n_spread, n_spread_lattice = _stats(spread_ideal(I, n), f"{n}-spread in T_{n * d}")
+    source, source_lattice = _stats(f"source ideal in T_{n}", n, _depth_lattice, I)
+    _check_ambient_cap(n * d)
+    blocks = [_blocks(u) for u in I.generators]
+    n_spread, n_spread_lattice = _stats(f"{n}-spread in T_{n * d}", n * d, LcmLattice._of_columns,
+                                        _spread_columns(blocks, n), len(blocks))
     spread_stats = {n: n_spread}
     for t in ts[1:]:
         _check_ambient_cap(t * d)
         spread_stats[t] = tuple(v + (t - n) * d for v in n_spread)
 
-    smooth = is_smoothly_spreadable(I)
+    smooth = _first_violation(blocks, n) is None
     iso = _atom_image(source_lattice, n_spread_lattice) is not None
 
     checks: list[LawCheck] = []

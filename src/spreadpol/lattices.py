@@ -51,25 +51,30 @@ from .monomials import Monomial, MonomialIdeal, spread_ideal
 
 MAX_ATOMS = 20
 MAX_ELEMENTS = 1 << 14  # each element keeps a mask as long as the lattice
+# entry i maps each byte to the binary digit of its bit i, for bytes.translate:
+# over the bytes 0..255, bit i runs 2^i zeros, then 2^i ones, and repeats
+_BIT_DIGITS = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
 
 
 class LcmLattice:
     """The lcm-lattice of an antichain of monomials, the atoms kept in order.
 
-    Each atom gets one int code, the polarization of its exponent vector
-    after a rank step.  Per column, an exponent is replaced by its rank in
-    {0} together with that column's atom exponents, and the rank r is
-    written in unary (r low bits set) in a field as wide as the number of
-    distinct nonzero values.  Only the first occurrence of each distinct
-    column gets a field, earlier ones more significant.  Within a field, OR
-    is max and a subset is a smaller rank, so the code of an lcm is the OR
-    of the codes, u divides v iff code(u) is a subset of code(v), and the
-    int order of codes is the lexicographic order of exponent vectors: two
-    elements first differ in a column unlike every earlier one, as equal
-    columns give them equal values.  The rank step changes no lcm or
-    divisibility, as the ranks keep each column's order of exponents, and
-    it keeps a field at most as wide as the number of atoms: unary fields
-    of raw exponents could be 2^16 bits wide per variable.
+    Each atom gets one int code, read off the polarization columns of the
+    atoms (see _columns): per distinct nonzero column of exponents, in order
+    of first occurrence, and per value v in it from the highest down, the
+    threshold mask of the atoms with exponent >= v.  Bit t of a code, the
+    first mask the most significant, says whether the atom lies in mask t.
+    So within one column an atom sets the lowest r of the column's bits, r
+    the rank of its exponent in {0} together with the column's values: the
+    rank written in unary.  Within such a field, OR is max and a subset is a
+    smaller rank, so the code of an lcm is the OR of the codes, u divides v
+    iff code(u) is a subset of code(v), and the int order of codes is the
+    lexicographic order of exponent vectors: two elements first differ in a
+    column unlike every earlier one, as equal columns give them equal
+    values.  The ranks change no lcm or divisibility, as they keep each
+    column's order of exponents, and they keep a field at most as wide as
+    the number of atoms: unary fields of raw exponents could be 2^16 bits
+    wide per variable.
 
     The elements are the OR-closure of the atom codes, each one carrying
     its atom support.  The constructor makes only these ints and masks, and
@@ -80,7 +85,9 @@ class LcmLattice:
     The down-set masks `_below` are built on first read too, all at once
     from 4-atom OR tables of the atoms' up-sets: order, meet, covers and
     the crosscuts read them; the isomorphism test and the collapse map
-    work on codes and supports alone.
+    work on codes and supports alone.  `_columns` keeps the polarization
+    columns the codes come from, which the law harness depolarizes, and
+    `_of_columns` builds a lattice from such columns alone.
     """
 
     def __init__(self, ambient: int, atoms: tuple[Monomial, ...]):
@@ -89,15 +96,30 @@ class LcmLattice:
         self.ambient = ambient
         self.atoms = atoms
         rows = [a.exponents for a in atoms]
-        # a leading 0 per atom, then each distinct column's field: one join
-        # per atom keeps this linear in the ambient, where shifting is not
-        fields = [["0"] * len(atoms)]
-        for column in dict.fromkeys(zip(*rows)):
-            values = sorted(set(column) | {0})
-            width = len(values) - 1
-            unary = {v: "0" * (width - r) + "1" * r for r, v in enumerate(values)}
-            fields.append([unary[v] for v in column])
-        codes = [int("".join(f), 2) for f in zip(*fields)]
+        self._close(_columns(rows), len(atoms))
+        Monomial(_lcm(rows, ambient), ambient)  # the one full check: the rest divide the top
+
+    @classmethod
+    def _of_columns(cls, columns: list[dict[int, int]], m: int) -> LcmLattice:
+        """The lattice of m atoms with these polarization columns (see
+        _columns), with no `ambient` or `atoms` to decode; the caller
+        vouches for the top, the one check the columns cannot run."""
+        L = cls.__new__(cls)
+        L._close(columns, m)
+        return L
+
+    def _close(self, columns: list[dict[int, int]], m: int) -> None:
+        """Set the codes of m atoms from their columns, close them under OR
+        and run the antichain and MAX_ELEMENTS checks.  The code of atom a
+        is bit a of each mask in turn, after a leading 0: one byte string
+        per 8 atoms holds the masks, and translating it writes one atom's
+        bits as binary digits, in time linear in the number of masks."""
+        self._columns = columns
+        masks = [0]
+        for chain in columns:
+            masks += chain
+        planes = [bytes([mask >> lo & 255 for mask in masks]) for lo in range(0, m, 8)]
+        codes = [int(planes[a >> 3].translate(_BIT_DIGITS[a & 7]), 2) for a in range(m)]
         support = {0: 0}  # code -> mask of the atoms below it
         for a, g in enumerate(codes):
             bit = 1 << a
@@ -115,7 +137,6 @@ class LcmLattice:
         self._at = {c: k for k, c in enumerate(self._codes)}
         self._atom_at = tuple(self._at[g] for g in codes)
         self._support = tuple(support[c] for c in self._codes)
-        Monomial(_lcm(rows, ambient), ambient)  # the one full check: the rest divide the top
         self._covers = None
 
     def __len__(self) -> int:
@@ -157,13 +178,13 @@ class LcmLattice:
 
         v <= u iff support(u) holds support(v), so below(u) is the complement
         of the union of the up-sets of the atoms outside support(u)."""
-        ups = [0] * len(self.atoms)  # ups[a]: the elements above atom a
+        ups = [0] * len(self._atom_at)  # ups[a]: the elements above atom a
         for k, s in enumerate(self._support):
             while s:
                 low = s & -s
                 ups[low.bit_length() - 1] |= 1 << k
                 s ^= low
-        full, atoms = (1 << len(self._codes)) - 1, (1 << len(self.atoms)) - 1
+        full, atoms = (1 << len(self._codes)) - 1, (1 << len(self._atom_at)) - 1
         return [full ^ u for u in _subset_ors(ups, [atoms ^ s for s in self._support])]
 
     def _element(self, k: int) -> Monomial:
@@ -182,7 +203,7 @@ class LcmLattice:
     def atom_support(self, u: Monomial) -> frozenset[int]:
         """Indices of the atoms lying below u (the maximal atom subset)."""
         mask = self._support[self.index(u)]
-        return frozenset(a for a in range(len(self.atoms)) if mask >> a & 1)
+        return frozenset(a for a in range(len(self._atom_at)) if mask >> a & 1)
 
     def leq(self, u: Monomial, v: Monomial) -> bool:
         i, j = self.index(u), self.index(v)
@@ -253,6 +274,33 @@ class LcmLattice:
             return len(downs), _crosscut(downs, below[k], below[0])
         rests = [code ^ self._codes[i] for a, i in enumerate(self._atom_at) if support >> a & 1]
         return atoms, _crosscut(rests, code, 0)
+
+
+def _columns(rows: list[tuple[int, ...]]) -> list[dict[int, int]]:
+    """The columns of the standard polarization of the generator rows: per
+    distinct nonzero column of exponents, in order of first occurrence, a
+    chain mapping the threshold mask of each value v > 0 in it (the rows
+    with exponent >= v, bit i for row i), from the highest v down, to its
+    multiplicity: v minus the next lower value or 0, times the copies of
+    the column.  The masks of a chain grow, as sets and as ints."""
+    counts: dict[tuple[int, ...], int] = {}  # distinct column -> its copies
+    for column in zip(*rows):
+        counts[column] = counts.get(column, 0) + 1
+    out = []
+    for column, copies in counts.items():
+        at: dict[int, int] = {}  # nonzero exponent -> mask of the rows with it
+        for i, e in enumerate(column):
+            if e:
+                at[e] = at.get(e, 0) | 1 << i
+        if not at:
+            continue
+        chain, mask = {}, 0
+        values = sorted(at, reverse=True)
+        for v, below in zip(values, values[1:] + [0]):
+            mask |= at[v]
+            chain[mask] = (v - below) * copies
+        out.append(chain)
+    return out
 
 
 def _lcm(rows: list[tuple[int, ...]], ambient: int) -> tuple[int, ...]:
@@ -349,8 +397,8 @@ def _atom_image(L1: LcmLattice, L2: LcmLattice) -> list[int] | None:
     supports made of assigned atoms correspond both ways.  Returns the first
     complete assignment, image[a] the bit of the L2 atom of atom a, or None.
     """
-    m = len(L1.atoms)
-    if len(L1) != len(L2) or m != len(L2.atoms):
+    m = len(L1._atom_at)
+    if len(L1) != len(L2) or m != len(L2._atom_at):
         return None
     closing: list[list[list[int]]] = [[] for _ in range(m)]
     for s in L1._support:  # each nonempty support, under its highest atom

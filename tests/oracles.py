@@ -30,10 +30,15 @@ per-variable exponent slabs and the atom supports by transposing each
 atom's up-set, where the library ORs rank-polarized atom codes and reads
 the order off the supports.
 
+The unary-code reference builds the lattice's atom codes as strings: per
+distinct column, the rank of each exponent written in unary in a field of
+'0' and '1' characters, the fields joined and read as one binary int, where
+the library transposes the polarization threshold masks.
+
 The eager-decode reference is the lattice constructor as it was before
 elements were decoded on demand: each element's exponent vector is made
-when its code first appears in the OR-closure of the rank-polarized atom
-codes, and only the top gets the full Monomial check.
+when its code first appears in the OR-closure of the unary atom codes, and
+only the top gets the full Monomial check.
 
 The support reference computes a Stanley depth by restriction, where the
 library's characteristic poset skips the free coordinates inside one grid:
@@ -49,24 +54,36 @@ up, on frozensets; the library seeds one chain per variable from grouped
 bitmask columns and merges whole chains.  Both give an ideal whose
 polarization is that of I up to renaming variables, but this one can have a
 larger grid than I.
+
+The dense law-harness reference is the harness as it was before it read
+the n-spread from the generators' blocks: it builds the n-spread with
+spread_ideal, reads depth off the public Betti table, depolarizes each
+ideal from its own exponent rows and checks every law from those values.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Iterable
 
 from spreadpol import (
     BadParameterError,
     LatticeMap,
+    LawCheck,
     LcmLattice,
     Monomial,
     MonomialIdeal,
     SdepthReport,
+    SpreadingLawsReport,
+    build_lcm_lattice,
+    depth_quotient,
+    is_isomorphic,
+    is_smoothly_spreadable,
     sdepth_ideal,
     sdepth_quotient,
+    spread_ideal,
 )
 
 
@@ -394,19 +411,27 @@ def lattice_masks_by_slabs(
     return elements, below, above, support, covers
 
 
-def lattice_elements_eagerly(ambient: int, atoms: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """The elements of the lcm-lattice of `atoms`, in code order, decoded
-    while the closure of the atom codes is built."""
-    rows = [a.exponents for a in atoms]
+def unary_atom_codes(rows: list[tuple[int, ...]]) -> list[int]:
+    """The lcm-lattice code of each exponent row: per distinct column, in
+    order of first occurrence, the rank r of the row's exponent in {0}
+    together with the column's values, written as r low '1's in a field as
+    wide as the column's distinct nonzero values; the fields joined after a
+    leading '0' and read as one binary int."""
     fields = [["0"] * len(rows)]
     for column in dict.fromkeys(zip(*rows)):
         values = sorted(set(column) | {0})
         width = len(values) - 1
         unary = {v: "0" * (width - r) + "1" * r for r, v in enumerate(values)}
         fields.append([unary[v] for v in column])
-    codes = [int("".join(f), 2) for f in zip(*fields)]
+    return [int("".join(f), 2) for f in zip(*fields)]
+
+
+def lattice_elements_eagerly(ambient: int, atoms: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The elements of the lcm-lattice of `atoms`, in code order, decoded
+    while the closure of the atom codes is built."""
+    rows = [a.exponents for a in atoms]
     exps = {0: (0,) * ambient}  # code -> exponent vector
-    for g, row in zip(codes, rows):
+    for g, row in zip(unary_atom_codes(rows), rows):
         for e, x in list(exps.items()):
             if (e | g) not in exps:
                 exps[e | g] = tuple(map(max, x, row))
@@ -464,3 +489,70 @@ def depolarize_first_fit(I: MonomialIdeal) -> MonomialIdeal:
             chains.append([c])
     rows = [[sum(i in c for c in chain) for chain in chains] for i in range(len(I.generators))]
     return MonomialIdeal.from_exponents(len(chains), rows)
+
+
+def dense_spread_columns(I: MonomialIdeal) -> list[tuple[int, int]]:
+    """The distinct nonzero columns of the n-spread built by spread_ideal,
+    as (generator mask, copies) pairs in order of first occurrence."""
+    rows = [u.exponents for u in spread_ideal(I, I.ambient).generators]
+    masks = (sum(1 << g for g, e in enumerate(column) if e) for column in zip(*rows))
+    return list(Counter(mask for mask in masks if mask).items())
+
+
+def depolarize_by_rows(I: MonomialIdeal) -> MonomialIdeal:
+    """The depolarization of I from its own exponent rows: per distinct
+    column, the chain of its threshold sets with their multiplicities, and
+    each chain merged into the first earlier one it forms a chain with."""
+    chains: list[dict[int, int]] = []  # column mask -> multiplicity
+    columns = Counter(c for c in zip(*(u.exponents for u in I.generators)) if any(c))
+    for column, copies in columns.items():
+        chain, below = {}, 0
+        for v in sorted(set(column) - {0}):
+            chain[sum(1 << i for i, e in enumerate(column) if e >= v)] = (v - below) * copies
+            below = v
+        for other in chains:
+            if all(a & b in (a, b) for a in other for b in chain):
+                for mask, m in chain.items():
+                    other[mask] = other.get(mask, 0) + m
+                break
+        else:
+            chains.append(chain)
+    rows = [[sum(m for mask, m in chain.items() if mask >> i & 1) for chain in chains]
+            for i in range(len(I.generators))]
+    return MonomialIdeal.from_exponents(len(chains), rows)
+
+
+def dense_stats(I: MonomialIdeal) -> tuple[int, int, int]:
+    """Depth and both Stanley depths of I, each Stanley depth that of its
+    depolarization plus the variables it drops."""
+    J = depolarize_by_rows(I)
+    shift = I.ambient - J.ambient
+    return (depth_quotient(I).value, sdepth_quotient(J).value + shift,
+            sdepth_ideal(J).value + shift)
+
+
+def dense_spreading_laws(I: MonomialIdeal, t_range: Iterable[int]) -> SpreadingLawsReport:
+    """verify_spreading_laws on the dense n-spread, for inputs it answers."""
+    n, d = I.ambient, I.deg
+    ts = sorted(set(t_range) | {n})
+    S = spread_ideal(I, n)
+    source, spread = dense_stats(I), dense_stats(S)
+    stats = {t: tuple(v + (t - n) * d for v in spread) for t in ts}
+    smooth = is_smoothly_spreadable(I)
+    iso = is_isomorphic(build_lcm_lattice(I), build_lcm_lattice(S)) is not None
+    names = ("depth of quotient", "sdepth of quotient", "sdepth of ideal")
+    checks: list[LawCheck] = []
+
+    def law(label, relation, lhs, rhs, step):
+        checks.extend(LawCheck(f"{name}: {label}", x, relation, y + step)
+                      for name, x, y in zip(names, lhs, rhs))
+
+    law(f"n-spread bound (t={n})", "<=", stats[n], source, n * (d - 1))
+    for t1, t2 in zip(ts, ts[1:]):
+        law(f"transfer t={t1} -> t={t2}", "==", stats[t2], stats[t1], (t2 - t1) * d)
+    if iso:
+        law(f"equality from lattice isomorphism (t={n})", "==", stats[n], source, n * (d - 1))
+    if smooth:
+        for t in ts:
+            law(f"smooth closed form (t={t})", "==", stats[t], source, t * d - n)
+    return SpreadingLawsReport(n, d, tuple(ts), source, stats, smooth, iso, tuple(checks))

@@ -30,8 +30,11 @@ from spreadpol.invariants import (
     CharacteristicPoset,
     _compress,
     _projective_dimension,
+    _spread_columns,
 )
-from spreadpol.monomials import MAX_EXPONENT
+from spreadpol.lattices import LcmLattice, _columns
+from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
+from spreadpol.smooth import _blocks
 from spreadpol.taylor import taylor_betti
 from genutils import (
     pair_lcm_ideal,
@@ -42,6 +45,9 @@ from genutils import (
 )
 from oracles import (
     box_partition_by_points,
+    dense_spread_columns,
+    dense_spreading_laws,
+    depolarize_by_rows,
     depolarize_first_fit,
     order_complex_betti_by_chains,
     polarization_columns,
@@ -56,6 +62,11 @@ def M(*exps):
 
 def ideal(n, rows):
     return MonomialIdeal.from_exponents(n, rows)
+
+
+def compress(I):
+    """_compress on the polarization columns of I."""
+    return _compress(_columns([u.exponents for u in I.generators]), len(I.generators))
 
 
 def in_ideal(poset):
@@ -79,6 +90,8 @@ def side_points(I, ideal_side):
 HARD_SDEPTH = [(0, 3, 1), (1, 0, 2), (1, 2, 1), (2, 2, 0), (3, 1, 1)]
 CYC4 = [(2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)]
 CI8 = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+# the CLI corpus's huge-exponent file: its n-spread lives in 393,207 variables
+HUGE = [(65535, 1, 0), (65534, 0, 65535), (0, 65535, 65533)]
 
 
 def grid_size(I):
@@ -537,7 +550,7 @@ class TestCompress:
         )
 
     def _check(self, I):
-        J = _compress(I)
+        J = compress(I)
         shift = I.ambient - J.ambient
         assert grid_size(J) <= grid_size(I), I
         assert self._same_polarization(I, J), I
@@ -562,11 +575,11 @@ class TestCompress:
         I = ideal(3, [(0, 2, 0), (1, 1, 1), (3, 0, 0)])
         assert grid_size(I) == 24
         assert grid_size(depolarize_first_fit(I)) == 27
-        assert _compress(I) == I
+        assert compress(I) == I
 
     def test_repeated_thresholds_make_one_column(self):
         # x1^5000 has 5000 polarization columns, all the same generator set
-        assert _compress(ideal(1, [(5000,)])) == ideal(1, [(5000,)])
+        assert compress(ideal(1, [(5000,)])) == ideal(1, [(5000,)])
         with pytest.raises(TooLargeError, match="source ideal"):
             verify_spreading_laws(ideal(1, [(5000,)]), [1])
 
@@ -578,12 +591,102 @@ class TestCompress:
         assert rep.spread[3] == (12, 12, 13) and rep.all_hold
         S = spread_ideal(I, 3)
         first_fit = depolarize_first_fit(S)
-        assert first_fit != _compress(S)
-        for J in (_compress(S), first_fit):
+        assert first_fit != compress(S)
+        for J in (compress(S), first_fit):
             assert self._same_polarization(S, J)
             shift = S.ambient - J.ambient
             assert sdepth_quotient(J).value + shift == 12
             assert sdepth_ideal(J).value + shift == 13
+
+
+def refuse_spread_ideal(monkeypatch):
+    """Make every spreadpol binding of spread_ideal raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("spread_ideal called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spreadpol" and getattr(module, "spread_ideal", None):
+            monkeypatch.setattr(module, "spread_ideal", refuse)
+
+
+def spread_sweep(I):
+    """The n-spread's polarization columns from the generators' blocks."""
+    return _spread_columns([_blocks(u) for u in I.generators], I.ambient)
+
+
+class TestColumnRoute:
+    """The law harness reads the n-spread off the generators' blocks, as
+    polarization columns, where the dense route builds it."""
+
+    @staticmethod
+    def family():
+        """The small family, 300 seeded ideals in n = 2..5, and HUGE."""
+        rng = random.Random(31)
+        seeded = [random_ideal(rng, n, rng.randint(1, 6), 4)
+                  for n in (2, 3, 4, 5) for _ in range(75)]
+        return small_family() + seeded + [ideal(3, HUGE)]
+
+    def test_sweep_matches_dense_columns(self, monkeypatch):
+        for I in self.family():
+            sweep = [(mask, k) for chain in spread_sweep(I) for mask, k in chain.items()]
+            assert sweep == dense_spread_columns(I), I
+        refuse_spread_ideal(monkeypatch)
+        start = time.perf_counter()
+        assert len(spread_sweep(ideal(3, HUGE))) == 5
+        assert time.perf_counter() - start < 0.05
+
+    def test_mask_lattice_matches_dense_lattice(self):
+        for I in self.family():
+            L = LcmLattice._of_columns(spread_sweep(I), len(I.generators))
+            D = build_lcm_lattice(spread_ideal(I, I.ambient))
+            assert (L._codes, L._support, L._atom_at) == (D._codes, D._support, D._atom_at), I
+
+    def test_columns_depolarize_as_the_rows_do(self):
+        for I in small_family()[::3] + laws_shaped(random.Random(99), 30):
+            for S in (I, spread_ideal(I, I.ambient)):
+                assert compress(S) == depolarize_by_rows(S), S
+
+    def test_harness_matches_dense_route(self, monkeypatch):
+        cases = [(I, [I.ambient, I.ambient + 1])
+                 for I in laws_shaped(random.Random(99), 60) + small_family()]
+        cases.append((ideal(3, HARD_SDEPTH), [3]))
+        want = [dense_spreading_laws(I, ts) for I, ts in cases]
+        assert want[-1].spread[3] == (12, 12, 13)
+        refuse_spread_ideal(monkeypatch)
+        for (I, ts), rep in zip(cases, want):
+            assert verify_spreading_laws(I, ts) == rep, I
+
+    def test_spread_top_check_cannot_fail(self):
+        # the n-spread's lattice skips the Monomial check of its top: that
+        # top is squarefree in n*d <= MAX_AMBIENT variables
+        assert MAX_EXPONENT > 1 and MAX_AMBIENT < MAX_DEGREE
+        for I in self.family():
+            S = spread_ideal(I, I.ambient)
+            assert S.ambient == I.ambient * I.deg and S.lcm_of_generators.is_squarefree, I
+
+    def test_harness_decodes_no_poset_point(self, monkeypatch):
+        posets = []
+
+        def recorded(I):
+            posets.append(CharacteristicPoset(I))
+            return posets[-1]
+
+        monkeypatch.setattr(invariants, "build_characteristic_poset", recorded)
+        for I in small_family()[::7]:
+            verify_spreading_laws(I, [I.ambient, I.ambient + 1])
+        assert posets and not any(hasattr(p, "_points") for p in posets)
+        assert len(posets[0].points) == posets[0].full.bit_length()  # decoded on a read
+
+    def test_refusals_keep_their_texts(self):
+        # the n*d cap is raised unprefixed, the spread's own refusals prefixed
+        rows = [(4,) + (0,) * 299999, (0, 3) + (0,) * 299998]
+        with pytest.raises(TooLargeError) as exc:
+            verify_spreading_laws(ideal(300000, rows), [300000])
+        assert str(exc.value) == "ambient 1200000 exceeds 1048576 variables"
+        with pytest.raises(TooLargeError) as exc:
+            verify_spreading_laws(ideal(4, [(1, 1, 6, 5), (1, 5, 5, 0), (4, 3, 4, 5),
+                                            (5, 0, 1, 1)]), [4])
+        assert str(exc.value) == "4-spread in T_64: characteristic poset exceeds 4096 points"
 
 
 class TestProjectiveDimension:

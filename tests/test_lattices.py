@@ -40,6 +40,7 @@ from oracles import (
     isomorphism_by_permutations,
     lattice_elements_eagerly,
     lattice_masks_by_slabs,
+    unary_atom_codes,
 )
 
 
@@ -69,7 +70,8 @@ class TestBuild:
     def test_masks_match_slab_reference(self):
         """Elements, order masks, supports and covers equal those built on
         exponent tuples with per-variable slabs; the reference up-sets are
-        checked against the transpose of the lattice's down-sets."""
+        checked against the transpose of the lattice's down-sets, and the
+        atom codes against the unary-string reference."""
         rng = random.Random(38)
         family = []
         for _ in range(40):
@@ -98,6 +100,23 @@ class TestBuild:
             ], I
             assert list(L._support) == support, I
             assert list(L.covers()) == covers, I
+            rows = [u.exponents for u in I.generators]  # the threshold masks, transposed
+            assert [L._codes[k] for k in L._atom_at] == unary_atom_codes(rows), I
+
+    def test_codes_match_unary_reference_on_wide_and_many_atoms(self):
+        """Atom codes past one byte of atoms and over thousands of distinct
+        columns, where each code is thousands of bits long."""
+        rng = random.Random(39)
+        wide = [tuple(j // 3**i % 3 for j in range(4096)) for i in range(8)]
+        family = [MonomialIdeal.from_exponents(4096, wide)]
+        while len(family) < 9:
+            I = random_ideal(rng, 6, 16, 3)
+            if len(I.generators) > 8:
+                family.append(I)
+        for I in family:
+            L = build_lcm_lattice(I)
+            rows = [u.exponents for u in I.generators]
+            assert [L._codes[k] for k in L._atom_at] == unary_atom_codes(rows), I
 
     def test_rank_invariance(self):
         """Only each variable's order of exponents matters: swapping the
