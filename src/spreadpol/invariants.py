@@ -48,24 +48,28 @@ corners are tried from the highest bit down.
 
 Two rules shrink the grid, each Stanley depth shifting by what they remove:
 a free coordinate (g_j = 0) adds exactly 1 (Herzog, Vladoiu and Zheng, J.
-Algebra 2009, Lemma 3.6), and so does each variable polarization adds
-(Ichim, Katthan and Moyano-Fernandez, J. Combin. Theory Ser. A 135, 2015).
+Algebra 2009, Lemma 3.6), and so does each variable depolarization removes.
 So the grid spans only the used coordinates and counts a free one as
 saturated everywhere; a public report writes 0 there in each box corner.
-The law harness works on the columns of the standard polarization alone: a
-column is the set of generators with x_j-exponent >= v, as a bitmask, the
-equal columns of one x_j being one column with a multiplicity (see
-lattices._columns).  They give the lcm-lattice codes, and the harness
-depolarizes with them.  The columns of each x_j form a chain under
-inclusion.  Chains whose union is a chain are merged, which never enlarges
-the grid (a + b + 1 <= (a + 1)(b + 1)), and each chain is one variable of an
-ideal J, where a generator's exponent is the summed multiplicity of the
-chain's columns it lies in.  So pol(J) = pol(I) up to renaming variables,
-and each Stanley depth of I is that of J plus ambient(I) - ambient(J).
+The law harness works on threshold masks alone: per x_j and distinct value
+v > 0 of it, the generators with x_j-exponent >= v, as a bitmask.  They are
+the distinct columns of the standard polarization, whose repeats are copies
+of one variable, so dropping them (the rank step, see lattices._columns)
+keeps the lcm-lattice.  The masks give the lattice codes, and the harness
+depolarizes them.  The masks of each x_j form a chain under inclusion.
+Chains whose union is a chain are merged as sets of masks, which never
+enlarges the grid (a + b + 1 <= (a + 1)(b + 1)), and each chain is one
+variable of an ideal J, where a generator's exponent is the number of the
+chain's masks that hold it.  So pol(J) has the distinct columns of pol(I)
+up to renaming variables, hence its lcm-lattice, and as Stanley depth minus
+the number of variables depends on the lcm-lattice alone (Ichim, Katthan
+and Moyano-Fernandez, J. Combin. Theory Ser. A 150, 2017; recalled, not
+read offline: the tests' comparisons with the full-grid searches are the
+check), each Stanley depth of I is that of J plus ambient(I) - ambient(J).
 Depth needs neither rule: a free column adds nothing to an atom code (see
 lattices.LcmLattice), and the ambient count minus the projective dimension
-counts it.  The n-spread's columns come from a sweep over the generators'
-blocks, without the spread (_spread_columns).
+counts it.  The n-spread's masks come from a sweep over the generators'
+blocks, without the spread (lattices._spread_columns).
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
-from .lattices import LcmLattice, _atom_image, build_lcm_lattice
+from .lattices import LcmLattice, _atom_image, _spread_columns, build_lcm_lattice
 from .monomials import Monomial, MonomialIdeal, _check_ambient_cap
 from .smooth import _blocks, _first_violation
 
@@ -401,12 +405,16 @@ def _box_search(full, outside, uppers, ups, downs) -> list[tuple[int, int]] | No
 
 
 def sdepth_quotient(I: MonomialIdeal) -> SdepthReport:
-    """Stanley depth of the quotient ring, by exact partition search."""
+    """Stanley depth of the quotient ring, by exact partition search.
+
+    The report's partition is one of I's own grid, which boxes found on a
+    depolarization do not lift to; so verify_spreading_laws, which needs no
+    partition, answers some inputs this and sdepth_ideal refuse."""
     return _sdepth_on(build_characteristic_poset(I), ideal_side=False)
 
 
 def sdepth_ideal(I: MonomialIdeal) -> SdepthReport:
-    """Stanley depth of the ideal itself, by exact partition search."""
+    """Stanley depth of the ideal itself, as sdepth_quotient does it."""
     return _sdepth_on(build_characteristic_poset(I), ideal_side=True)
 
 
@@ -450,53 +458,22 @@ class SpreadingLawsReport:
         return all(c.holds for c in self.checks)
 
 
-def _compress(columns: list[dict[int, int]], m: int) -> MonomialIdeal:
-    """The depolarization J of the ideal of m generators whose polarization
-    columns are `columns`, in the form lattices._columns gives (see the
-    module docstring): pol(J) is that polarization up to renaming
-    variables, and the grid of J is no larger than the ideal's."""
-    chains: list[dict[int, int]] = []  # column mask -> multiplicity
+def _compress(columns: list[list[int]], m: int) -> MonomialIdeal:
+    """The depolarization J of the ideal of m generators with these threshold
+    masks (see lattices._columns and the module docstring): pol(J) has the
+    ideal's distinct polarization columns, and no larger a grid."""
+    chains: list[set[int]] = []
     for chain in columns:
         for other in chains:
             if all(a & b in (a, b) for a in other for b in chain):
-                for mask, k in chain.items():
-                    other[mask] = other.get(mask, 0) + k
+                other.update(chain)
                 break
         else:
-            chains.append(dict(chain))
-    # degrees are kept; an exponent past the Monomial cap makes a grid the poset refuses
+            chains.append(set(chain))
+    # a chain holds at most m nested masks, so no exponent passes the Monomial cap
     n = len(chains)
     return MonomialIdeal._from_minimal(n, (Monomial._trusted(tuple(
-        sum(k for mask, k in chain.items() if mask >> i & 1) for chain in chains), n)
-        for i in range(m)))
-
-
-def _spread_columns(blocks: list[list[tuple[int, int]]], n: int) -> list[dict[int, int]]:
-    """The polarization columns of the n-spread, in the form lattices._columns
-    gives, from the generators' smooth._blocks alone.
-
-    Generator g covers spread variable j + k*n iff p <= k < p + a, for (p, a)
-    its block at j.  So the spread is squarefree, and a sweep over the 2m
-    block ends of each j gives runs of k with one generator mask; each
-    distinct nonzero mask, first met at the least (k, j), is a chain of one
-    mask whose multiplicity is the summed length of its runs."""
-    runs = []  # (first k, j, mask, length)
-    for j in range(n):
-        ends: dict[int, int] = {}  # k -> generators entering or leaving at k
-        for g, row in enumerate(blocks):
-            p, a = row[j]
-            if a:
-                ends[p] = ends.get(p, 0) ^ 1 << g
-                ends[p + a] = ends.get(p + a, 0) ^ 1 << g
-        ks, mask = sorted(ends), 0
-        for k, nxt in zip(ks, ks[1:]):
-            mask ^= ends[k]
-            if mask:
-                runs.append((k, j, mask, nxt - k))
-    columns: dict[int, int] = {}
-    for _, _, mask, length in sorted(runs):
-        columns[mask] = columns.get(mask, 0) + length
-    return [{mask: k} for mask, k in columns.items()]
+        sum(mask >> i & 1 for mask in chain) for chain in chains), n) for i in range(m)))
 
 
 def _stats(
@@ -506,7 +483,7 @@ def _stats(
     lcm-lattice is lattice(*args), and that lattice for the isomorphism
     test; each TooLargeError is prefixed with `what`.  Both Stanley depth
     searches run on one poset, of the depolarization J of the lattice's
-    polarization columns, and decode no box."""
+    threshold masks, and decode no box."""
     try:
         L = lattice(*args)
         J = _compress(L._columns, len(L._atom_at))
@@ -533,14 +510,13 @@ def verify_spreading_laws(
     ideals, the closed-form equalities pinning every spread to the source.
 
     Only the source and its n-spread are computed, each from its
-    polarization columns alone, and only values are read: the projective
+    threshold masks alone, and only values are read: the projective
     dimension from element indices, the isomorphism verdict from atom
     supports, the Stanley depths from scores; no lattice element, poset
     point or box corner is decoded.  Each Stanley depth is searched on the
-    depolarization J, whose polarization is that of the ideal up to renaming
-    variables, plus the variables J lacks (Ichim, Katthan and
-    Moyano-Fernandez, JCTA 2015; Herzog, Vladoiu and Zheng, J. Algebra 2009,
-    Lemma 3.6).  The n-spread is never built: its columns come from the
+    depolarization J of those masks, whose polarization has the
+    lcm-lattice of the ideal's, plus the variables J lacks (see the module
+    docstring).  The n-spread is never built: its columns come from the
     generators' blocks (_spread_columns), which also decide smoothness.  Its
     lattice needs no Monomial check of its top, which cannot fail once n*d
     passes _check_ambient_cap: the top is squarefree in at most MAX_AMBIENT

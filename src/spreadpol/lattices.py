@@ -59,19 +59,19 @@ _BIT_DIGITS = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8
 class LcmLattice:
     """The lcm-lattice of an antichain of monomials, the atoms kept in order.
 
-    Each atom gets one int code, read off the polarization columns of the
-    atoms (see _columns): per distinct nonzero column of exponents, in order
-    of first occurrence, and per value v in it from the highest down, the
-    threshold mask of the atoms with exponent >= v.  Bit t of a code, the
-    first mask the most significant, says whether the atom lies in mask t.
-    So within one column an atom sets the lowest r of the column's bits, r
-    the rank of its exponent in {0} together with the column's values: the
-    rank written in unary.  Within such a field, OR is max and a subset is a
-    smaller rank, so the code of an lcm is the OR of the codes, u divides v
-    iff code(u) is a subset of code(v), and the int order of codes is the
-    lexicographic order of exponent vectors: two elements first differ in a
-    column unlike every earlier one, as equal columns give them equal
-    values.  The ranks change no lcm or divisibility, as they keep each
+    Each atom gets one int code, read off its threshold masks (see
+    _columns): per distinct nonzero column of exponents, in order of first
+    occurrence, and per value v in it from the highest down, the mask of
+    the atoms with exponent >= v.  Bit t of a code, the first mask the most
+    significant, says whether the atom lies in mask t.  So within one column
+    an atom sets the lowest r of the column's bits, r the rank of its
+    exponent in {0} together with the column's values: the rank written in
+    unary.  Within such a field, OR is max and a subset is a smaller rank,
+    so the code of an lcm is the OR of the codes, u divides v iff code(u) is
+    a subset of code(v), and the int order of codes is the lexicographic
+    order of exponent vectors: two elements first differ in a column unlike
+    every earlier one, as equal columns give them equal values.  The ranks
+    (the rank step) change no lcm or divisibility, as they keep each
     column's order of exponents, and they keep a field at most as wide as
     the number of atoms: unary fields of raw exponents could be 2^16 bits
     wide per variable.
@@ -85,9 +85,9 @@ class LcmLattice:
     The down-set masks `_below` are built on first read too, all at once
     from 4-atom OR tables of the atoms' up-sets: order, meet, covers and
     the crosscuts read them; the isomorphism test and the collapse map
-    work on codes and supports alone.  `_columns` keeps the polarization
-    columns the codes come from, which the law harness depolarizes, and
-    `_of_columns` builds a lattice from such columns alone.
+    work on codes and supports alone.  `_columns` keeps the masks the codes
+    come from, which the law harness depolarizes, and `_of_columns` builds
+    a lattice from masks alone, such as the n-spread's (_spread_columns).
     """
 
     def __init__(self, ambient: int, atoms: tuple[Monomial, ...]):
@@ -100,15 +100,15 @@ class LcmLattice:
         Monomial(_lcm(rows, ambient), ambient)  # the one full check: the rest divide the top
 
     @classmethod
-    def _of_columns(cls, columns: list[dict[int, int]], m: int) -> LcmLattice:
-        """The lattice of m atoms with these polarization columns (see
+    def _of_columns(cls, columns: list[list[int]], m: int) -> LcmLattice:
+        """The lattice of m atoms with these threshold masks (see
         _columns), with no `ambient` or `atoms` to decode; the caller
         vouches for the top, the one check the columns cannot run."""
         L = cls.__new__(cls)
         L._close(columns, m)
         return L
 
-    def _close(self, columns: list[dict[int, int]], m: int) -> None:
+    def _close(self, columns: list[list[int]], m: int) -> None:
         """Set the codes of m atoms from their columns, close them under OR
         and run the antichain and MAX_ELEMENTS checks.  The code of atom a
         is bit a of each mask in turn, after a leading 0: one byte string
@@ -276,31 +276,50 @@ class LcmLattice:
         return atoms, _crosscut(rests, code, 0)
 
 
-def _columns(rows: list[tuple[int, ...]]) -> list[dict[int, int]]:
-    """The columns of the standard polarization of the generator rows: per
-    distinct nonzero column of exponents, in order of first occurrence, a
-    chain mapping the threshold mask of each value v > 0 in it (the rows
-    with exponent >= v, bit i for row i), from the highest v down, to its
-    multiplicity: v minus the next lower value or 0, times the copies of
-    the column.  The masks of a chain grow, as sets and as ints."""
-    counts: dict[tuple[int, ...], int] = {}  # distinct column -> its copies
-    for column in zip(*rows):
-        counts[column] = counts.get(column, 0) + 1
+def _columns(rows: list[tuple[int, ...]]) -> list[list[int]]:
+    """The threshold masks of the generator rows: per distinct nonzero column
+    of exponents, in order of first occurrence, the chain of masks of its
+    values v > 0 (the rows with exponent >= v, bit i for row i), from the
+    highest v down, each once: the distinct columns of the standard
+    polarization.  The masks of a chain grow, as sets and as ints."""
     out = []
-    for column, copies in counts.items():
+    for column in dict.fromkeys(zip(*rows)):
         at: dict[int, int] = {}  # nonzero exponent -> mask of the rows with it
         for i, e in enumerate(column):
             if e:
                 at[e] = at.get(e, 0) | 1 << i
-        if not at:
-            continue
-        chain, mask = {}, 0
-        values = sorted(at, reverse=True)
-        for v, below in zip(values, values[1:] + [0]):
+        chain, mask = [], 0
+        for v in sorted(at, reverse=True):
             mask |= at[v]
-            chain[mask] = (v - below) * copies
-        out.append(chain)
+            chain.append(mask)
+        if chain:
+            out.append(chain)
     return out
+
+
+def _spread_columns(blocks: list[list[tuple[int, int]]], n: int) -> list[list[int]]:
+    """The threshold masks of the n-spread in the form _columns gives, from
+    the generators' smooth._blocks alone.
+
+    Generator g covers spread variable j + k*n iff p <= k < p + a, for (p, a)
+    its block at j.  So the spread is squarefree, and a sweep over the 2m
+    block ends of each j gives runs of k with one generator mask; each
+    distinct nonzero mask, first met at the least (k, j), is a chain of one
+    mask."""
+    firsts = []  # (k, j, mask) at the start of each run
+    for j in range(n):
+        ends: dict[int, int] = {}  # k -> generators entering or leaving at k
+        for g, row in enumerate(blocks):
+            p, a = row[j]
+            if a:
+                ends[p] = ends.get(p, 0) ^ 1 << g
+                ends[p + a] = ends.get(p + a, 0) ^ 1 << g
+        mask = 0
+        for k in sorted(ends):
+            mask ^= ends[k]
+            if mask:
+                firsts.append((k, j, mask))
+    return [[mask] for mask in dict.fromkeys(mask for _, _, mask in sorted(firsts))]
 
 
 def _lcm(rows: list[tuple[int, ...]], ambient: int) -> tuple[int, ...]:

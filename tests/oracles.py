@@ -55,6 +55,12 @@ bitmask columns and merges whole chains.  Both give an ideal whose
 polarization is that of I up to renaming variables, but this one can have a
 larger grid than I.
 
+The mask-only depolarization reference does the same from the exponent
+rows, on frozensets, with each threshold set counted once: per variable in
+order, the set of its threshold sets, merged into the first earlier chain it
+forms a chain with.  It is the rank-stepped form the library depolarizes,
+where the dense law-harness reference keeps the multiplicities.
+
 The dense law-harness reference is the harness as it was before it read
 the n-spread from the generators' blocks: it builds the n-spread with
 spread_ideal, reads depth off the public Betti table, depolarizes each
@@ -519,6 +525,29 @@ def depolarize_by_rows(I: MonomialIdeal) -> MonomialIdeal:
             chains.append(chain)
     rows = [[sum(m for mask, m in chain.items() if mask >> i & 1) for chain in chains]
             for i in range(len(I.generators))]
+    return MonomialIdeal.from_exponents(len(chains), rows)
+
+
+def depolarize_by_masks(I: MonomialIdeal) -> MonomialIdeal:
+    """The depolarization of I with each distinct threshold set counted once:
+    per variable x_j, the set of its threshold sets (the generators with
+    x_j-exponent >= v, for each nonzero exponent v of x_j), merged into the
+    first earlier chain it forms a chain with; each chain is one variable,
+    where a generator's exponent is the number of the chain's sets holding it."""
+    chains: list[set[frozenset[int]]] = []
+    for j in range(I.ambient):
+        values = {u.exponents[j] for u in I.generators} - {0}
+        chain = {frozenset(i for i, u in enumerate(I.generators) if u.exponents[j] >= v)
+                 for v in values}
+        if not chain:
+            continue
+        for other in chains:
+            if all(a <= b or b <= a for a in other for b in chain):
+                other |= chain
+                break
+        else:
+            chains.append(chain)
+    rows = [[sum(i in c for c in chain) for chain in chains] for i in range(len(I.generators))]
     return MonomialIdeal.from_exponents(len(chains), rows)
 
 

@@ -47,7 +47,7 @@ from oracles import (
     box_partition_by_points,
     dense_spread_columns,
     dense_spreading_laws,
-    depolarize_by_rows,
+    depolarize_by_masks,
     depolarize_first_fit,
     order_complex_betti_by_chains,
     polarization_columns,
@@ -533,17 +533,20 @@ class TestSdepthReference:
 
 
 class TestCompress:
-    """_compress against the uncompressed searches: pol(J) = pol(I) up to
-    renaming variables, so each Stanley depth of I is that of J plus the
+    """_compress against the uncompressed searches: pol(J) has the distinct
+    columns of pol(I), up to renaming variables, so the two polarizations
+    have one lcm-lattice and each Stanley depth of I is that of J plus the
     variables compression removes (Ichim, Katthan and Moyano-Fernandez,
-    JCTA 2015; Herzog, Vladoiu and Zheng, J. Algebra 2009, Lemma 3.6)."""
+    "Stanley depth and the lcm-lattice", JCTA 2017, as recalled; Herzog,
+    Vladoiu and Zheng, J. Algebra 2009, Lemma 3.6).  The value comparisons
+    with the public full-grid searches are the check of that rule."""
 
     @staticmethod
     def _same_polarization(I, J):
-        # the columns of pol(J) are those of pol(I) for some matching of the
-        # generators of J to those of I
-        want = sorted(map(sorted, polarization_columns(I)))
-        cols = polarization_columns(J)
+        # the distinct columns of pol(J) are those of pol(I) for some
+        # matching of the generators of J to those of I
+        want = sorted(map(sorted, set(polarization_columns(I))))
+        cols = set(polarization_columns(J))
         return any(
             sorted(sorted(perm[i] for i in c) for c in cols) == want
             for perm in itertools.permutations(range(len(I.generators)))
@@ -568,20 +571,32 @@ class TestCompress:
             for S in (I, spread_ideal(I, I.ambient)):
                 self._check(S)
 
+    def test_seeded_ideals(self):
+        # 80 ideals per n with exponents up to 5, on grids of at most 256
+        # points, so the uncompressed searches stay quick
+        rng = random.Random(96)
+        for n in (2, 3, 4):
+            checked = 0
+            while checked < 80:
+                I = random_ideal(rng, n, rng.randint(2, 4), 5)
+                if grid_size(I) <= 256:
+                    self._check(I)
+                    checked += 1
+
     def test_grid_never_grows_where_first_fit_does(self):
         # first fit over single columns, smallest first, splits the chain of
         # x1's three columns between two variables here; merging whole
-        # chains cannot
+        # chains cannot, and the rank step takes x1^3 down to x1^2
         I = ideal(3, [(0, 2, 0), (1, 1, 1), (3, 0, 0)])
         assert grid_size(I) == 24
         assert grid_size(depolarize_first_fit(I)) == 27
-        assert compress(I) == I
+        assert compress(I) == ideal(3, [(0, 2, 0), (1, 1, 1), (2, 0, 0)])
 
     def test_repeated_thresholds_make_one_column(self):
         # x1^5000 has 5000 polarization columns, all the same generator set
-        assert compress(ideal(1, [(5000,)])) == ideal(1, [(5000,)])
-        with pytest.raises(TooLargeError, match="source ideal"):
-            verify_spreading_laws(ideal(1, [(5000,)]), [1])
+        assert compress(ideal(1, [(5000,)])) == ideal(1, [(1,)])
+        rep = verify_spreading_laws(ideal(1, [(5000,)]), [1])
+        assert rep.source == (0, 0, 1) and rep.spread[1] == (4999, 4999, 5000)
 
     def test_hard_sdepth_spread_by_two_chain_partitions(self):
         # the public quotient search on this 3-spread passes the failed-state
@@ -628,8 +643,9 @@ class TestColumnRoute:
 
     def test_sweep_matches_dense_columns(self, monkeypatch):
         for I in self.family():
-            sweep = [(mask, k) for chain in spread_sweep(I) for mask, k in chain.items()]
-            assert sweep == dense_spread_columns(I), I
+            sweep = spread_sweep(I)
+            assert all(len(chain) == 1 for chain in sweep), I
+            assert [mask for mask, in sweep] == [mask for mask, _ in dense_spread_columns(I)], I
         refuse_spread_ideal(monkeypatch)
         start = time.perf_counter()
         assert len(spread_sweep(ideal(3, HUGE))) == 5
@@ -644,7 +660,7 @@ class TestColumnRoute:
     def test_columns_depolarize_as_the_rows_do(self):
         for I in small_family()[::3] + laws_shaped(random.Random(99), 30):
             for S in (I, spread_ideal(I, I.ambient)):
-                assert compress(S) == depolarize_by_rows(S), S
+                assert compress(S) == depolarize_by_masks(S), S
 
     def test_harness_matches_dense_route(self, monkeypatch):
         cases = [(I, [I.ambient, I.ambient + 1])
@@ -655,6 +671,14 @@ class TestColumnRoute:
         refuse_spread_ideal(monkeypatch)
         for (I, ts), rep in zip(cases, want):
             assert verify_spreading_laws(I, ts) == rep, I
+
+    def test_huge_exponent_file(self, monkeypatch):
+        # each column's repeated threshold masks count once, so the grids
+        # are those of (x1^2x2, x1x3^2, x2^2x3) and (x2^2, x1x2x3, x1^2)
+        refuse_spread_ideal(monkeypatch)
+        rep = verify_spreading_laws(ideal(3, HUGE), [3])
+        assert rep.source == (0, 0, 2) and rep.spread[3] == (393204, 393204, 393206)
+        assert rep.lattice_isomorphic and rep.all_hold
 
     def test_spread_top_check_cannot_fail(self):
         # the n-spread's lattice skips the Monomial check of its top: that
@@ -684,9 +708,10 @@ class TestColumnRoute:
             verify_spreading_laws(ideal(300000, rows), [300000])
         assert str(exc.value) == "ambient 1200000 exceeds 1048576 variables"
         with pytest.raises(TooLargeError) as exc:
-            verify_spreading_laws(ideal(4, [(1, 1, 6, 5), (1, 5, 5, 0), (4, 3, 4, 5),
-                                            (5, 0, 1, 1)]), [4])
-        assert str(exc.value) == "4-spread in T_64: characteristic poset exceeds 4096 points"
+            verify_spreading_laws(ideal(5, [(0, 1, 0, 3, 3), (0, 1, 3, 0, 2), (0, 3, 2, 1, 3),
+                                            (1, 1, 1, 2, 3), (1, 1, 2, 1, 2), (2, 1, 0, 1, 3),
+                                            (3, 1, 3, 3, 1)]), [5])
+        assert str(exc.value) == "5-spread in T_55: characteristic poset exceeds 4096 points"
 
 
 class TestProjectiveDimension:
@@ -741,9 +766,11 @@ class TestSpreadingLaws:
             verify_spreading_laws(ideal(2, [(2, 1), (0, 2)]), [1])
 
     def test_too_large_names_the_culprit(self):
-        I = ideal(1, [(5000,)])
-        with pytest.raises(TooLargeError, match="source ideal"):
-            verify_spreading_laws(I, [1])
+        I = ideal(5, [(2, 4, 6, 1, 3), (4, 1, 3, 6, 2), (6, 3, 1, 2, 4), (1, 6, 2, 4, 5),
+                      (3, 2, 5, 5, 6)])
+        with pytest.raises(TooLargeError) as exc:
+            verify_spreading_laws(I, [5])
+        assert str(exc.value) == "source ideal in T_5: characteristic poset exceeds 4096 points"
 
     def test_bound_violation_on_collapsing_ideal(self):
         # the additive depth/sdepth bounds fail when spreading collapses the
