@@ -20,8 +20,18 @@ simplex, which is contractible: every Betti number at m is 0, exactly, with
 no face listed and no rank taken (the cone rule).  The walk stops early
 only once the AND is down to 1 and it has passed as many covers as atoms,
 as the rule then cannot fire and the atoms are the smaller crosscut.
+Next, one prefix/suffix AND pass over the k members of the crosscut picked
+tests whether its complex is the boundary of the simplex on all of them
+(the simplex-boundary rule): the AND over all k members is trivial, but
+the AND over every k - 1 of them is not.  Proof: a face's subsets are
+faces, so the faces are then exactly the proper subsets of the members;
+that complex is a (k-2)-sphere, so its one Betti number is 1 in dimension
+k - 2 (k = 1 leaves the empty face alone: dimension -1).  It is answered
+with no face listed and no rank taken; on CI_k every element is one.
 A crosscut of at most 3 members takes no rank either: its complex has
 homology in one degree at most, read off the reduced Euler characteristic.
+So an element goes by the cone rule, then the simplex-boundary rule, then
+the Euler characteristic, and only what is left takes ranks over GF(2).
 The projective dimension is the largest i carrying a nonzero entry and
 depth is the ambient count minus it.
 
@@ -79,7 +89,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
-from .lattices import LcmLattice, _atom_image, _spread_columns, build_lcm_lattice
+from .lattices import LcmLattice, _atom_image, _crosscut, _spread_columns, build_lcm_lattice
 from .monomials import Monomial, MonomialIdeal, _check_ambient_cap
 from .smooth import _blocks, _first_violation
 
@@ -118,16 +128,35 @@ def order_complex_betti(L: LcmLattice, m: Monomial) -> dict[int, int]:
 
 
 def _betti_at(L: LcmLattice, k: int) -> dict[int, int]:
-    """order_complex_betti at the element of index k > 0; {} on a cone.
-
-    A crosscut of at most 3 members is answered from the Euler
-    characteristic of its complex alone (_euler_betti), a larger one by
-    ranks over GF(2) (_rank_betti)."""
+    """order_complex_betti at the element of index k > 0: {} on a cone, then
+    the simplex-boundary rule, the Euler characteristic of a crosscut of at
+    most 3 members (_euler_betti), and ranks over GF(2) (_rank_betti)."""
     crosscut = L._crosscut_at(k, cones=False)
     if crosscut is None:
         return {}
-    size, faces = crosscut
+    masks, start, trivial = crosscut
+    size = len(masks)
+    if _simplex_boundary(masks, start, trivial):
+        return {size - 2: 1}
+    faces = _crosscut(masks, start, trivial)
     return _euler_betti(faces) if size <= 3 else _rank_betti(size, faces)
+
+
+def _simplex_boundary(masks: list[int], start: int, trivial: int) -> bool:
+    """Whether the complex lattices._crosscut lists on these arguments is
+    the boundary of the simplex on all the members: the AND over all of
+    them is `trivial`, the AND over each set of all but one is not."""
+    suffixes = [-1]  # suffixes[j]: the AND over the last j masks
+    for mask in reversed(masks):
+        suffixes.append(suffixes[-1] & mask)
+    common = start  # the AND over the members before i
+    if common & suffixes[-1] != trivial:
+        return False
+    for i, mask in enumerate(masks, 1):
+        if common & suffixes[len(masks) - i] == trivial:
+            return False
+        common &= mask
+    return True
 
 
 def _euler_betti(faces: list[int]) -> dict[int, int]:

@@ -250,11 +250,14 @@ class LcmLattice:
         Returns (k, faces): the crosscut's size k and its faces as masks over
         its members 0..k-1 in increasing mask order, the empty face included.
         """
-        return self._crosscut_at(self.index(u))
+        masks, start, trivial = self._crosscut_at(self.index(u))
+        return len(masks), _crosscut(masks, start, trivial)
 
-    def _crosscut_at(self, k: int, cones: bool = True) -> tuple[int, list[int]] | None:
-        """crosscut_faces at index k; with cones=False, None if the lower
-        covers of k have a common lower bound above the bottom (a cone)."""
+    def _crosscut_at(self, k: int, cones: bool = True) -> tuple[list[int], int, int] | None:
+        """The smaller crosscut of [bottom, k] as the arguments of _crosscut,
+        one mask per member, so that _crosscut lists crosscut_faces at index
+        k; with cones=False, None if the lower covers of k have a common
+        lower bound above the bottom (a cone)."""
         below, code, support = self._below, self._codes[k], self._support[k]
         atoms = support.bit_count()
         downs: list[int] = []  # the down-sets of the lower covers walked
@@ -271,9 +274,9 @@ class LcmLattice:
         if not cones and common != below[0]:
             return None
         if len(downs) < atoms:
-            return len(downs), _crosscut(downs, below[k], below[0])
+            return downs, below[k], below[0]
         rests = [code ^ self._codes[i] for a, i in enumerate(self._atom_at) if support >> a & 1]
-        return atoms, _crosscut(rests, code, 0)
+        return rests, code, 0
 
 
 def _columns(rows: list[tuple[int, ...]]) -> list[list[int]]:

@@ -84,9 +84,9 @@ class Monomial:
         """The monomial of an int tuple known to pass the checks of __init__,
         e.g. one dividing a monomial that passed them."""
         u = object.__new__(cls)
-        object.__setattr__(u, "ambient", ambient)
-        object.__setattr__(u, "exponents", exps)
-        object.__setattr__(u, "_hash", hash((ambient, exps)))
+        _set_ambient(u, ambient)
+        _set_exponents(u, exps)
+        _set_hash(u, hash((ambient, exps)))
         return u
 
     @classmethod
@@ -205,6 +205,12 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({list(self.exponents)})"
+
+
+# the slot descriptors' setters, bound once: Monomial.__setattr__ refuses writes
+_set_ambient = Monomial.ambient.__set__
+_set_exponents = Monomial.exponents.__set__
+_set_hash = Monomial._hash.__set__
 
 
 def minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:

@@ -13,6 +13,7 @@ from spreadpol.cli import format_ideal, main, parse_ideal
 from spreadpol.invariants import MAX_SDEPTH_STATES
 from spreadpol.monomials import MAX_AMBIENT
 from genutils import random_ideal
+import cli_corpus
 
 
 def write(tmp_path, name, text):
@@ -252,6 +253,28 @@ class TestCommands:
         path = write(tmp_path, "i.ideal", TRIPLE)
         assert main(["--pretty", "check-smooth", path]) == 0
         assert "generator 1: x2^2*x3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["cli/0", "small/7", "small/300", "seeded/5", "huge",
+                                      "lattice/0"])
+    def test_corpus_runs_pretty_only_where_it_changes_output(self, tmp_path, capsys, name):
+        """The CLI corpus gives --pretty twins only to the commands that
+        print monomials through cli._render: sdepth, sdepth --ideal,
+        verify-laws and lattice --dot print the same with the flag."""
+        text = dict(cli_corpus.corpus_files())[name]
+        argvs = cli_corpus.commands(name, text, name)
+        plain = [argv for argv in argvs
+                 if argv[0] != "--pretty" and ["--pretty", *argv] not in argvs]
+        assert {" ".join(argv[:2]) for argv in plain} == (
+            {"lattice --dot"} if name.startswith("lattice/") else
+            {"sdepth " + name, "sdepth --ideal", "verify-laws -t", "lattice --dot"})
+        path = write(tmp_path, "i.ideal", text)
+        for argv in plain:
+            argv = [path if a == name else a for a in argv]
+            outputs = []
+            for pre in ([], ["--pretty"]):
+                code = main(pre + argv)
+                outputs.append((code, capsys.readouterr()))
+            assert outputs[0] == outputs[1], argv
 
 
 class TestExitCodes:

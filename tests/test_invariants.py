@@ -24,7 +24,7 @@ from spreadpol import (
     spread_ideal,
     verify_spreading_laws,
 )
-from spreadpol import invariants
+from spreadpol import invariants, taylor
 from spreadpol.invariants import (
     MAX_DEPTH_ATOMS,
     CharacteristicPoset,
@@ -32,7 +32,7 @@ from spreadpol.invariants import (
     _projective_dimension,
     _spread_columns,
 )
-from spreadpol.lattices import LcmLattice, _columns
+from spreadpol.lattices import LcmLattice, _columns, _crosscut
 from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from spreadpol.smooth import _blocks
 from spreadpol.taylor import taylor_betti
@@ -140,24 +140,53 @@ class TestOrderComplexBetti:
         with pytest.raises(BadParameterError):
             order_complex_betti(L, L.bottom)
 
-    def test_euler_form_matches_ranks_on_every_complex_on_3_vertices(self):
-        """Every simplicial complex on the vertices 0..size-1, size <= 3, its
-        faces listed in increasing mask order with the empty face."""
-        answers = set()
-        complexes = 0
+    @staticmethod
+    def complexes_on_3_vertices():
+        """Every simplicial complex on the vertices 0..size-1, size <= 3, as
+        (size, faces), its faces listed in increasing mask order with the
+        empty face."""
         for size in range(4):
             nonempty = range(1, 1 << size)
             for picked in range(1 << len(nonempty)):
                 faces = [0] + [f for b, f in enumerate(nonempty) if picked >> b & 1]
-                if any(f ^ 1 << a not in faces
-                       for f in faces for a in range(size) if f >> a & 1):
-                    continue  # not closed under taking subsets
-                betti = invariants._rank_betti(size, faces)
-                assert invariants._euler_betti(faces) == betti, (size, faces)
-                answers.add(tuple(betti.items()))
-                complexes += 1
+                if not any(f ^ 1 << a not in faces
+                           for f in faces for a in range(size) if f >> a & 1):
+                    yield size, faces  # closed under taking subsets
+
+    def test_euler_form_matches_ranks_on_every_complex_on_3_vertices(self):
+        answers = set()
+        complexes = 0
+        for size, faces in self.complexes_on_3_vertices():
+            betti = invariants._rank_betti(size, faces)
+            assert invariants._euler_betti(faces) == betti, (size, faces)
+            answers.add(tuple(betti.items()))
+            complexes += 1
         assert complexes == 1 + 2 + 5 + 19  # Dedekind numbers less one
         assert answers == {((-1, 1),), (), ((0, 1),), ((0, 2),), ((1, 1),)}
+
+    def test_simplex_boundary_rule_on_simplex_boundaries(self):
+        """Member i's mask lacks bit i alone, so a member set's AND is
+        trivial (0) only on all k members: the faces are the proper subsets."""
+        for k in range(1, 8):
+            full = (1 << k) - 1
+            masks = [full ^ 1 << i for i in range(k)]
+            faces = _crosscut(masks, full, 0)
+            assert faces == list(range(full))
+            assert invariants._simplex_boundary(masks, full, 0)
+            assert invariants._rank_betti(k, faces) == {k - 2: 1}
+
+    def test_simplex_boundary_rule_fires_on_no_other_complex(self):
+        """Each complex on at most 3 vertices, realized as crosscut masks:
+        bit b of vertex i's mask says that face b holds i, so a vertex set's
+        AND is the set of faces holding it, empty iff it is no face."""
+        fired = []
+        for size, faces in self.complexes_on_3_vertices():
+            start = (1 << len(faces)) - 1
+            masks = [sum(1 << b for b, f in enumerate(faces) if f >> i & 1) for i in range(size)]
+            assert _crosscut(masks, start, 0) == faces
+            if invariants._simplex_boundary(masks, start, 0):
+                fired.append((size, faces))
+        assert fired == [(size, list(range((1 << size) - 1))) for size in (1, 2, 3)]
 
 
 class TestOrderComplexReference:
@@ -232,6 +261,41 @@ class TestOrderComplexReference:
             answered[family] = cones, elements
         assert answered["small"] == (281, 5452)
         assert answered["more"][0] > 0
+
+    def test_simplex_boundary_rule_answers_only_spheres(self):
+        """Where the crosscut left after the cone walk is the boundary of the
+        simplex on its k members, the chain complex has one Betti number, 1
+        in dimension k - 2, which the rule answers with no face listed."""
+        rng = random.Random(97)
+        small = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
+        more = [random_equal_degree_ideal(rng, rng.randint(2, 4), rng.randint(3, 6),
+                                          rng.randint(2, 4)) for _ in range(60)]
+        answered = {}
+        for family, ideals in (("small", small), ("more", more)):
+            spheres = elements = 0
+            for I in ideals:
+                L = build_lcm_lattice(I)
+                for k, m in enumerate(L.elements[1:], 1):
+                    crosscut = L._crosscut_at(k, cones=False)
+                    if crosscut is not None and invariants._simplex_boundary(*crosscut):
+                        sphere = {len(crosscut[0]) - 2: 1}
+                        assert order_complex_betti(L, m) == sphere, (I, m)
+                        assert order_complex_betti_by_chains(L, m) == sphere, (I, m)
+                        spheres += 1
+                    elements += 1
+            answered[family] = spheres, elements
+        assert answered["small"] == (5144, 5452)
+        assert answered["more"][0] > 0
+
+    def test_ci8_needs_the_simplex_boundary_rule_alone(self):
+        """Below each element of the Boolean lattice of CI8, the atom sets
+        joining to less than it are its proper subsets: every one of the 255
+        elements above the bottom is answered with no face listed."""
+        L = build_lcm_lattice(ideal(8, CI8))
+        assert len(L) == 256
+        for k in range(1, 256):
+            crosscut = L._crosscut_at(k, cones=False)
+            assert crosscut is not None and invariants._simplex_boundary(*crosscut), k
 
     def test_cone_needs_every_lower_cover(self):
         """Five of six lower covers sharing an atom make no cone.
@@ -376,6 +440,60 @@ class TestTaylorAgreement:
         v = Monomial((0,) * half + (top,) * half)
         with pytest.raises(TooLargeError, match="degree exceeds"):
             taylor_betti(MonomialIdeal(2 * half, [u, v]))
+
+    def test_matchings_match_combinations_reference(self, monkeypatch):
+        """The element matchings settle every lcm group of the small family
+        and its n-spreads, and all but a few of 300 seeded ideals with 1 to
+        10 generators, whose groups fall back to ranks: the entries and their
+        key order are the reference's either way."""
+        rng = random.Random(95)
+        seeded = []
+        for i in range(300):
+            m = 1 + i % 10
+            while True:
+                n = rng.randint(2, 5)
+                I = (random_ideal(rng, n, m + rng.randint(0, 6), 3) if rng.random() < 0.5
+                     else random_equal_degree_ideal(rng, n, m, rng.randint(2, 4)))
+                if len(I.generators) == m:
+                    break
+            seeded.append(I)
+        small = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
+        assert len(small) == 2 * 522
+        sizes = []  # per lcm group of more than one subset: its critical sizes
+        critical = taylor._critical
+
+        def recorded(same):
+            left = critical(same)
+            sizes.append({S.bit_count() for S in left})
+            return left
+
+        monkeypatch.setattr(taylor, "_critical", recorded)
+        for family, fallbacks in ((small, 0), (seeded, 14)):
+            sizes.clear()
+            for I in family:
+                betti = taylor_betti(I)
+                assert betti == taylor_betti_by_combinations(I), I.generators
+                assert list(betti) == self.first_reached(I, betti), I.generators
+            assert sum(len(s) > 1 for s in sizes) == fallbacks
+
+    def test_rank_fallback_on_two_critical_sizes(self, monkeypatch):
+        """At x1^2x2^2x3^2x4, (x1x2^2x4, x1x2^2x3^2, x1^2x2x3^2x4, x1^2x2^2)
+        keeps critical subsets of sizes 2 and 3 after every matching, and
+        ranks on the whole group give b_2 = b_3 = 1."""
+        I = ideal(4, [(1, 2, 0, 1), (1, 2, 2, 0), (2, 1, 2, 1), (2, 2, 0, 0)])
+        top = (2, 2, 2, 1)
+        exps = [u.exponents for u in I.generators]
+        group = [S for S in range(16)
+                 if tuple(map(max, zip(*(e for a, e in enumerate(exps) if S >> a & 1)))) == top]
+        assert {S.bit_count() for S in taylor._critical(group)} == {2, 3}
+        ranked = []
+        rank = taylor._rank_mod2
+        monkeypatch.setattr(taylor, "_rank_mod2", lambda rows: ranked.append(rows) or rank(rows))
+        betti = taylor_betti(I)
+        assert ranked
+        there = {i: v for (i, u), v in betti.items() if u.exponents == top}
+        assert there == {2: 1, 3: 1}
+        assert betti == taylor_betti_by_combinations(I) == dict(depth_quotient(I).betti.entries)
 
     @staticmethod
     def top_past_the_degree_cap():
