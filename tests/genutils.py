@@ -88,6 +88,21 @@ def random_equal_degree_ideal(
     return MonomialIdeal.from_exponents(n, sorted(gens))
 
 
+def ideals_by_generator_count(rng: random.Random, count: int) -> list[MonomialIdeal]:
+    """`count` ideals in 2 to 5 variables, the i-th with 1 + i % 10 generators."""
+    out = []
+    for i in range(count):
+        m = 1 + i % 10
+        while True:
+            n = rng.randint(2, 5)
+            I = (random_ideal(rng, n, m + rng.randint(0, 6), 3) if rng.random() < 0.5
+                 else random_equal_degree_ideal(rng, n, m, rng.randint(2, 4)))
+            if len(I.generators) == m:
+                break
+        out.append(I)
+    return out
+
+
 def pair_lcm_ideal(m: int) -> MonomialIdeal:
     """Generators g_i = product of x_P over the pairs P of {1..m} without i.
 

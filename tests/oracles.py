@@ -23,6 +23,12 @@ elements, where the library checks one atom step per element and atom.
 The subset-resolution reference builds each subset lcm from scratch over
 itertools.combinations and ranks over GF(2) on sets of column indices,
 where the library shares lcms along subset bitmasks and ranks int rows.
+The per-group matching reference runs the element matchings one lcm group
+at a time, on sets of subset bitmasks, along the generators of the group's
+union and only until the unmatched subsets have one size, where the library
+matches every group at once over subset masks and never stops early.  The
+first-reached key order sorts Betti keys by the least subset bitmask that
+reaches each multidegree, from exponent tuples.
 
 The lattice-mask reference builds an lcm-lattice on exponent tuples: the
 closure of the generators under max, sorted, then the order masks from
@@ -371,6 +377,33 @@ def taylor_betti_by_combinations(I: MonomialIdeal) -> dict[tuple[int, Monomial],
             if h:
                 betti[(size, Monomial(deg, I.ambient))] = h
     return betti
+
+
+def first_reached_keys(I: MonomialIdeal, betti: dict[tuple[int, Monomial], int]) -> list:
+    """The keys of `betti` in the order of the least generator bitmask
+    whose lcm is the multidegree, then of the least such one per size."""
+    exps = [u.exponents for u in I.generators]
+    first: dict = {}
+    for S in range(1 << len(exps)):
+        picked = [e for a, e in enumerate(exps) if S >> a & 1]
+        deg = tuple(max(column, default=0) for column in zip(*picked)) or (0,) * I.ambient
+        first.setdefault(deg, S)
+        first.setdefault((deg, S.bit_count()), S)
+    return sorted(betti, key=lambda key: (first[key[1].exponents],
+                                          first[(key[1].exponents, key[0])]))
+
+
+def critical_by_group(same: list[int]) -> set[int]:
+    """The subsets of one lcm group, given in increasing order, that the
+    element matchings leave unmatched; they stop once these have one size."""
+    left = set(same)
+    atoms = same[-1]  # the union of the group, itself a member
+    while atoms and len({S.bit_count() for S in left}) > 1:
+        a = atoms & -atoms
+        atoms ^= a
+        for S in [S for S in left if not S & a and S | a in left]:
+            left -= {S, S | a}
+    return left
 
 
 def lattice_masks_by_slabs(

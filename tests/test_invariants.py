@@ -1,9 +1,11 @@
+import ast
 import functools
 import itertools
 import math
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -35,8 +37,9 @@ from spreadpol.invariants import (
 from spreadpol.lattices import LcmLattice, _columns, _crosscut
 from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from spreadpol.smooth import _blocks
-from spreadpol.taylor import taylor_betti
+from spreadpol.taylor import MAX_TAYLOR_ATOMS, taylor_betti
 from genutils import (
+    ideals_by_generator_count,
     pair_lcm_ideal,
     random_ci_ideal,
     random_equal_degree_ideal,
@@ -45,10 +48,12 @@ from genutils import (
 )
 from oracles import (
     box_partition_by_points,
+    critical_by_group,
     dense_spread_columns,
     dense_spreading_laws,
     depolarize_by_masks,
     depolarize_first_fit,
+    first_reached_keys,
     order_complex_betti_by_chains,
     polarization_columns,
     sdepth_on_support,
@@ -397,20 +402,6 @@ class TestTaylorAgreement:
         with pytest.raises(TooLargeError):
             taylor_betti(MonomialIdeal(n, gens))
 
-    @staticmethod
-    def first_reached(I, betti):
-        """The keys of `betti` in the order of the least generator bitmask
-        whose lcm is the multidegree, then of the least such one per size."""
-        exps = [u.exponents for u in I.generators]
-        first = {}
-        for S in range(1 << len(exps)):
-            picked = [e for a, e in enumerate(exps) if S >> a & 1]
-            deg = tuple(max(column, default=0) for column in zip(*picked)) or (0,) * I.ambient
-            first.setdefault(deg, S)
-            first.setdefault((deg, S.bit_count()), S)
-        return sorted(betti, key=lambda key: (first[key[1].exponents],
-                                              first[(key[1].exponents, key[0])]))
-
     def test_bitmask_route_matches_combinations_reference(self):
         """Same entries as the reference, keys in first-reached order; the
         huge-exponent file's unary fields would be 2^16 bits wide unranked."""
@@ -430,7 +421,7 @@ class TestTaylorAgreement:
         for I in family:
             betti = taylor_betti(I)
             assert betti == taylor_betti_by_combinations(I), I.generators
-            assert list(betti) == self.first_reached(I, betti), I.generators
+            assert list(betti) == first_reached_keys(I, betti), I.generators
         I = random_equal_degree_ideal(rng, 4, 11, 4)
         assert len(I.generators) == 11
         with pytest.raises(TooLargeError):
@@ -441,40 +432,88 @@ class TestTaylorAgreement:
         with pytest.raises(TooLargeError, match="degree exceeds"):
             taylor_betti(MonomialIdeal(2 * half, [u, v]))
 
+    @staticmethod
+    def subset_lcms(exps):
+        """lcms[S]: the lcm of the generator subset S, by tuple arithmetic."""
+        zero = (0,) * len(exps[0])
+        return [tuple(map(max, zip(zero, *(e for a, e in enumerate(exps) if S >> a & 1))))
+                for S in range(1 << len(exps))]
+
+    @staticmethod
+    def matching_families():
+        """The small family with its n-spreads, and 300 seeded ideals."""
+        small = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
+        assert len(small) == 2 * 522
+        return small, ideals_by_generator_count(random.Random(95), 300)
+
     def test_matchings_match_combinations_reference(self, monkeypatch):
         """The element matchings settle every lcm group of the small family
         and its n-spreads, and all but a few of 300 seeded ideals with 1 to
         10 generators, whose groups fall back to ranks: the entries and their
         key order are the reference's either way."""
-        rng = random.Random(95)
-        seeded = []
-        for i in range(300):
-            m = 1 + i % 10
-            while True:
-                n = rng.randint(2, 5)
-                I = (random_ideal(rng, n, m + rng.randint(0, 6), 3) if rng.random() < 0.5
-                     else random_equal_degree_ideal(rng, n, m, rng.randint(2, 4)))
-                if len(I.generators) == m:
-                    break
-            seeded.append(I)
-        small = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
-        assert len(small) == 2 * 522
-        sizes = []  # per lcm group of more than one subset: its critical sizes
-        critical = taylor._critical
+        ranked = []  # the codes of the lcm groups whose critical cells keep two sizes
+        by_ranks = taylor._by_ranks
 
-        def recorded(same):
-            left = critical(same)
-            sizes.append({S.bit_count() for S in left})
-            return left
+        def recorded(lcms, code):
+            ranked.append(code)
+            return by_ranks(lcms, code)
 
-        monkeypatch.setattr(taylor, "_critical", recorded)
+        monkeypatch.setattr(taylor, "_by_ranks", recorded)
+        small, seeded = self.matching_families()
         for family, fallbacks in ((small, 0), (seeded, 14)):
-            sizes.clear()
+            ranked.clear()
             for I in family:
                 betti = taylor_betti(I)
                 assert betti == taylor_betti_by_combinations(I), I.generators
-                assert list(betti) == self.first_reached(I, betti), I.generators
-            assert sum(len(s) > 1 for s in sizes) == fallbacks
+                assert list(betti) == first_reached_keys(I, betti), I.generators
+            assert len(ranked) == fallbacks
+
+    def test_all_at_once_matching_is_per_group_matching(self):
+        """The one pass over subset masks leaves unmatched exactly the subsets
+        that matching each lcm group on its own leaves: a pair shares its lcm,
+        a generator outside a group's union pairs nothing in that group, and
+        no pair is left once a group's unmatched subsets have one size."""
+        small, seeded = self.matching_families()
+        for I in small + seeded:
+            exps = [u.exponents for u in I.generators]
+            groups = {}  # lcm -> its subsets, in increasing order
+            for S, deg in enumerate(self.subset_lcms(exps)):
+                groups.setdefault(deg, []).append(S)
+            want = sum(1 << S for same in groups.values() for S in critical_by_group(same))
+            _, _, ranks = taylor._ranked(exps)
+            assert taylor._unmatched(taylor._keep(ranks, len(exps))) == want, exps
+
+    def test_mask_tables(self):
+        """holding[a] is the mask of the subsets holding a, for every m up to
+        the cap; keep[a] that of the subsets S without a whose lcm adding a
+        leaves alone, on seeded ideals and the huge-exponent file."""
+        for m in range(1, MAX_TAYLOR_ATOMS + 1):
+            holding = taylor._holding(m)
+            assert len(holding) == m
+            for a, h in enumerate(holding):
+                assert h == sum(1 << S for S in range(1 << m) if S >> a & 1), (m, a)
+        family = ideals_by_generator_count(random.Random(96), 60) + [ideal(3, HUGE)]
+        for I in family:
+            exps = [u.exponents for u in I.generators]
+            m = len(exps)
+            lcms = self.subset_lcms(exps)
+            _, _, ranks = taylor._ranked(exps)
+            keep = taylor._keep(ranks, m)
+            assert len(keep) == m
+            for a in range(m):
+                assert keep[a] == sum(1 << S for S in range(1 << m)
+                                      if not S >> a & 1 and lcms[S | 1 << a] == lcms[S]), (exps, a)
+
+    def test_taylor_imports_only_errors_and_monomials(self):
+        """Agreement of the two Betti routes is a cross-check only while the
+        subset-resolution route shares no code with the lattice route."""
+        tree = ast.parse(Path(taylor.__file__).read_text())
+        nodes = list(ast.walk(tree))
+        assert not [node for node in nodes if isinstance(node, ast.Import)]
+        imports = {(node.level, node.module) for node in nodes if isinstance(node, ast.ImportFrom)}
+        assert imports == {(0, "__future__"), (1, "errors"), (1, "monomials")}
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        assert not names & {"__import__", "importlib"}
 
     def test_rank_fallback_on_two_critical_sizes(self, monkeypatch):
         """At x1^2x2^2x3^2x4, (x1x2^2x4, x1x2^2x3^2, x1^2x2x3^2x4, x1^2x2^2)
@@ -483,14 +522,17 @@ class TestTaylorAgreement:
         I = ideal(4, [(1, 2, 0, 1), (1, 2, 2, 0), (2, 1, 2, 1), (2, 2, 0, 0)])
         top = (2, 2, 2, 1)
         exps = [u.exponents for u in I.generators]
-        group = [S for S in range(16)
-                 if tuple(map(max, zip(*(e for a, e in enumerate(exps) if S >> a & 1)))) == top]
-        assert {S.bit_count() for S in taylor._critical(group)} == {2, 3}
+        group = [S for S, deg in enumerate(self.subset_lcms(exps)) if deg == top]
+        assert {S.bit_count() for S in critical_by_group(group)} == {2, 3}
+        _, _, ranks = taylor._ranked(exps)
+        left = taylor._unmatched(taylor._keep(ranks, len(exps)))
+        assert {S.bit_count() for S in group if left >> S & 1} == {2, 3}
         ranked = []
-        rank = taylor._rank_mod2
-        monkeypatch.setattr(taylor, "_rank_mod2", lambda rows: ranked.append(rows) or rank(rows))
+        by_ranks = taylor._by_ranks
+        monkeypatch.setattr(taylor, "_by_ranks",
+                            lambda lcms, code: ranked.append(by_ranks(lcms, code)) or ranked[-1])
         betti = taylor_betti(I)
-        assert ranked
+        assert ranked == [{2: 1, 3: 1}]
         there = {i: v for (i, u), v in betti.items() if u.exponents == top}
         assert there == {2: 1, 3: 1}
         assert betti == taylor_betti_by_combinations(I) == dict(depth_quotient(I).betti.entries)
