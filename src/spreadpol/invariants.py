@@ -90,27 +90,12 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
 from .lattices import LcmLattice, _atom_image, _crosscut, _spread_columns, build_lcm_lattice
-from .monomials import Monomial, MonomialIdeal, _check_ambient_cap
+from .monomials import Monomial, MonomialIdeal, _check_ambient_cap, _gf2_rank
 from .smooth import _blocks, _first_violation
 
 MAX_DEPTH_ATOMS = 8
 MAX_POSET_POINTS = 4096
 MAX_SDEPTH_STATES = 1 << 18  # failed search states memoized by one Stanley-depth search
-
-
-def _gf2_rank(rows: Iterable[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                rank += 1
-                break
-    return rank
 
 
 def order_complex_betti(L: LcmLattice, m: Monomial) -> dict[int, int]:

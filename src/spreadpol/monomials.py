@@ -9,6 +9,13 @@ often as its exponent; both views round-trip.
 The spreading operator sends x_{i_1}...x_{i_d} to x_{i_1} x_{i_2+t} ...
 x_{i_d+(d-1)t} (the t-fold iterate of the squarefree operator), and
 polarization replaces each x_j^a by the product x_j x_{j+n} ... x_{j+(a-1)n}.
+
+Monomials are validated once, at the input edge: Monomial(...) and
+Monomial.from_indices check every exponent, so user input (the CLI parser
+builds its rows through them) never escapes the caps.  The spread,
+polarization and embedding images are then built unchecked from their
+index sets (_image): an image of a valid monomial is valid by construction,
+so checking it again would only repeat work that cannot fail.
 """
 
 from __future__ import annotations
@@ -82,7 +89,10 @@ class Monomial:
     @classmethod
     def _trusted(cls, exps: tuple[int, ...], ambient: int) -> "Monomial":
         """The monomial of an int tuple known to pass the checks of __init__,
-        e.g. one dividing a monomial that passed them."""
+        e.g. one dividing a monomial that passed them, or a derived image
+        (_image).  The rule: validate at the input edge, build what is
+        derived from valid monomials trusted, and check a derived monomial
+        only where a cap can fail (an lcm or product can pass MAX_DEGREE)."""
         u = object.__new__(cls)
         _set_ambient(u, ambient)
         _set_exponents(u, exps)
@@ -154,8 +164,8 @@ class Monomial:
         )
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        self._check_ambient(other)
-        return Monomial(
+        self._check_ambient(other)  # each exponent is at most an operand's
+        return Monomial._trusted(
             tuple(map(min, self.exponents, other.exponents)), self.ambient
         )
 
@@ -211,6 +221,39 @@ class Monomial:
 _set_ambient = Monomial.ambient.__set__
 _set_exponents = Monomial.exponents.__set__
 _set_hash = Monomial._hash.__set__
+
+
+def _image(indices: Iterable[int], ambient: int) -> Monomial:
+    """The monomial of a variable index multiset derived from a valid
+    monomial (its spread, polarization or embedded spread), built unchecked.
+
+    Only the ambient cap is checked (by _zeros), and no skipped check can
+    fail: the indices lie in 1..ambient by construction; the exponents are
+    0 and 1, or the source's own when the map is the identity (t = 0); and
+    the degree is the source's, while a squarefree degree is at most
+    MAX_AMBIENT, which is below MAX_DEGREE.
+    """
+    exps = _zeros(ambient)
+    for i in indices:
+        exps[i - 1] += 1
+    return Monomial._trusted(tuple(exps), ambient)
+
+
+def _gf2_rank(rows: Iterable[int]) -> int:
+    """The rank over GF(2) of int rows, bit k of a row its entry in column k
+    (shared by the lattice and Taylor routes to Betti numbers)."""
+    pivots: dict[int, int] = {}  # lowest bit -> the reduced row it leads
+    rank = 0
+    for row in rows:
+        while row:
+            pivot = row & -row
+            if pivot in pivots:
+                row ^= pivots[pivot]
+            else:
+                pivots[pivot] = row
+                rank += 1
+                break
+    return rank
 
 
 def minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -338,7 +381,7 @@ def sigma_t(u: Monomial, t: int) -> Monomial:
     if t == 0:
         return u
     ambient = u.ambient + max(u.degree - 1, 0) * t
-    return Monomial.from_indices(_spread_indices(u, t), ambient)
+    return _image(_spread_indices(u, t), ambient)
 
 
 def _spread_indices(u: Monomial, t: int) -> list[int]:
@@ -383,7 +426,7 @@ def spread_ideal(I: MonomialIdeal, t: int, pad: bool = False) -> MonomialIdeal:
         if t < n:
             raise BadParameterError(f"padded ambient t*d requires t >= n ({t} < {n})")
         ambient = t * d
-    images = [Monomial.from_indices(_spread_indices(g, t), ambient) for g in I.generators]
+    images = [_image(_spread_indices(g, t), ambient) for g in I.generators]
     if t >= n:
         return MonomialIdeal._from_minimal(ambient, images)
     out = MonomialIdeal(ambient, images)
@@ -406,10 +449,9 @@ def polarize(u: Monomial, n: int, d: int) -> Monomial:
         raise AmbientMismatchError(f"monomial has ambient {u.ambient}, not {n}")
     if u.degree > d:
         raise DegreeBoundError(f"deg {u.degree} exceeds bound {d}")
-    exps = _zeros(n * d)
-    for j, a in enumerate(u.exponents):
-        exps[j : j + a * n : n] = [1] * a  # x_{j+1} x_{j+1+n} ... x_{j+1+(a-1)n}
-    return Monomial(exps, n * d)
+    return _image(  # x_j x_{j+n} ... x_{j+(a-1)n}
+        (j + k * n for j, a in enumerate(u.exponents, 1) for k in range(a)), n * d
+    )
 
 
 def polarize_ideal(I: MonomialIdeal) -> MonomialIdeal:
@@ -454,7 +496,7 @@ def embed_spread(I: MonomialIdeal, t: int) -> tuple[MonomialIdeal, SpreadEmbeddi
     d = I.deg
     emb = SpreadEmbedding(n=n, t=t, d=d)
     images = [  # phi applied to the n-spread, whose natural ambient is n*d
-        Monomial.from_indices([emb.phi(i) for i in _spread_indices(g, n)], t * d)
+        _image([emb.phi(i) for i in _spread_indices(g, n)], t * d)
         for g in I.generators
     ]
     return MonomialIdeal._from_minimal(t * d, images), emb
@@ -462,6 +504,7 @@ def embed_spread(I: MonomialIdeal, t: int) -> tuple[MonomialIdeal, SpreadEmbeddi
 
 def is_complete_intersection(I: MonomialIdeal) -> bool:
     """True iff all distinct generator pairs are coprime (disjoint supports)."""
-    return all(
-        u.gcd(v).is_unit for u, v in itertools.combinations(I.generators, 2)
+    return not any(
+        any(map(min, u.exponents, v.exponents))
+        for u, v in itertools.combinations(I.generators, 2)
     )

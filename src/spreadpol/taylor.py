@@ -71,24 +71,9 @@ MAX_DEGREE but no entry's does, so this route answers and that one raises.
 from __future__ import annotations
 
 from .errors import ExponentOverflowError, TooLargeError
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _gf2_rank
 
 MAX_TAYLOR_ATOMS = 10
-
-
-def _rank_mod2(rows: list[int]) -> int:
-    pivots: dict[int, int] = {}  # lowest bit -> the reduced row it leads
-    rank = 0
-    for row in rows:
-        while row:
-            pivot = row & -row
-            if pivot in pivots:
-                row ^= pivots[pivot]
-            else:
-                pivots[pivot] = row
-                rank += 1
-                break
-    return rank
 
 
 def _holding(m: int) -> list[int]:
@@ -154,7 +139,7 @@ def _by_ranks(lcms: list[int], code: int) -> dict[int, int]:
             if lcms[S ^ low] == code:  # kept iff dropping the generator keeps deg
                 row |= 1 << (S ^ low)
         rows.setdefault(S.bit_count(), []).append(row)
-    ranks = {size: _rank_mod2(r) for size, r in rows.items()}
+    ranks = {size: _gf2_rank(r) for size, r in rows.items()}
     homology = {size: len(r) - ranks[size] - ranks.get(size + 1, 0) for size, r in rows.items()}
     return {size: h for size, h in homology.items() if h}
 

@@ -71,6 +71,13 @@ The dense law-harness reference is the harness as it was before it read
 the n-spread from the generators' blocks: it builds the n-spread with
 spread_ideal, reads depth off the public Betti table, depolarizes each
 ideal from its own exponent rows and checks every law from those values.
+
+The image references follow the definitions on plain index lists: the
+k-th sorted index of the t-spread moves by (k-1)t, polarization writes
+x_j^a as x_j x_{j+n} ... x_{j+(a-1)n}, and the embedding applies
+phi(j) = floor((j-1)/n)(t-n) + j to the n-spread.  Each image is built
+through the validating Monomial(...), where the library builds its images
+unchecked.
 """
 
 from __future__ import annotations
@@ -618,3 +625,29 @@ def dense_spreading_laws(I: MonomialIdeal, t_range: Iterable[int]) -> SpreadingL
         for t in ts:
             law(f"smooth closed form (t={t})", "==", stats[t], source, t * d - n)
     return SpreadingLawsReport(n, d, tuple(ts), source, stats, smooth, iso, tuple(checks))
+
+
+def spread_indices_by_definition(u: Monomial, t: int) -> list[int]:
+    """The sorted indices i_1 <= ... <= i_d of u with i_k moved by (k-1)t."""
+    idx = [j for j, e in enumerate(u.exponents, 1) for _ in range(e)]
+    return [i + (k - 1) * t for k, i in enumerate(idx, 1)]
+
+
+def polar_indices_by_definition(u: Monomial) -> list[int]:
+    """x_j^a written as x_j x_{j+n} ... x_{j+(a-1)n}, n the ambient of u."""
+    n = u.ambient
+    return [j + s * n for j, e in enumerate(u.exponents, 1) for s in range(e)]
+
+
+def embedded_indices_by_definition(u: Monomial, t: int) -> list[int]:
+    """phi(j) = floor((j-1)/n)(t-n) + j applied to the n-spread of u."""
+    n = u.ambient
+    return [(j - 1) // n * (t - n) + j for j in spread_indices_by_definition(u, n)]
+
+
+def validated_image(indices: Iterable[int], ambient: int) -> Monomial:
+    """The monomial of an index multiset, through the validating constructor."""
+    exps = [0] * ambient
+    for i in indices:
+        exps[i - 1] += 1
+    return Monomial(exps, ambient)

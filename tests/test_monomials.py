@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,8 +26,16 @@ from spreadpol import (
     sigma_t,
     spread_ideal,
 )
+from spreadpol import check_smooth_ideal, SmoothCertificate, SmoothWitness
+from spreadpol.cli import format_ideal, parse_ideal
 from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from genutils import random_ci_ideal, random_ideal, random_monomial, small_family
+from oracles import (
+    embedded_indices_by_definition,
+    polar_indices_by_definition,
+    spread_indices_by_definition,
+    validated_image,
+)
 
 exponent_vectors = st.lists(st.integers(0, 4), min_size=1, max_size=5)
 
@@ -428,3 +437,148 @@ class TestCompleteIntersection:
             MonomialIdeal(4, [M(1, 1, 1, 0), M(0, 1, 0, 1)])
         )
         assert is_complete_intersection(MonomialIdeal(2, [M(2, 1)]))
+
+    def test_disjoint_supports_are_unit_gcds(self):
+        for I in small_family():
+            gcds = [u.gcd(v) for u, v in itertools.combinations(I.generators, 2)]
+            assert is_complete_intersection(I) == all(g.is_unit for g in gcds), I
+
+
+# the CLI corpus's huge-exponent file: its n-spread lives in 393,207 variables
+HUGE = [(65535, 1, 0), (65534, 0, 65535), (0, 65535, 65533)]
+
+
+def trusted_image_family() -> list[MonomialIdeal]:
+    """The small family, 200 seeded ideals in n = 4 and the huge-exponent file."""
+    rng = random.Random(2121)
+    seeded = [random_ideal(rng, 4, rng.randint(1, 5), 3) for _ in range(200)]
+    return small_family() + seeded + [MonomialIdeal.from_exponents(3, HUGE)]
+
+
+def assert_same_monomial(u: Monomial, v: Monomial) -> None:
+    assert (u.ambient, u.exponents, hash(u)) == (v.ambient, v.exponents, hash(v))
+
+
+def assert_same_ideal(I: MonomialIdeal, J: MonomialIdeal) -> None:
+    assert (I.ambient, hash(I)) == (J.ambient, hash(J))
+    assert len(I.generators) == len(J.generators)
+    for u, v in zip(I.generators, J.generators):
+        assert_same_monomial(u, v)
+
+
+class TestTrustedImages:
+    """The images built unchecked equal the same index lists built through
+    the validating constructor, hash included."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        return trusted_image_family()
+
+    def test_sigma_t(self, family):
+        for I in family:
+            n = I.ambient
+            for g in I.generators:
+                for t in range(n + 2):
+                    ambient = n + max(g.degree - 1, 0) * t
+                    expected = validated_image(spread_indices_by_definition(g, t), ambient)
+                    assert_same_monomial(sigma_t(g, t), expected)
+
+    def test_spread_ideal(self, family):
+        for I in family:
+            n, d = I.ambient, I.deg
+            for t in range(n + 2):
+                for pad in (False, True) if t >= n else (False,):
+                    ambient = t * d if pad else n + t * (d - 1)
+                    images = [validated_image(spread_indices_by_definition(g, t), ambient)
+                              for g in I.generators]
+                    expected = MonomialIdeal(ambient, images)
+                    if len(expected.generators) < len(images):
+                        with pytest.raises(BadParameterError):
+                            spread_ideal(I, t, pad=pad)
+                        continue
+                    assert_same_ideal(spread_ideal(I, t, pad=pad), expected)
+
+    def test_polarize_ideal(self, family):
+        for I in family:
+            ambient = I.ambient * I.deg
+            expected = MonomialIdeal(ambient, [
+                validated_image(polar_indices_by_definition(g), ambient) for g in I.generators
+            ])
+            assert_same_ideal(polarize_ideal(I), expected)
+
+    def test_embed_spread(self, family):
+        for I in family:
+            n, d = I.ambient, I.deg
+            for t in range(n, n + 3):
+                expected = MonomialIdeal(t * d, [
+                    validated_image(embedded_indices_by_definition(g, t), t * d)
+                    for g in I.generators
+                ])
+                assert_same_ideal(embed_spread(I, t)[0], expected)
+
+    def test_gcd(self, family):
+        for I in family[:-1]:
+            for u, v in itertools.product(I.generators, repeat=2):
+                expected = Monomial(tuple(map(min, u.exponents, v.exponents)), u.ambient)
+                assert_same_monomial(u.gcd(v), expected)
+
+
+class TestValidationAtTheEdge:
+    """User input is validated once, by the parser; no derived image is."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        init = Monomial.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Monomial, "__init__", counting)
+        return calls
+
+    def test_no_validation_inside_the_images(self, validations):
+        rng = random.Random(2122)
+        ideals = [random_ideal(rng, 4, rng.randint(1, 5), 3) for _ in range(40)]
+        validations.clear()
+        verdicts = set()
+        for I in ideals:
+            n = I.ambient
+            for g in I.generators:
+                for t in range(n + 2):
+                    sigma_t(g, t)
+            for t in range(n, n + 2):
+                spread_ideal(I, t)
+                spread_ideal(I, t, pad=True)
+                embed_spread(I, t)
+            polarize_ideal(I)
+            verdicts.add(type(check_smooth_ideal(I)))
+        assert verdicts == {SmoothCertificate, SmoothWitness}
+        assert validations == []
+
+    def test_parser_validates_every_row(self, validations):
+        rows = [(2, 0, 1), (0, 1, 1), (2, 1, 1), (0, 0, 3)]  # (2, 1, 1) is dropped
+        text = "n 3\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+        I, dropped = parse_ideal(text)
+        assert len(validations) == len(rows)
+        assert dropped == [Monomial((2, 1, 1))]
+        validations.clear()
+        assert parse_ideal(format_ideal(I))[0] == I
+        assert len(validations) == len(I.generators)
+
+    def test_images_past_max_ambient_are_too_large(self):
+        u = M(2, 1)
+        for t in (MAX_AMBIENT, 10**12):
+            with pytest.raises(TooLargeError):
+                sigma_t(u, t)
+        assert sigma_t(M(0, 1), 10**12) == M(0, 1)  # a variable does not move
+        with pytest.raises(TooLargeError):
+            polarize(u, 2, MAX_AMBIENT)
+        wide = MonomialIdeal(17, [Monomial.variable(1, 17, power=MAX_EXPONENT - 1)])
+        with pytest.raises(TooLargeError):  # 17 * 65535 variables
+            polarize_ideal(wide)
+        I = MonomialIdeal(2, [M(2, 1), M(0, 2)])
+        for t in (MAX_AMBIENT // 3 + 1, 10**12):
+            with pytest.raises(TooLargeError):
+                embed_spread(I, t)
