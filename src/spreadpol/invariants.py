@@ -3,37 +3,13 @@
 Depth is read off multigraded Betti numbers: at every lcm-lattice element m
 above the bottom, b_{i,m} of the quotient equals the reduced homology (over
 the two-element field) of the open interval (1, m), in dimension i-2
-(Gasharov, Peeva and Welker, 1999).  By the crosscut theorem (Rota; Bjorner,
-"Topological methods", Handbook of Combinatorics 1995, Thm 10.8) that
-interval's order complex is homotopy equivalent to the crosscut complex of
-either of two crosscuts of [1, m]: the atoms below m, whose faces are the
-atom sets with join strictly below m, or the lower covers of m, whose faces
-are the cover sets with a common lower bound other than 1.  The smaller of
-the two is used (the atoms on a tie), so an element with a atoms and c
-lower covers costs at most 2^min(a, c) faces; neither kind alone is always
-small (the top of the lattice of the pair lcms has m atoms but C(m, 2)
-lower covers, and a top above many atoms may cover only two elements).
-Before any face is listed, one walk over the lower covers of m ANDs their
-down-sets.  If every lower cover lies above one common element other than
-1, each set of covers is a face and the lower-cover complex is a full
-simplex, which is contractible: every Betti number at m is 0, exactly, with
-no face listed and no rank taken (the cone rule).  The walk stops early
-only once the AND is down to 1 and it has passed as many covers as atoms,
-as the rule then cannot fire and the atoms are the smaller crosscut.
-Next, one prefix/suffix AND pass over the k members of the crosscut picked
-tests whether its complex is the boundary of the simplex on all of them
-(the simplex-boundary rule): the AND over all k members is trivial, but
-the AND over every k - 1 of them is not.  Proof: a face's subsets are
-faces, so the faces are then exactly the proper subsets of the members;
-that complex is a (k-2)-sphere, so its one Betti number is 1 in dimension
-k - 2 (k = 1 leaves the empty face alone: dimension -1).  It is answered
-with no face listed and no rank taken; on CI_k every element is one.
-A crosscut of at most 3 members takes no rank either: its complex has
-homology in one degree at most, read off the reduced Euler characteristic.
-So an element goes by the cone rule, then the simplex-boundary rule, then
-the Euler characteristic, and only what is left takes ranks over GF(2).
-The projective dimension is the largest i carrying a nonzero entry and
-depth is the ambient count minus it.
+(Gasharov, Peeva and Welker, 1999).  The lattice holds b_{i,m} for every m
+in one table (lattices.LcmLattice._betti), filled in one pass of the
+element matchings of Batzies and Welker (J. reine angew. Math. 543, 2002)
+on its atom codes and threshold masks (see taylor.py), and
+order_complex_betti reads the homology of (1, m) back from it.  The
+projective dimension is the largest i carrying a nonzero entry and depth is
+the ambient count minus it.
 
 Stanley depth is computed on the characteristic poset: all exponent vectors
 c <= g (g the lcm of the generators), split by membership of x^c in the
@@ -89,11 +65,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
-from .lattices import LcmLattice, _atom_image, _crosscut, _spread_columns, build_lcm_lattice
-from .monomials import Monomial, MonomialIdeal, _check_ambient_cap, _gf2_rank
+from .lattices import LcmLattice, _atom_image, _spread_columns, build_lcm_lattice
+from .monomials import Monomial, MonomialIdeal, _check_ambient_cap
 from .smooth import _blocks, _first_violation
-
-MAX_DEPTH_ATOMS = 8
+from .taylor import MAX_TAYLOR_ATOMS
 MAX_POSET_POINTS = 4096
 MAX_SDEPTH_STATES = 1 << 18  # failed search states memoized by one Stanley-depth search
 
@@ -101,84 +76,16 @@ MAX_SDEPTH_STATES = 1 << 18  # failed search states memoized by one Stanley-dept
 def order_complex_betti(L: LcmLattice, m: Monomial) -> dict[int, int]:
     """Reduced Betti numbers (over GF(2)) of the open interval (bottom, m).
 
-    Computed on the complex of the smaller crosscut of [bottom, m], which
-    has the same homology as the order complex of the open interval.  Returns
-    {dimension: rank} with zero ranks omitted; the empty interval yields
-    {-1: 1}.
+    Read from the lattice's Betti table: b_{i,m} of the quotient is that
+    homology in dimension i - 2.  Returns {dimension: rank} with zero ranks
+    omitted; the empty interval yields {-1: 1}.  TooLargeError past
+    MAX_TAYLOR_ATOMS atoms.
     """
+    betti = L._betti
     k = L.index(m)
     if k == 0:
         raise BadParameterError("open interval below the bottom is undefined")
-    return _betti_at(L, k)
-
-
-def _betti_at(L: LcmLattice, k: int) -> dict[int, int]:
-    """order_complex_betti at the element of index k > 0: {} on a cone, then
-    the simplex-boundary rule, the Euler characteristic of a crosscut of at
-    most 3 members (_euler_betti), and ranks over GF(2) (_rank_betti)."""
-    crosscut = L._crosscut_at(k, cones=False)
-    if crosscut is None:
-        return {}
-    masks, start, trivial = crosscut
-    size = len(masks)
-    if _simplex_boundary(masks, start, trivial):
-        return {size - 2: 1}
-    faces = _crosscut(masks, start, trivial)
-    return _euler_betti(faces) if size <= 3 else _rank_betti(size, faces)
-
-
-def _simplex_boundary(masks: list[int], start: int, trivial: int) -> bool:
-    """Whether the complex lattices._crosscut lists on these arguments is
-    the boundary of the simplex on all the members: the AND over all of
-    them is `trivial`, the AND over each set of all but one is not."""
-    suffixes = [-1]  # suffixes[j]: the AND over the last j masks
-    for mask in reversed(masks):
-        suffixes.append(suffixes[-1] & mask)
-    common = start  # the AND over the members before i
-    if common & suffixes[-1] != trivial:
-        return False
-    for i, mask in enumerate(masks, 1):
-        if common & suffixes[len(masks) - i] == trivial:
-            return False
-        common &= mask
-    return True
-
-
-def _euler_betti(faces: list[int]) -> dict[int, int]:
-    """Reduced Betti numbers of a complex on at most 3 vertices, its faces
-    listed as masks with the empty face, from its reduced Euler
-    characteristic chi.  Such a complex has homology in at most one degree:
-    a 2-sphere needs 4 vertices, and a 1-cycle on 3 vertices is the hollow
-    triangle, which is connected.  That degree is -1 if the empty face is the
-    only one, else 0 if chi > 0 and 1 if chi < 0; its Betti number is |chi|.
-    """
-    if len(faces) == 1:
-        return {-1: 1}
-    chi = sum(1 if f.bit_count() & 1 else -1 for f in faces)
-    return {0 if chi > 0 else 1: abs(chi)} if chi else {}
-
-
-def _rank_betti(size: int, faces: list[int]) -> dict[int, int]:
-    """Reduced Betti numbers of a complex on the vertices 0..size-1, its
-    faces listed as masks with the empty face, by boundary ranks over GF(2)."""
-    levels: list[dict[int, int]] = [{} for _ in range(size + 1)]
-    for face in faces:  # by face size: face mask -> position
-        level = levels[face.bit_count()]
-        level[face] = len(level)
-    ranks = [0]  # ranks[s]: boundary rank on the size-s faces
-    for s in range(1, len(levels)):
-        below = levels[s - 1]
-        ranks.append(_gf2_rank(
-            sum(1 << below[f ^ 1 << a] for a in range(f.bit_length()) if f >> a & 1)
-            for f in levels[s]
-        ))
-    ranks.append(0)
-    betti: dict[int, int] = {}
-    for s, level in enumerate(levels):
-        bk = len(level) - ranks[s] - ranks[s + 1]
-        if bk:
-            betti[s - 1] = bk
-    return betti
+    return {i - 2: b for i, b in betti.get(k, {}).items()}
 
 
 @dataclass(frozen=True)
@@ -230,23 +137,17 @@ def depth_quotient(I: MonomialIdeal) -> DepthReport:
 
 
 def _depth_lattice(I: MonomialIdeal) -> LcmLattice:
-    if len(I.generators) > MAX_DEPTH_ATOMS:
+    if len(I.generators) > MAX_TAYLOR_ATOMS:
         raise TooLargeError(
-            f"{len(I.generators)} generators exceed the depth cap of {MAX_DEPTH_ATOMS}"
+            f"{len(I.generators)} generators exceed the depth cap of {MAX_TAYLOR_ATOMS}"
         )
     return build_lcm_lattice(I)
 
 
 def _projective_dimension(L: LcmLattice) -> int:
-    """Projective dimension of the quotient by the ideal of L, by index.  As
-    b_{i,m} != 0 needs i <= (atoms below m) (Taylor), elements go by
-    decreasing atom count until that count cannot beat the best i found."""
-    best = 0
-    for atoms, k in sorted(zip(map(int.bit_count, L._support), itertools.count()), reverse=True):
-        if atoms <= best:
-            break
-        best = max([best, *(i + 2 for i in _betti_at(L, k))])
-    return best
+    """Projective dimension of the quotient by the ideal of L: the largest i
+    in its Betti table."""
+    return max(i for betti in L._betti.values() for i in betti)
 
 
 class CharacteristicPoset:

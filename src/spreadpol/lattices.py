@@ -48,6 +48,7 @@ from .errors import (
     WellDefinednessViolation,
 )
 from .monomials import Monomial, MonomialIdeal, spread_ideal
+from .taylor import MAX_TAYLOR_ATOMS, _homology, _keep
 
 MAX_ATOMS = 20
 MAX_ELEMENTS = 1 << 14  # each element keeps a mask as long as the lattice
@@ -83,11 +84,13 @@ class LcmLattice:
     and the full Monomial check of the top, which the rest divide.  Vectors
     are decoded on demand: `_element(k)` one alone, `elements` all at once.
     The down-set masks `_below` are built on first read too, all at once
-    from 4-atom OR tables of the atoms' up-sets: order, meet, covers and
-    the crosscuts read them; the isomorphism test and the collapse map
-    work on codes and supports alone.  `_columns` keeps the masks the codes
-    come from, which the law harness depolarizes, and `_of_columns` builds
-    a lattice from masks alone, such as the n-spread's (_spread_columns).
+    from 4-atom OR tables of the atoms' up-sets: only `leq`, `meet` and
+    `covers` (so `hasse_dot`) read them.  The isomorphism test, the
+    collapse map and the Betti numbers work on codes and supports alone.
+    `_columns` keeps the masks the codes come from, which the law harness
+    depolarizes and the Betti table `_betti` matches on (see taylor.py),
+    and `_of_columns` builds a lattice from masks alone, such as the
+    n-spread's (_spread_columns).
     """
 
     def __init__(self, ambient: int, atoms: tuple[Monomial, ...]):
@@ -187,6 +190,22 @@ class LcmLattice:
         full, atoms = (1 << len(self._codes)) - 1, (1 << len(self._atom_at)) - 1
         return [full ^ u for u in _subset_ors(ups, [atoms ^ s for s in self._support])]
 
+    @cached_property
+    def _betti(self) -> dict[int, dict[int, int]]:
+        """element index -> {i: b_i}, its nonzero multigraded Betti numbers
+        of the quotient, built when first read by one pass of the element
+        matchings (taylor._homology) over the atom codes and the threshold
+        masks; TooLargeError past MAX_TAYLOR_ATOMS atoms."""
+        m = len(self._atom_at)
+        if m > MAX_TAYLOR_ATOMS:
+            raise TooLargeError(f"{m} atoms exceed the Betti cap of {MAX_TAYLOR_ATOMS}")
+        lcms = [0]  # lcms[S]: the code of the join of the atom subset S
+        for i in self._atom_at:
+            g = self._codes[i]
+            lcms += [x | g for x in lcms]
+        at = self._at
+        return {at[c]: b for c, b in _homology(_keep(self._columns, m), lcms).items()}
+
     def _element(self, k: int) -> Monomial:
         """Element k alone, the lcm of the atom rows below it."""
         rows = [u.exponents for a, u in enumerate(self.atoms) if self._support[k] >> a & 1]
@@ -236,47 +255,6 @@ class LcmLattice:
                     rest &= ~self._below[i]
             self._covers = tuple(sorted(edges))
         return self._covers
-
-    def crosscut_faces(self, u: Monomial) -> tuple[int, list[int]]:
-        """The smaller crosscut of [bottom, u] and the faces of its complex.
-
-        The atoms below u form one crosscut, whose faces are the atom sets
-        with join strictly below u; the lower covers of u form the other,
-        whose faces are the cover sets with a common lower bound above the
-        bottom.  Both complexes have the homology of the open interval
-        (bottom, u).  The atoms are used unless u has fewer lower covers.
-        An atom set joins to u iff the OR of its codes is the code of u, i.e.
-        iff no bit of u's code lies outside all of them.
-        Returns (k, faces): the crosscut's size k and its faces as masks over
-        its members 0..k-1 in increasing mask order, the empty face included.
-        """
-        masks, start, trivial = self._crosscut_at(self.index(u))
-        return len(masks), _crosscut(masks, start, trivial)
-
-    def _crosscut_at(self, k: int, cones: bool = True) -> tuple[list[int], int, int] | None:
-        """The smaller crosscut of [bottom, k] as the arguments of _crosscut,
-        one mask per member, so that _crosscut lists crosscut_faces at index
-        k; with cones=False, None if the lower covers of k have a common
-        lower bound above the bottom (a cone)."""
-        below, code, support = self._below, self._codes[k], self._support[k]
-        atoms = support.bit_count()
-        downs: list[int] = []  # the down-sets of the lower covers walked
-        common = below[k]  # their AND
-        rest = common ^ 1 << k
-        # the highest bit left is a cover; past the atom count, walk on only
-        # while the covers may still be a cone, so it ends above the bottom
-        # only once every cover is walked
-        while rest and (len(downs) < atoms or common != below[0]):
-            i = rest.bit_length() - 1
-            downs.append(below[i])
-            common &= below[i]
-            rest &= ~below[i]
-        if not cones and common != below[0]:
-            return None
-        if len(downs) < atoms:
-            return downs, below[k], below[0]
-        rests = [code ^ self._codes[i] for a, i in enumerate(self._atom_at) if support >> a & 1]
-        return rests, code, 0
 
 
 def _columns(rows: list[tuple[int, ...]]) -> list[list[int]]:
@@ -346,24 +324,6 @@ def _subset_ors(values: list[int], masks: list[int]) -> list[int]:
             s >>= 4
         out.append(union)
     return out
-
-
-def _crosscut(masks: list[int], start: int, trivial: int) -> list[int]:
-    """The sets s of masks whose AND with `start` is not `trivial`, as bit sets.
-
-    The AND only shrinks as a set grows, so a superset of a non-face is none
-    either; faces come in increasing order.
-    """
-    common = [start]  # common[s]: the AND over s, or None once it is trivial
-    for s in range(1, 1 << len(masks)):
-        low = s & -s
-        c = common[s ^ low]
-        if c is not None:
-            c &= masks[low.bit_length() - 1]
-            if c == trivial:
-                c = None
-        common.append(c)
-    return [s for s, c in enumerate(common) if c is not None]
 
 
 def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:

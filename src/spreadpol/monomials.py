@@ -239,23 +239,6 @@ def _image(indices: Iterable[int], ambient: int) -> Monomial:
     return Monomial._trusted(tuple(exps), ambient)
 
 
-def _gf2_rank(rows: Iterable[int]) -> int:
-    """The rank over GF(2) of int rows, bit k of a row its entry in column k
-    (shared by the lattice and Taylor routes to Betti numbers)."""
-    pivots: dict[int, int] = {}  # lowest bit -> the reduced row it leads
-    rank = 0
-    for row in rows:
-        while row:
-            pivot = row & -row
-            if pivot in pivots:
-                row ^= pivots[pivot]
-            else:
-                pivots[pivot] = row
-                rank += 1
-                break
-    return rank
-
-
 def minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Drop every monomial strictly divisible by another one in the set.
 
@@ -486,20 +469,16 @@ class SpreadEmbedding:
 def embed_spread(I: MonomialIdeal, t: int) -> tuple[MonomialIdeal, SpreadEmbedding]:
     """Obtain the t-spread of I from its n-spread by re-embedding variables.
 
-    Only meaningful for t >= n.  The result equals the directly computed
-    t-spread in the padded ambient t*d; test_images_are_t_spread_random
-    compares the two on seeded ideals.
+    Only meaningful for t >= n.  phi sends the k-th sorted index
+    i_k + (k-1)*n of an n-spread image, with 1 <= i_k <= n, to
+    i_k + (k-1)*t, the k-th index of the t-spread image: so the image is
+    the t-spread in the padded ambient t*d, returned as such.  Tests compare
+    it with phi applied to the n-spread index by index.
     """
     n = I.ambient
     if t < n:
         raise BadParameterError(f"embedding requires t >= n ({t} < {n})")
-    d = I.deg
-    emb = SpreadEmbedding(n=n, t=t, d=d)
-    images = [  # phi applied to the n-spread, whose natural ambient is n*d
-        _image([emb.phi(i) for i in _spread_indices(g, n)], t * d)
-        for g in I.generators
-    ]
-    return MonomialIdeal._from_minimal(t * d, images), emb
+    return spread_ideal(I, t, pad=True), SpreadEmbedding(n=n, t=t, d=I.deg)
 
 
 def is_complete_intersection(I: MonomialIdeal) -> bool:

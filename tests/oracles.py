@@ -13,9 +13,9 @@ points above it and tests a box by walking its lattice points.  It is
 quadratic in the number of points, so it serves small cases only.
 
 The order-complex reference computes the reduced Betti numbers of an open
-lattice interval from every chain in it, where the library uses the smaller
-crosscut complex; the number of chains grows factorially, so it serves
-small lattices only.  The isomorphism reference tries every atom
+lattice interval from every chain in it, where the library reads them from
+element matchings on the subset resolution; the number of chains grows
+factorially, so it serves small lattices only.  The isomorphism reference tries every atom
 permutation in lexicographic order on plain exponent tuples.  The
 collapse-map reference checks join preservation on every pair of source
 elements, where the library checks one atom step per element and atom.

@@ -1,5 +1,4 @@
 import ast
-import functools
 import itertools
 import math
 import random
@@ -28,13 +27,12 @@ from spreadpol import (
 )
 from spreadpol import invariants, taylor
 from spreadpol.invariants import (
-    MAX_DEPTH_ATOMS,
     CharacteristicPoset,
     _compress,
     _projective_dimension,
     _spread_columns,
 )
-from spreadpol.lattices import LcmLattice, _columns, _crosscut
+from spreadpol.lattices import LcmLattice, _columns
 from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from spreadpol.smooth import _blocks
 from spreadpol.taylor import MAX_TAYLOR_ATOMS, taylor_betti
@@ -131,6 +129,10 @@ class TestOrderComplexBetti:
         # x1x2 < x1x2x3 > x2x3 < x2x3x4 > x3x4, contractible like a cone
         L = build_lcm_lattice(ideal(4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]))
         assert order_complex_betti(L, L.top) == {}
+        # (x1^2, x1*x2, x2^2): the top has three atoms but two lower covers,
+        # x1^2*x2 and x1*x2^2, with x1*x2 below both: one edge, no homology
+        L = build_lcm_lattice(ideal(2, [(2, 0), (1, 1), (0, 2)]))
+        assert order_complex_betti(L, L.top) == order_complex_betti_by_chains(L, L.top) == {}
 
     def test_two_points(self):
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
@@ -145,187 +147,39 @@ class TestOrderComplexBetti:
         with pytest.raises(BadParameterError):
             order_complex_betti(L, L.bottom)
 
-    @staticmethod
-    def complexes_on_3_vertices():
-        """Every simplicial complex on the vertices 0..size-1, size <= 3, as
-        (size, faces), its faces listed in increasing mask order with the
-        empty face."""
-        for size in range(4):
-            nonempty = range(1, 1 << size)
-            for picked in range(1 << len(nonempty)):
-                faces = [0] + [f for b, f in enumerate(nonempty) if picked >> b & 1]
-                if not any(f ^ 1 << a not in faces
-                           for f in faces for a in range(size) if f >> a & 1):
-                    yield size, faces  # closed under taking subsets
-
-    def test_euler_form_matches_ranks_on_every_complex_on_3_vertices(self):
-        answers = set()
-        complexes = 0
-        for size, faces in self.complexes_on_3_vertices():
-            betti = invariants._rank_betti(size, faces)
-            assert invariants._euler_betti(faces) == betti, (size, faces)
-            answers.add(tuple(betti.items()))
-            complexes += 1
-        assert complexes == 1 + 2 + 5 + 19  # Dedekind numbers less one
-        assert answers == {((-1, 1),), (), ((0, 1),), ((0, 2),), ((1, 1),)}
-
-    def test_simplex_boundary_rule_on_simplex_boundaries(self):
-        """Member i's mask lacks bit i alone, so a member set's AND is
-        trivial (0) only on all k members: the faces are the proper subsets."""
-        for k in range(1, 8):
-            full = (1 << k) - 1
-            masks = [full ^ 1 << i for i in range(k)]
-            faces = _crosscut(masks, full, 0)
-            assert faces == list(range(full))
-            assert invariants._simplex_boundary(masks, full, 0)
-            assert invariants._rank_betti(k, faces) == {k - 2: 1}
-
-    def test_simplex_boundary_rule_fires_on_no_other_complex(self):
-        """Each complex on at most 3 vertices, realized as crosscut masks:
-        bit b of vertex i's mask says that face b holds i, so a vertex set's
-        AND is the set of faces holding it, empty iff it is no face."""
-        fired = []
-        for size, faces in self.complexes_on_3_vertices():
-            start = (1 << len(faces)) - 1
-            masks = [sum(1 << b for b, f in enumerate(faces) if f >> i & 1) for i in range(size)]
-            assert _crosscut(masks, start, 0) == faces
-            if invariants._simplex_boundary(masks, start, 0):
-                fired.append((size, faces))
-        assert fired == [(size, list(range((1 << size) - 1))) for size in (1, 2, 3)]
-
 
 class TestOrderComplexReference:
-    def test_crosscut_matches_chain_complex(self):
-        rng = random.Random(93)
-        lattices = []
-        for _ in range(60):
-            n, k, d = rng.randint(2, 4), rng.randint(3, 6), rng.randint(2, 4)
-            lattices.append(build_lcm_lattice(random_equal_degree_ideal(rng, n, k, d)))
-        lattices += [build_lcm_lattice(pair_lcm_ideal(m)) for m in (4, 5)]
-        dims, smaller = set(), set()  # which crosscut was strictly smaller
-        for L in lattices:
-            covers = [j for _, j in L.covers()]
+    def test_betti_table_matches_chain_complex(self):
+        """order_complex_betti, read from the lattice's Betti table, equals
+        the chain complex of the open interval on every element above the
+        bottom: the small family with its n-spreads, 120 seeded ideals and
+        the pair-lcm ideals."""
+        ideals = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
+        for rng in (random.Random(93), random.Random(96)):
+            for _ in range(60):
+                n, k, d = rng.randint(2, 4), rng.randint(3, 6), rng.randint(2, 4)
+                ideals.append(random_equal_degree_ideal(rng, n, k, d))
+        ideals += [pair_lcm_ideal(m) for m in (4, 5, 6)]
+        dims = set()
+        for I in ideals:
+            L = build_lcm_lattice(I)
             for m in L.elements[1:]:
                 betti = order_complex_betti(L, m)
-                assert betti == order_complex_betti_by_chains(L, m), (L.atoms, m)
+                assert betti == order_complex_betti_by_chains(L, m), (I, m)
                 dims |= set(betti)
-                atoms, lower = len(L.atom_support(m)), covers.count(L.index(m))
-                size, _ = L.crosscut_faces(m)
-                assert size == min(atoms, lower)
-                if atoms != lower:
-                    smaller.add("atoms" if size == atoms else "lower covers")
         assert dims == {-1, 0, 1, 2}
-        assert smaller == {"atoms", "lower covers"}
-
-    @staticmethod
-    def crosscut_by_definition(L, m):
-        """crosscut_faces(m) from the definitions: the lower covers, highest
-        index first, if fewer than the atoms, faces the cover sets with a
-        common lower bound above the bottom; else the atoms, faces the atom
-        sets whose lcm is not m."""
-        k = L.index(m)
-        atoms = sorted(L.atom_support(m))
-        covers = sorted((i for i, j in L.covers() if j == k), reverse=True)
-        if len(covers) < len(atoms):
-            def face(s):
-                picked = [L.elements[c] for b, c in enumerate(covers) if s >> b & 1]
-                return any(all(L.leq(e, c) for c in picked) for e in L.elements[1:])
-            size = len(covers)
-        else:
-            def face(s):
-                picked = [L.atoms[a] for b, a in enumerate(atoms) if s >> b & 1]
-                return functools.reduce(Monomial.lcm, picked, L.bottom) != m
-            size = len(atoms)
-        return size, [s for s in range(1 << size) if face(s)]
-
-    def test_cone_rule_answers_only_acyclic_intervals(self):
-        """Where the lower covers of an element have a common lower bound
-        above the bottom, the Betti numbers are {} with no face listed: the
-        chain complex agrees there.  On every element the pruned route
-        equals the chain complex and crosscut_faces its definition."""
-        rng = random.Random(96)
-        small = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
-        more = []
-        for _ in range(60):
-            n, k, d = rng.randint(2, 4), rng.randint(3, 6), rng.randint(2, 4)
-            more.append(random_equal_degree_ideal(rng, n, k, d))
-        more += [pair_lcm_ideal(m) for m in (4, 5, 6)]
-        answered = {}
-        for family, ideals in (("small", small), ("more", more)):
-            cones = elements = 0
-            for I in ideals:
-                L = build_lcm_lattice(I)
-                for k, m in enumerate(L.elements[1:], 1):
-                    reference = order_complex_betti_by_chains(L, m)
-                    assert order_complex_betti(L, m) == reference, (I, m)
-                    assert L.crosscut_faces(m) == self.crosscut_by_definition(L, m), (I, m)
-                    if L._crosscut_at(k, cones=False) is None:
-                        cones += 1
-                        assert reference == {}, (I, m)
-                    elements += 1
-            answered[family] = cones, elements
-        assert answered["small"] == (281, 5452)
-        assert answered["more"][0] > 0
-
-    def test_simplex_boundary_rule_answers_only_spheres(self):
-        """Where the crosscut left after the cone walk is the boundary of the
-        simplex on its k members, the chain complex has one Betti number, 1
-        in dimension k - 2, which the rule answers with no face listed."""
-        rng = random.Random(97)
-        small = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
-        more = [random_equal_degree_ideal(rng, rng.randint(2, 4), rng.randint(3, 6),
-                                          rng.randint(2, 4)) for _ in range(60)]
-        answered = {}
-        for family, ideals in (("small", small), ("more", more)):
-            spheres = elements = 0
-            for I in ideals:
-                L = build_lcm_lattice(I)
-                for k, m in enumerate(L.elements[1:], 1):
-                    crosscut = L._crosscut_at(k, cones=False)
-                    if crosscut is not None and invariants._simplex_boundary(*crosscut):
-                        sphere = {len(crosscut[0]) - 2: 1}
-                        assert order_complex_betti(L, m) == sphere, (I, m)
-                        assert order_complex_betti_by_chains(L, m) == sphere, (I, m)
-                        spheres += 1
-                    elements += 1
-            answered[family] = spheres, elements
-        assert answered["small"] == (5144, 5452)
-        assert answered["more"][0] > 0
-
-    def test_ci8_needs_the_simplex_boundary_rule_alone(self):
-        """Below each element of the Boolean lattice of CI8, the atom sets
-        joining to less than it are its proper subsets: every one of the 255
-        elements above the bottom is answered with no face listed."""
-        L = build_lcm_lattice(ideal(8, CI8))
-        assert len(L) == 256
-        for k in range(1, 256):
-            crosscut = L._crosscut_at(k, cones=False)
-            assert crosscut is not None and invariants._simplex_boundary(*crosscut), k
 
     def test_cone_needs_every_lower_cover(self):
         """Five of six lower covers sharing an atom make no cone.
 
         Generator i is the product of x_F over the facets F without i, so
-        the lattice's top has atoms 1..5 and one lower cover per facet,
-        walked from the last facet back.  The five walked first, as many as
-        the atoms, all hold atom 1, but {2, 3, 4, 5} does not, and the open
-        interval below the top has homology in dimension 2."""
+        the lattice's top has atoms 1..5 and one lower cover per facet.  The
+        five covers of the facets other than {2, 3, 4, 5} all hold atom 1,
+        but that one does not, and the open interval below the top has
+        homology in dimension 2."""
         facets = [{2, 3, 4, 5}, {1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {1, 2, 5}, {1, 3, 5}]
         L = build_lcm_lattice(ideal(6, [[int(i not in F) for F in facets] for i in range(1, 6)]))
-        assert L.crosscut_faces(L.top)[0] == 5
-        assert L._crosscut_at(len(L) - 1, cones=False) is not None
         assert order_complex_betti(L, L.top) == order_complex_betti_by_chains(L, L.top) == {2: 2}
-
-    def test_crosscut_faces_of_both_kinds(self):
-        # the pair-lcm top: faces are the atom sets of size at most 2
-        L = build_lcm_lattice(pair_lcm_ideal(4))
-        size, faces = L.crosscut_faces(L.top)
-        assert size == 4 and faces == sorted(f for f in range(16) if f.bit_count() <= 2)
-        # (x1^2, x1*x2, x2^2): the top has three atoms but two lower covers,
-        # x1^2*x2 and x1*x2^2, with x1*x2 below both: one edge, no homology
-        L = build_lcm_lattice(ideal(2, [(2, 0), (1, 1), (0, 2)]))
-        assert L.crosscut_faces(L.top) == (2, [0, 1, 2, 3])
-        assert order_complex_betti(L, L.top) == {}
 
 
 class TestDepth:
@@ -366,16 +220,28 @@ class TestDepth:
 
     def test_ci8_at_the_cap(self):
         ci8 = MonomialIdeal(8, [Monomial.variable(j, 8) for j in range(1, 9)])
-        assert len(ci8.generators) == MAX_DEPTH_ATOMS
         rep = depth_quotient(ci8)
         assert rep.value == 0
         assert dict(rep.betti.entries) == taylor_betti(ci8)
 
+    def test_nine_and_ten_generators(self):
+        family = [ideal(m, [tuple(int(i == j) for j in range(m)) for i in range(m)])
+                  for m in (9, 10)]
+        family += [pair_lcm_ideal(m) for m in (9, 10)]
+        family += [I for I in ideals_by_generator_count(random.Random(90), 40)
+                   if len(I.generators) >= 9]
+        assert sorted(len(I.generators) for I in family) == [9] * 6 + [10] * 6
+        for I in family:
+            assert dict(depth_quotient(I).betti.entries) == taylor_betti_by_combinations(I), I
+
     def test_generator_cap(self):
-        n = 9
-        gens = [Monomial.variable(j, n) for j in range(1, n + 1)]
-        with pytest.raises(TooLargeError):
-            depth_quotient(MonomialIdeal(n, gens))
+        n = MAX_TAYLOR_ATOMS + 1
+        I = MonomialIdeal(n, [Monomial.variable(j, n) for j in range(1, n + 1)])
+        with pytest.raises(TooLargeError, match="11 generators exceed the depth cap of 10"):
+            depth_quotient(I)
+        L = build_lcm_lattice(I)
+        with pytest.raises(TooLargeError, match="11 atoms exceed the Betti cap of 10"):
+            order_complex_betti(L, L.top)
 
 
 class TestTaylorAgreement:
@@ -480,13 +346,14 @@ class TestTaylorAgreement:
             for S, deg in enumerate(self.subset_lcms(exps)):
                 groups.setdefault(deg, []).append(S)
             want = sum(1 << S for same in groups.values() for S in critical_by_group(same))
-            _, _, ranks = taylor._ranked(exps)
-            assert taylor._unmatched(taylor._keep(ranks, len(exps))) == want, exps
+            *_, chains = taylor._ranked(exps)
+            assert taylor._unmatched(taylor._keep(chains, len(exps))) == want, exps
 
     def test_mask_tables(self):
         """holding[a] is the mask of the subsets holding a, for every m up to
         the cap; keep[a] that of the subsets S without a whose lcm adding a
-        leaves alone, on seeded ideals and the huge-exponent file."""
+        leaves alone, on seeded ideals and the huge-exponent file, from the
+        chains of _ranked and from the lattice's own threshold masks."""
         for m in range(1, MAX_TAYLOR_ATOMS + 1):
             holding = taylor._holding(m)
             assert len(holding) == m
@@ -497,16 +364,17 @@ class TestTaylorAgreement:
             exps = [u.exponents for u in I.generators]
             m = len(exps)
             lcms = self.subset_lcms(exps)
-            _, _, ranks = taylor._ranked(exps)
-            keep = taylor._keep(ranks, m)
-            assert len(keep) == m
+            *_, chains = taylor._ranked(exps)
+            keep = taylor._keep(chains, m)
+            assert len(keep) == m and taylor._keep(_columns(exps), m) == keep
             for a in range(m):
                 assert keep[a] == sum(1 << S for S in range(1 << m)
                                       if not S >> a & 1 and lcms[S | 1 << a] == lcms[S]), (exps, a)
 
     def test_taylor_imports_only_errors_and_monomials(self):
-        """Agreement of the two Betti routes is a cross-check only while the
-        subset-resolution route shares no code with the lattice route."""
+        """taylor_betti makes its masks and codes from the exponents, apart
+        from the lcm-lattice's, so its agreement with depth_quotient checks
+        the lattice's side of the shared matchings."""
         tree = ast.parse(Path(taylor.__file__).read_text())
         nodes = list(ast.walk(tree))
         assert not [node for node in nodes if isinstance(node, ast.Import)]
@@ -524,8 +392,8 @@ class TestTaylorAgreement:
         exps = [u.exponents for u in I.generators]
         group = [S for S, deg in enumerate(self.subset_lcms(exps)) if deg == top]
         assert {S.bit_count() for S in critical_by_group(group)} == {2, 3}
-        _, _, ranks = taylor._ranked(exps)
-        left = taylor._unmatched(taylor._keep(ranks, len(exps)))
+        *_, chains = taylor._ranked(exps)
+        left = taylor._unmatched(taylor._keep(chains, len(exps)))
         assert {S.bit_count() for S in group if left >> S & 1} == {2, 3}
         ranked = []
         by_ranks = taylor._by_ranks
@@ -563,8 +431,8 @@ class TestTaylorAgreement:
         with pytest.raises(TooLargeError, match="degree exceeds"):
             depth_quotient(self.top_past_the_degree_cap())
 
-    def test_pair_lcm_family_on_the_smaller_crosscut(self):
-        # every top has C(m, 2) lower covers: the atom crosscut keeps depth cheap
+    def test_pair_lcm_family_stays_cheap(self):
+        # every top has m atoms but C(m, 2) lower covers
         for m in range(5, 9):
             I = pair_lcm_ideal(m)
             start = time.perf_counter()
@@ -817,6 +685,13 @@ class TestColumnRoute:
             D = build_lcm_lattice(spread_ideal(I, I.ambient))
             assert (L._codes, L._support, L._atom_at) == (D._codes, D._support, D._atom_at), I
 
+    def test_mask_lattice_betti_table_matches_dense_lattice(self):
+        # the harness reads the n-spread's projective dimension off this table
+        for I in small_family():
+            L = LcmLattice._of_columns(spread_sweep(I), len(I.generators))
+            D = build_lcm_lattice(spread_ideal(I, I.ambient))
+            assert L._betti == D._betti, I
+
     def test_columns_depolarize_as_the_rows_do(self):
         for I in small_family()[::3] + laws_shaped(random.Random(99), 30):
             for S in (I, spread_ideal(I, I.ambient)):
@@ -875,8 +750,8 @@ class TestColumnRoute:
 
 
 class TestProjectiveDimension:
-    """The Taylor-bound cut of _projective_dimension against both Betti
-    routes, which compute every entry."""
+    """_projective_dimension, the largest i of the lattice's Betti table,
+    against depth_quotient's table and taylor_betti."""
 
     def test_matches_both_betti_routes(self):
         family = [S for I in small_family() for S in (I, spread_ideal(I, I.ambient))]
@@ -889,19 +764,6 @@ class TestProjectiveDimension:
             pd = _projective_dimension(build_lcm_lattice(I))
             assert pd == depth_quotient(I).betti.projective_dimension, I
             assert pd == max(i for i, _ in taylor_betti(I)), I
-
-    def test_betti_calls_on_the_small_family(self, monkeypatch):
-        calls = []
-        betti_at = invariants._betti_at
-
-        def counted(L, k):
-            calls.append(k)
-            return betti_at(L, k)
-
-        monkeypatch.setattr(invariants, "_betti_at", counted)
-        for I in small_family():
-            verify_spreading_laws(I, [I.ambient, I.ambient + 1])
-        assert len(calls) == 1325  # every element above the bottom: 5452
 
 
 class TestSpreadingLaws:

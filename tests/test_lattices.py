@@ -25,7 +25,7 @@ from spreadpol import (
     verify_delta,
     verify_spreading_laws,
 )
-from spreadpol.invariants import _betti_at
+from spreadpol import invariants
 from spreadpol.lattices import _atom_image, _atom_step_failure
 from spreadpol.monomials import MAX_EXPONENT
 from genutils import (
@@ -649,9 +649,7 @@ class TestLazyDecode:
                 L, E = build_lcm_lattice(J), lattice_elements_eagerly(J.ambient, J.generators)
                 assert [L._element(k) for k in range(len(L))] == list(E), J
                 assert L.elements == E and all(L.index(e) == k for k, e in enumerate(E)), J
-                entries = {(0, E[0]): 1}
-                for k in range(1, len(E)):
-                    entries.update(((i + 2, E[k]), v) for i, v in _betti_at(L, k).items())
+                entries = {(i, E[k]): v for k, betti in L._betti.items() for i, v in betti.items()}
                 rep = depth_quotient(J)
                 assert dict(rep.betti.entries) == entries, J
                 assert rep.value == J.ambient - max(i for i, _ in entries), J
@@ -728,13 +726,11 @@ class TestLazyMasks:
             assert all("_below" not in M.__dict__ for M in lattices), I
         assert collapsed and verified
 
-    def test_first_read_builds_the_slab_masks(self):
+    def test_first_read_builds_the_slab_masks(self, monkeypatch):
         reads = [
             lambda L: L.covers(),
             lambda L: L.leq(L.bottom, L.top),
             lambda L: L.meet(L.atoms[0], L.top),
-            lambda L: L.crosscut_faces(L.top),
-            lambda L: order_complex_betti(L, L.top),
         ]
         rng = random.Random(44)
         family = [random_ideal(rng, rng.randint(2, 4), rng.randint(2, 6), 3) for _ in range(10)]
@@ -746,3 +742,14 @@ class TestLazyMasks:
                 assert "_below" not in L.__dict__
                 read(L)
                 assert L.__dict__["_below"] == below, I
+        # the Betti numbers read codes and masks alone
+        built = []
+        monkeypatch.setattr(invariants, "build_lcm_lattice",
+                            lambda I: built.append(build_lcm_lattice(I)) or built[-1])
+        for I in family:
+            depth_quotient(I)
+            L = build_lcm_lattice(I)
+            order_complex_betti(L, L.top)
+            built.append(L)
+        assert len(built) == 2 * len(family)
+        assert all("_betti" in L.__dict__ and "_below" not in L.__dict__ for L in built)
