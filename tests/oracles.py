@@ -15,7 +15,10 @@ quadratic in the number of points, so it serves small cases only.
 The order-complex reference computes the reduced Betti numbers of an open
 lattice interval from every chain in it, where the library reads them from
 element matchings on the subset resolution; the number of chains grows
-factorially, so it serves small lattices only.  The isomorphism reference tries every atom
+factorially, so it serves small lattices only.  The crosscut reference
+lists the faces of a crosscut complex of the interval from the covers or
+the atoms and ranks its boundaries, a second homotopy-equivalent complex
+(Rota's crosscut theorem).  The isomorphism reference tries every atom
 permutation in lexicographic order on plain exponent tuples.  The
 collapse-map reference checks join preservation on every pair of source
 elements, where the library checks one atom step per element and atom.
@@ -267,6 +270,59 @@ def order_complex_betti_by_chains(L: LcmLattice, m: Monomial) -> dict[int, int]:
         bk = len(faces[k]) - ranks[k] - ranks[k + 1]
         if bk:
             betti[k] = bk
+    return betti
+
+
+def crosscut_by_definition(L: LcmLattice, m: Monomial) -> tuple[int, list[int]]:
+    """A crosscut complex of [bottom, m] as (size, faces), faces the member
+    bitmasks: the lower covers of m, highest index first, if fewer than the
+    atoms below m, faces the cover sets with a common lower bound above the
+    bottom; else those atoms, faces the atom sets whose lcm is not m."""
+    k = L.index(m)
+    atoms = sorted(L.atom_support(m))
+    covers = sorted((i for i, j in L.covers() if j == k), reverse=True)
+    if len(covers) < len(atoms):
+        def face(s: int) -> bool:
+            picked = [L.elements[c] for b, c in enumerate(covers) if s >> b & 1]
+            return any(all(L.leq(e, c) for c in picked) for e in L.elements[1:])
+        size = len(covers)
+    else:
+        def face(s: int) -> bool:
+            lcm = L.bottom
+            for b, a in enumerate(atoms):
+                if s >> b & 1:
+                    lcm = lcm.lcm(L.atoms[a])
+            return lcm != m
+        size = len(atoms)
+    return size, [s for s in range(1 << size) if face(s)]
+
+
+def simplicial_betti(faces: list[int]) -> dict[int, int]:
+    """Reduced Betti numbers (over GF(2)) of the simplicial complex whose
+    faces, the empty face among them, are the given vertex bitmasks:
+    {dimension: rank} with zero ranks omitted."""
+    by_dim: dict[int, list[int]] = defaultdict(list)
+    for f in faces:
+        by_dim[f.bit_count() - 1].append(f)
+    ranks = {}  # d -> rank of the boundary from dimension d to d - 1
+    for d in by_dim:
+        if d < 0:
+            continue
+        index = {f: c for c, f in enumerate(by_dim[d - 1])}
+        rows = []
+        for f in by_dim[d]:
+            mask, rest = 0, f
+            while rest:
+                low = rest & -rest
+                mask |= 1 << index[f ^ low]
+                rest ^= low
+            rows.append(mask)
+        ranks[d] = _gf2_rank(rows)
+    betti = {}
+    for d, fs in by_dim.items():
+        b = len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        if b:
+            betti[d] = b
     return betti
 
 

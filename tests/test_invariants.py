@@ -47,6 +47,7 @@ from genutils import (
 from oracles import (
     box_partition_by_points,
     critical_by_group,
+    crosscut_by_definition,
     dense_spread_columns,
     dense_spreading_laws,
     depolarize_by_masks,
@@ -55,6 +56,7 @@ from oracles import (
     order_complex_betti_by_chains,
     polarization_columns,
     sdepth_on_support,
+    simplicial_betti,
     taylor_betti_by_combinations,
 )
 
@@ -129,10 +131,6 @@ class TestOrderComplexBetti:
         # x1x2 < x1x2x3 > x2x3 < x2x3x4 > x3x4, contractible like a cone
         L = build_lcm_lattice(ideal(4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]))
         assert order_complex_betti(L, L.top) == {}
-        # (x1^2, x1*x2, x2^2): the top has three atoms but two lower covers,
-        # x1^2*x2 and x1*x2^2, with x1*x2 below both: one edge, no homology
-        L = build_lcm_lattice(ideal(2, [(2, 0), (1, 1), (0, 2)]))
-        assert order_complex_betti(L, L.top) == order_complex_betti_by_chains(L, L.top) == {}
 
     def test_two_points(self):
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
@@ -149,25 +147,64 @@ class TestOrderComplexBetti:
 
 
 class TestOrderComplexReference:
-    def test_betti_table_matches_chain_complex(self):
-        """order_complex_betti, read from the lattice's Betti table, equals
-        the chain complex of the open interval on every element above the
-        bottom: the small family with its n-spreads, 120 seeded ideals and
-        the pair-lcm ideals."""
-        ideals = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
-        for rng in (random.Random(93), random.Random(96)):
-            for _ in range(60):
-                n, k, d = rng.randint(2, 4), rng.randint(3, 6), rng.randint(2, 4)
-                ideals.append(random_equal_degree_ideal(rng, n, k, d))
-        ideals += [pair_lcm_ideal(m) for m in (4, 5, 6)]
-        dims = set()
-        for I in ideals:
-            L = build_lcm_lattice(I)
+    def test_crosscut_matches_chain_complex(self):
+        """order_complex_betti equals the chain complex of the open interval
+        and the smaller crosscut complex of the closed one, whichever of the
+        atoms and the lower covers it is built on."""
+        rng = random.Random(93)
+        lattices = []
+        for _ in range(60):
+            n, k, d = rng.randint(2, 4), rng.randint(3, 6), rng.randint(2, 4)
+            lattices.append(build_lcm_lattice(random_equal_degree_ideal(rng, n, k, d)))
+        lattices += [build_lcm_lattice(pair_lcm_ideal(m)) for m in (4, 5)]
+        dims, smaller = set(), set()  # which crosscut was strictly smaller
+        for L in lattices:
+            covers = [j for _, j in L.covers()]
             for m in L.elements[1:]:
                 betti = order_complex_betti(L, m)
-                assert betti == order_complex_betti_by_chains(L, m), (I, m)
+                assert betti == order_complex_betti_by_chains(L, m), (L.atoms, m)
                 dims |= set(betti)
+                atoms, lower = len(L.atom_support(m)), covers.count(L.index(m))
+                size, faces = crosscut_by_definition(L, m)
+                assert size == min(atoms, lower)
+                assert simplicial_betti(faces) == betti, (L.atoms, m)
+                if atoms != lower:
+                    smaller.add("atoms" if size == atoms else "lower covers")
         assert dims == {-1, 0, 1, 2}
+        assert smaller == {"atoms", "lower covers"}
+
+    def test_cone_rule_answers_only_acyclic_intervals(self):
+        """Where the lower covers of an element have a common lower bound
+        above the bottom, the interval is a cone and its Betti numbers are
+        {}: the chain complex agrees there.  On every element
+        order_complex_betti equals the chain complex and the crosscut
+        complex."""
+        rng = random.Random(96)
+        small = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
+        more = []
+        for _ in range(60):
+            n, k, d = rng.randint(2, 4), rng.randint(3, 6), rng.randint(2, 4)
+            more.append(random_equal_degree_ideal(rng, n, k, d))
+        more += [pair_lcm_ideal(m) for m in (4, 5, 6)]
+        answered = {}
+        for family, ideals in (("small", small), ("more", more)):
+            cones = elements = 0
+            for I in ideals:
+                L = build_lcm_lattice(I)
+                lower = {}  # element index -> its lower covers
+                for i, j in L.covers():
+                    lower.setdefault(j, []).append(L.elements[i])
+                for k, m in enumerate(L.elements[1:], 1):
+                    reference = order_complex_betti_by_chains(L, m)
+                    assert order_complex_betti(L, m) == reference, (I, m)
+                    assert simplicial_betti(crosscut_by_definition(L, m)[1]) == reference, (I, m)
+                    if any(all(L.leq(e, c) for c in lower[k]) for e in L.elements[1:]):
+                        cones += 1
+                        assert reference == {}, (I, m)
+                    elements += 1
+            answered[family] = cones, elements
+        assert answered["small"] == (281, 5452)
+        assert answered["more"][0] > 0
 
     def test_cone_needs_every_lower_cover(self):
         """Five of six lower covers sharing an atom make no cone.
@@ -180,6 +217,18 @@ class TestOrderComplexReference:
         facets = [{2, 3, 4, 5}, {1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {1, 2, 5}, {1, 3, 5}]
         L = build_lcm_lattice(ideal(6, [[int(i not in F) for F in facets] for i in range(1, 6)]))
         assert order_complex_betti(L, L.top) == order_complex_betti_by_chains(L, L.top) == {2: 2}
+
+    def test_crosscut_faces_of_both_kinds(self):
+        # the pair-lcm top: faces are the atom sets of size at most 2
+        L = build_lcm_lattice(pair_lcm_ideal(4))
+        size, faces = crosscut_by_definition(L, L.top)
+        assert size == 4 and faces == sorted(f for f in range(16) if f.bit_count() <= 2)
+        assert simplicial_betti(faces) == order_complex_betti(L, L.top)
+        # (x1^2, x1*x2, x2^2): the top has three atoms but two lower covers,
+        # x1^2*x2 and x1*x2^2, with x1*x2 below both: one edge, no homology
+        L = build_lcm_lattice(ideal(2, [(2, 0), (1, 1), (0, 2)]))
+        assert crosscut_by_definition(L, L.top) == (2, [0, 1, 2, 3])
+        assert order_complex_betti(L, L.top) == order_complex_betti_by_chains(L, L.top) == {}
 
 
 class TestDepth:
