@@ -55,7 +55,9 @@ check), each Stanley depth of I is that of J plus ambient(I) - ambient(J).
 Depth needs neither rule: a free column adds nothing to an atom code (see
 lattices.LcmLattice), and the ambient count minus the projective dimension
 counts it.  The n-spread's masks come from a sweep over the generators'
-blocks, without the spread (lattices._spread_columns).
+blocks, without the spread (lattices._spread_columns).  The source and its
+n-spread often depolarize to one J; equal ideals have one poset, so one
+harness call searches each distinct J once and reads its scores for both.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def depth_quotient(I: MonomialIdeal) -> DepthReport:
     """
     L = _depth_lattice(I)
     entries: dict[tuple[int, Monomial], int] = {(0, L.bottom): 1}
-    for e in L.elements[1:]:
+    for e in (L.elements[k] for k in sorted(L._betti)[1:]):  # [0] is the bottom's
         for k, v in order_complex_betti(L, e).items():
             entries[(k + 2, e)] = v
     table = BettiTable(ambient=I.ambient, entries=entries)
@@ -385,29 +387,38 @@ def _compress(columns: list[list[int]], m: int) -> MonomialIdeal:
                 break
         else:
             chains.append(set(chain))
-    # a chain holds at most m nested masks, so no exponent passes the Monomial cap
+    # an exponent counts at most m nested masks, so none passes the Monomial cap
+    cols = [[0] * m for _ in chains]
+    for col, chain in zip(cols, chains):
+        for mask in chain:
+            while mask:
+                col[(mask & -mask).bit_length() - 1] += 1
+                mask &= mask - 1
     n = len(chains)
-    return MonomialIdeal._from_minimal(n, (Monomial._trusted(tuple(
-        sum(mask >> i & 1 for mask in chain) for chain in chains), n) for i in range(m)))
+    return MonomialIdeal._from_minimal(n, (Monomial._trusted(row, n) for row in zip(*cols)))
 
 
 def _stats(
-    what: str, ambient: int, lattice: Callable[..., LcmLattice], *args
+    what: str, ambient: int, searched: dict[MonomialIdeal, list[int]],
+    lattice: Callable[..., LcmLattice], *args
 ) -> tuple[tuple[int, int, int], LcmLattice]:
     """Depth and both Stanley depths of the ideal in `ambient` whose
     lcm-lattice is lattice(*args), and that lattice for the isomorphism
     test; each TooLargeError is prefixed with `what`.  Both Stanley depth
     searches run on one poset, of the depolarization J of the lattice's
-    threshold masks, and decode no box."""
+    threshold masks, and decode no box.  `searched` maps each J already
+    searched in this harness call to its two scores, so a J met again is
+    not searched again: equal ideals have one poset."""
     try:
         L = lattice(*args)
         J = _compress(L._columns, len(L._atom_at))
-        poset, shift = build_characteristic_poset(J), ambient - J.ambient
-        stats = (
-            ambient - _projective_dimension(L),
-            _box_partition_value(poset, poset.side_mask(ideal_side=False))[0] + shift,
-            _box_partition_value(poset, poset.side_mask(ideal_side=True))[0] + shift,
-        )
+        if J not in searched:
+            poset = build_characteristic_poset(J)
+            searched[J] = [_box_partition_value(poset, poset.side_mask(ideal_side))[0]
+                           for ideal_side in (False, True)]
+        quotient, ideal = searched[J]
+        shift = ambient - J.ambient
+        stats = (ambient - _projective_dimension(L), quotient + shift, ideal + shift)
     except TooLargeError as e:
         raise TooLargeError(f"{what}: {e}") from None
     return stats, L
@@ -431,8 +442,10 @@ def verify_spreading_laws(
     point or box corner is decoded.  Each Stanley depth is searched on the
     depolarization J of those masks, whose polarization has the
     lcm-lattice of the ideal's, plus the variables J lacks (see the module
-    docstring).  The n-spread is never built: its columns come from the
-    generators' blocks (_spread_columns), which also decide smoothness.  Its
+    docstring); when the n-spread's J equals the source's, its poset and
+    searches are not repeated, and each side adds its own shift.  The
+    n-spread is never built: its columns come from the generators' blocks
+    (_spread_columns), which also decide smoothness.  Its
     lattice needs no Monomial check of its top, which cannot fail once n*d
     passes _check_ambient_cap: the top is squarefree in at most MAX_AMBIENT
     < MAX_DEGREE variables.  A padded t-spread with
@@ -448,11 +461,13 @@ def verify_spreading_laws(
     if any(t < n for t in ts):
         raise BadParameterError(f"law harness needs t >= n = {n}, got {ts}")
 
-    source, source_lattice = _stats(f"source ideal in T_{n}", n, _depth_lattice, I)
+    searched: dict[MonomialIdeal, list[int]] = {}
+    source, source_lattice = _stats(f"source ideal in T_{n}", n, searched, _depth_lattice, I)
     _check_ambient_cap(n * d)
     blocks = [_blocks(u) for u in I.generators]
-    n_spread, n_spread_lattice = _stats(f"{n}-spread in T_{n * d}", n * d, LcmLattice._of_columns,
-                                        _spread_columns(blocks, n), len(blocks))
+    n_spread, n_spread_lattice = _stats(f"{n}-spread in T_{n * d}", n * d, searched,
+                                        LcmLattice._of_columns, _spread_columns(blocks, n),
+                                        len(blocks))
     spread_stats = {n: n_spread}
     for t in ts[1:]:
         _check_ambient_cap(t * d)

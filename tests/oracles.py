@@ -70,6 +70,12 @@ order, the set of its threshold sets, merged into the first earlier chain it
 forms a chain with.  It is the rank-stepped form the library depolarizes,
 where the dense law-harness reference keeps the multiplicities.
 
+The generator-sum reference is the library's depolarization of threshold
+masks as it was before it counted set bits per chain: the same merge of
+whole chains, then each generator's exponent in a chain as a sum over the
+chain's masks of that generator's bit, built through the validating
+MonomialIdeal.from_exponents.
+
 The dense law-harness reference is the harness as it was before it read
 the n-spread from the generators' blocks: it builds the n-spread with
 spread_ideal, reads depth off the public Betti table, depolarizes each
@@ -644,6 +650,23 @@ def depolarize_by_masks(I: MonomialIdeal) -> MonomialIdeal:
         else:
             chains.append(chain)
     rows = [[sum(i in c for c in chain) for chain in chains] for i in range(len(I.generators))]
+    return MonomialIdeal.from_exponents(len(chains), rows)
+
+
+def depolarize_by_sums(columns: list[list[int]], m: int) -> MonomialIdeal:
+    """The depolarization of the ideal of m generators with these threshold
+    masks (in the form lattices._columns gives): each chain merged into the
+    first earlier one it forms a chain with, and generator i's exponent in a
+    chain the number of its masks with bit i set."""
+    chains: list[set[int]] = []
+    for chain in columns:
+        for other in chains:
+            if all(a & b in (a, b) for a in other for b in chain):
+                other.update(chain)
+                break
+        else:
+            chains.append(set(chain))
+    rows = [[sum(mask >> i & 1 for mask in chain) for chain in chains] for i in range(m)]
     return MonomialIdeal.from_exponents(len(chains), rows)
 
 

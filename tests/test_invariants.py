@@ -51,6 +51,7 @@ from oracles import (
     dense_spread_columns,
     dense_spreading_laws,
     depolarize_by_masks,
+    depolarize_by_sums,
     depolarize_first_fit,
     first_reached_keys,
     order_complex_betti_by_chains,
@@ -660,6 +661,14 @@ class TestCompress:
                     self._check(I)
                     checked += 1
 
+    def test_bit_counts_match_generator_sums(self):
+        # the source's masks, the n-spread's from the rows and from the blocks
+        for I in small_family() + laws_shaped(random.Random(97), 100):
+            S, m = spread_ideal(I, I.ambient), len(I.generators)
+            for columns in (_columns([u.exponents for u in I.generators]),
+                            _columns([u.exponents for u in S.generators]), spread_sweep(I)):
+                assert _compress(columns, m) == depolarize_by_sums(columns, m), I
+
     def test_grid_never_grows_where_first_fit_does(self):
         # first fit over single columns, smallest first, splits the chain of
         # x1's three columns between two variables here; merging whole
@@ -784,6 +793,24 @@ class TestColumnRoute:
             verify_spreading_laws(I, [I.ambient, I.ambient + 1])
         assert posets and not any(hasattr(p, "_points") for p in posets)
         assert len(posets[0].points) == posets[0].full.bit_length()  # decoded on a read
+
+    def test_one_search_per_distinct_depolarization(self, monkeypatch):
+        # 522 calls whose source and n-spread have 168 depolarizations in
+        # common: 1,044 posets if each side built its own
+        built = []
+
+        def recorded(J):
+            built.append(J)
+            return CharacteristicPoset(J)
+
+        monkeypatch.setattr(invariants, "build_characteristic_poset", recorded)
+        for I in small_family():
+            start = len(built)
+            verify_spreading_laws(I, [I.ambient, I.ambient + 1])
+            mine = built[start:]
+            assert len(set(mine)) == len(mine), I
+            assert set(mine) == {compress(I), compress(spread_ideal(I, I.ambient))}, I
+        assert len(built) == 876
 
     def test_refusals_keep_their_texts(self):
         # the n*d cap is raised unprefixed, the spread's own refusals prefixed
