@@ -15,14 +15,23 @@ order, which is lexicographic order of the exponent vectors and puts every
 divisor before its multiples.  Each element also carries two int bitmasks:
 its atom support, built by the constructor, and the elements below it,
 built for all elements when first read, as the isomorphism test and the
-collapse map never read it; exponent vectors are made only when asked for.
-Both a down-set and the collapse map's image of an element are ORs over
-its atom support, read per 4 atoms from a table of the 16 subset ORs.
-An atomistic lattice is
-fixed by its family of atom supports: u <= v iff support(u) is contained in
-support(v), and an isomorphism is a permutation of atoms carrying one family
-onto the other.  The common lower bounds below(u) & below(v) are the
-down-set of the meet, whose index is their highest bit, so no gcd is needed.
+collapse map never read it.
+
+Codes and rows are converted in bulk, a column at a time.  One transpose
+(_transpose) reads bit a of every int in a list as one int: it makes the
+atom codes from the threshold masks and the atoms' up-sets from the atom
+supports.  Exponent vectors are made only when asked for, by one decoder
+(taylor._decode, shared with the Betti numbers): per distinct column of
+the atom rows, one pass over all the codes reads each field's rank, and
+one zip makes the rows.  A down-set, the collapse map's image of an
+element and an isomorphism's image of a support are ORs over an atom
+support, read per 4 atoms from a table of the 16 subset ORs (_subset_ors).
+
+An atomistic lattice is fixed by its family of atom supports: u <= v iff
+support(u) is contained in support(v), and an isomorphism is a permutation
+of atoms carrying one family onto the other.  The common lower bounds
+below(u) & below(v) are the down-set of the meet, whose index is their
+highest bit, so no gcd is needed.
 
 A map f out of an atomistic lattice with f(bottom) = bottom preserves all
 joins iff f(s join a) = f(s) join f(a) for every element s and atom a (the
@@ -48,7 +57,7 @@ from .errors import (
     WellDefinednessViolation,
 )
 from .monomials import Monomial, MonomialIdeal, spread_ideal
-from .taylor import MAX_TAYLOR_ATOMS, _homology, _keep
+from .taylor import MAX_TAYLOR_ATOMS, _decode, _homology, _keep
 
 MAX_ATOMS = 20
 MAX_ELEMENTS = 1 << 14  # each element keeps a mask as long as the lattice
@@ -82,9 +91,11 @@ class LcmLattice:
     runs every check, so a bad input fails where it is built and not where
     an element is first read: antichain of non-units, the MAX_ELEMENTS cap,
     and the full Monomial check of the top, which the rest divide.  Vectors
-    are decoded on demand: `_element(k)` one alone, `elements` all at once.
-    The down-set masks `_below` are built on first read too, all at once
-    from 4-atom OR tables of the atoms' up-sets: only `leq`, `meet` and
+    are decoded on demand, column by column (taylor._decode, on the fields
+    `_fields` of the atom rows): `_element(k)` one alone, `elements` all at
+    once.  The down-set masks `_below` are built on first read too, all at
+    once: one transpose of the supports gives the atoms' up-sets, and
+    4-atom OR tables of those give each down-set.  Only `leq`, `meet` and
     `covers` (so `hasse_dot`) read them.  The isomorphism test, the
     collapse map and the Betti numbers work on codes and supports alone.
     `_columns` keeps the masks the codes come from, which the law harness
@@ -114,15 +125,12 @@ class LcmLattice:
     def _close(self, columns: list[list[int]], m: int) -> None:
         """Set the codes of m atoms from their columns, close them under OR
         and run the antichain and MAX_ELEMENTS checks.  The code of atom a
-        is bit a of each mask in turn, after a leading 0: one byte string
-        per 8 atoms holds the masks, and translating it writes one atom's
-        bits as binary digits, in time linear in the number of masks."""
+        is bit a of each mask in turn, after a leading 0 (_transpose)."""
         self._columns = columns
         masks = [0]
         for chain in columns:
             masks += chain
-        planes = [bytes([mask >> lo & 255 for mask in masks]) for lo in range(0, m, 8)]
-        codes = [int(planes[a >> 3].translate(_BIT_DIGITS[a & 7]), 2) for a in range(m)]
+        codes = _transpose(masks, m)
         support = {0: 0}  # code -> mask of the atoms below it
         for a, g in enumerate(codes):
             bit = 1 << a
@@ -160,34 +168,39 @@ class LcmLattice:
 
     @cached_property
     def elements(self) -> tuple[Monomial, ...]:
-        """Every element in code order, decoded when first read by a replay of
-        the closure: a new code's vector is an earlier one raised to an atom row."""
-        exps = {0: (0,) * self.ambient}  # code -> exponent vector
-        for atom, i in zip(self.atoms, self._atom_at):
-            g = self._codes[i]
-            raise_to = [(j, v) for j, v in enumerate(atom.exponents) if v]
-            for e, x in list(exps.items()):
-                f = e | g
-                if f not in exps:
-                    y = list(x)
-                    for j, v in raise_to:
-                        y[j] = max(y[j], v)
-                    exps[f] = tuple(y)
-        return tuple(Monomial._trusted(exps[c], self.ambient) for c in self._codes)
+        """Every element in code order, decoded column by column when first read."""
+        rows = _decode(self._codes, *self._fields)
+        return tuple(Monomial._trusted(row, self.ambient) for row in rows)
+
+    @cached_property
+    def _fields(self) -> tuple[list[tuple[int, int, list[int]]], list[int]]:
+        """(fields, where) of the codes for taylor._decode: per distinct
+        column of the atom rows, in order of first occurrence, the (shift,
+        mask, values) of its field, the first field the most significant;
+        and each variable's column."""
+        # with no atoms every column is zero: one zero row keeps `where` whole
+        rows = [a.exponents for a in self.atoms] or [(0,) * self.ambient]
+        columns: dict[tuple[int, ...], int] = {}  # distinct column -> its place
+        where = [columns.setdefault(c, len(columns)) for c in zip(*rows)]
+        shift = sum(map(len, self._columns))
+        fields = []
+        for column in columns:
+            vs = sorted({0, *column})
+            shift -= len(vs) - 1
+            fields.append((shift, (1 << len(vs) - 1) - 1, vs))
+        return fields, where
 
     @cached_property
     def _below(self) -> list[int]:
         """below[k]: the elements v <= element k, built when first read.
 
         v <= u iff support(u) holds support(v), so below(u) is the complement
-        of the union of the up-sets of the atoms outside support(u)."""
-        ups = [0] * len(self._atom_at)  # ups[a]: the elements above atom a
-        for k, s in enumerate(self._support):
-            while s:
-                low = s & -s
-                ups[low.bit_length() - 1] |= 1 << k
-                s ^= low
-        full, atoms = (1 << len(self._codes)) - 1, (1 << len(self._atom_at)) - 1
+        of the union of the up-sets of the atoms outside support(u).  The
+        up-set of atom a is bit a of each support, the last element's the
+        most significant: one transpose."""
+        m = len(self._atom_at)
+        full, atoms = (1 << len(self._codes)) - 1, (1 << m) - 1
+        ups = _transpose(self._support[::-1], m)
         return [full ^ u for u in _subset_ors(ups, [atoms ^ s for s in self._support])]
 
     @cached_property
@@ -207,9 +220,8 @@ class LcmLattice:
         return {at[c]: b for c, b in _homology(_keep(self._columns, m), lcms).items()}
 
     def _element(self, k: int) -> Monomial:
-        """Element k alone, the lcm of the atom rows below it."""
-        rows = [u.exponents for a, u in enumerate(self.atoms) if self._support[k] >> a & 1]
-        return Monomial._trusted(_lcm(rows, self.ambient), self.ambient)
+        """Element k alone, decoded from its code."""
+        return Monomial._trusted(_decode([self._codes[k]], *self._fields)[0], self.ambient)
 
     @property
     def bottom(self) -> Monomial:
@@ -307,6 +319,15 @@ def _lcm(rows: list[tuple[int, ...]], ambient: int) -> tuple[int, ...]:
     return tuple(map(max, (0,) * ambient, *rows)) if rows else (0,) * ambient
 
 
+def _transpose(rows: list[int], m: int) -> list[int]:
+    """Per a < m, bit a of each row in turn, the first row the most
+    significant, read as one int.  One byte string per 8 bits holds those
+    bits of every row, and translating it writes bit a of each as a binary
+    digit, in time linear in the number of rows."""
+    planes = [bytes([row >> lo & 255 for row in rows]) for lo in range(0, m, 8)]
+    return [int(planes[a >> 3].translate(_BIT_DIGITS[a & 7]), 2) for a in range(m)]
+
+
 def _subset_ors(values: list[int], masks: list[int]) -> list[int]:
     """Per mask, the OR of the values whose bits it sets (bit a picks
     values[a]), read per 4 values from a table of their 16 subset ORs."""
@@ -366,8 +387,7 @@ def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | 
     if image is None:
         return None
     target = dict(zip(L2._support, L2.elements))
-    return {e: target[sum(b for a, b in enumerate(image) if s >> a & 1)]
-            for e, s in zip(L1.elements, L1._support)}
+    return {e: target[s] for e, s in zip(L1.elements, _subset_ors(image, L1._support))}
 
 
 def _atom_image(L1: LcmLattice, L2: LcmLattice) -> list[int] | None:
@@ -490,10 +510,8 @@ def hasse_dot(L: LcmLattice) -> str:
     element order, labeled by the monomials), then the cover edges sorted the
     same way, so the output is deterministic.
     """
-    lines = ["digraph lcm_lattice {"]
-    for e in L.elements:
-        lines.append(f'  "{e}";')
-    for i, j in L.covers():
-        lines.append(f'  "{L.elements[i]}" -> "{L.elements[j]}";')
+    labels = [f'"{e}"' for e in L.elements]
+    lines = ["digraph lcm_lattice {", *(f"  {x};" for x in labels)]
+    lines += [f"  {labels[i]} -> {labels[j]};" for i, j in L.covers()]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,8 @@ code of an lcm is the OR of the generators' codes, and all 2^m subset lcms
 come from one doubling pass.  A field is at most as wide as the number of
 generators, where raw exponents could need 2^16 bits.  An exponent is
 decoded from its field's popcount, the rank, as the column's value of that
-rank.
+rank.  _decode turns a whole list of codes into exponent rows column by
+column: one pass over all the codes per distinct column, then one zip.
 
 The subset resolution is reduced by element matchings, the discrete-Morse
 reduction of Batzies and Welker (J. reine angew. Math. 543, 2002): along
@@ -50,15 +51,16 @@ elimination on these rows.  Both cited facts are recalled, not read
 offline: the tests' comparisons with a combinations oracle and a chain
 complex oracle are the check.
 
-_homology needs only keep and the subset lcm codes, so it serves two
-callers.  taylor_betti makes both from the generators' exponents, visits
-the groups in the order their lcm is first reached, and decodes a group's
-exponent vector only for a nonzero entry; the lcm of all generators gets
-the full Monomial check once: as every entry divides it, every entry is
-made unchecked if it passes, and each entry gets the full check of its own
-if it fails.  The lcm-lattice's Betti table (lattices.LcmLattice._betti)
-passes the lattice's own threshold masks and atom codes and keys each
-group by element index.  This module imports only errors and monomials,
+_homology and _decode need only keep, the codes and the fields, so they
+serve two callers.  taylor_betti makes them from the generators'
+exponents, lists the groups with a nonzero entry in the order their lcm is
+first reached, and decodes their multidegrees in one call together with
+the lcm of all generators, which gets the full Monomial check once: as
+every entry divides it, every entry is made unchecked if it passes, and
+each entry gets the full check of its own if it fails.  The lcm-lattice
+(lattices.LcmLattice) passes its own threshold masks and atom codes for
+its Betti table `_betti`, keyed by element index, and its own fields to
+decode its elements.  This module imports only errors and monomials,
 which a test pins, so taylor_betti's masks and codes are made apart from
 the lattice's, and comparing the two keeps a check on the lattice's side.
 
@@ -114,6 +116,17 @@ def _ranked(exps: list[tuple[int, ...]]) -> tuple[
         ranks.append(rk)
         chains.append(chain)
     return where, values, ranks, chains
+
+
+def _decode(codes: list[int], fields: list[tuple[int, int, list[int]]],
+            where: list[int]) -> list[tuple[int, ...]]:
+    """The exponent rows of int codes, given per distinct column the (shift,
+    mask, values) of its field (a zero column's mask 0 and values [0]) and
+    each variable's column: an exponent is the column's value of the
+    field's popcount, its rank.  One list per distinct column over all the
+    codes, then one zip makes the rows."""
+    columns = [[vs[(c >> at & mask).bit_count()] for c in codes] for at, mask, vs in fields]
+    return list(zip(*map(columns.__getitem__, where))) or [()] * len(codes)
 
 
 def _keep(chains: list[list[int]], m: int) -> list[int]:
@@ -226,22 +239,17 @@ def taylor_betti(I: MonomialIdeal) -> dict[tuple[int, Monomial], int]:
     lcms = [0]  # lcms[S]: the code of the lcm of the generator subset S
     for code in codes:  # the subsets holding generator a sit 2^a past those without
         lcms += [x | code for x in lcms]
-
-    def degree(code: int) -> tuple[int, ...]:  # the exponents of a code
-        short = [vs[(code >> at & mask).bit_count()] for at, mask, vs in fields]
-        return tuple(map(short.__getitem__, where))
-
+    groups = _homology(_keep(chains, m), lcms)
+    order = [code for code in dict.fromkeys(lcms) if code in groups]  # first reached first
+    *rows, top = _decode([*order, lcms[-1]], fields, where)
     try:  # every entry divides the top: if the top passes, so do they all
-        Monomial(degree(lcms[-1]), I.ambient)
+        Monomial(top, I.ambient)
         decode = Monomial._trusted
     except ExponentOverflowError:
         decode = Monomial
-
-    groups = _homology(_keep(chains, m), lcms)
     betti: dict[tuple[int, Monomial], int] = {}
-    for code in dict.fromkeys(lcms):  # the groups in first-reached order
-        if code in groups:
-            deg = decode(degree(code), I.ambient)
-            for size, h in groups[code].items():
-                betti[(size, deg)] = h
+    for code, row in zip(order, rows):
+        deg = decode(row, I.ambient)
+        for size, h in groups[code].items():
+            betti[(size, deg)] = h
     return betti

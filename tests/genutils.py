@@ -114,6 +114,17 @@ def pair_lcm_ideal(m: int) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(len(pairs), rows)
 
 
+def staircase_ideal(rng: random.Random, m: int, n: int = 3) -> MonomialIdeal:
+    """m generators whose first exponents strictly increase and whose second
+    ones strictly decrease, so they form an antichain whatever the other
+    n - 2 exponents (0 to 2) are; each of the first two columns holds m
+    distinct values, up to 60000."""
+    firsts = sorted(rng.sample(range(1, 60000), m))
+    seconds = sorted(rng.sample(range(1, 60000), m), reverse=True)
+    rows = [(a, b, *(rng.randint(0, 2) for _ in range(n - 2))) for a, b in zip(firsts, seconds)]
+    return MonomialIdeal.from_exponents(n, rows)
+
+
 def small_family() -> list[MonomialIdeal]:
     """Every antichain of 2 or 3 nonzero exponent vectors with entries at
     most 2, in n = 2 or 3 variables: 522 ideals."""

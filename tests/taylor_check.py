@@ -1,14 +1,18 @@
-"""Betti numbers against their combinations reference, without pytest.
+"""Betti numbers and lcm-lattices against their references, without pytest.
 
 Runs ``spreadpol.taylor.taylor_betti``, ``spreadpol.depth_quotient`` and the
 reference ``oracles.taylor_betti_by_combinations`` on the small family and
-its n-spreads, 300 seeded ideals with 1 to 10 generators, the CLI corpus's
-huge-exponent file and an ideal whose top fails the degree cap.  It checks
-that taylor_betti's entries agree with the reference and come in
-first-reached order, that depth_quotient's entries agree with it too, and
-that depth_quotient refuses only the ideal whose top fails the degree cap
-(its lcm-lattice checks the top in full).  It needs only the standard
-library, so it runs on interpreters without pytest:
+its n-spreads, 300 seeded ideals with 1 to 10 generators, four staircases of
+9 and 10 generators (fields wider than one byte, atoms past one byte
+plane), the CLI corpus's huge-exponent file and an ideal whose top fails
+the degree cap.  It checks that taylor_betti's entries agree with the
+reference and come in first-reached order, that depth_quotient's entries
+agree with it too, and that depth_quotient refuses only the ideal whose top
+fails the degree cap (its lcm-lattice checks the top in full).  On every
+other ideal it checks the lcm-lattice's ``elements`` against
+``oracles.lattice_elements_eagerly`` and its down-sets ``_below`` against
+``oracles.lattice_masks_by_slabs``.  It needs only the standard library, so
+it runs on interpreters without pytest:
 
     python3.10 tests/taylor_check.py
 
@@ -27,15 +31,28 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from genutils import ideals_by_generator_count, small_family  # noqa: E402
-from oracles import first_reached_keys, taylor_betti_by_combinations  # noqa: E402
-from spreadpol import MonomialIdeal, TooLargeError, depth_quotient, spread_ideal  # noqa: E402
+from genutils import ideals_by_generator_count, small_family, staircase_ideal  # noqa: E402
+from oracles import (  # noqa: E402
+    first_reached_keys,
+    lattice_elements_eagerly,
+    lattice_masks_by_slabs,
+    taylor_betti_by_combinations,
+)
+from spreadpol import (  # noqa: E402
+    MonomialIdeal,
+    TooLargeError,
+    build_lcm_lattice,
+    depth_quotient,
+    spread_ideal,
+)
 from spreadpol.taylor import taylor_betti  # noqa: E402
 
 
 def family() -> list[MonomialIdeal]:
     ideals = [J for I in small_family() for J in (I, spread_ideal(I, I.ambient))]
     ideals += ideals_by_generator_count(random.Random(95), 300)
+    rng = random.Random(98)
+    ideals += [staircase_ideal(rng, m) for m in (9, 9, 10, 10)]
     ideals.append(MonomialIdeal.from_exponents(
         3, [(65535, 1, 0), (65534, 0, 65535), (0, 65535, 65533)]))
     k, e = 20000, 32767  # (X^2e, X^e Y^e, Y^2e): no entry fails the degree cap, the top does
@@ -63,11 +80,18 @@ def main() -> int:
         if dict(entries) != reference:
             print(f"depth_quotient entries differ on {I}")
             return 1
+        L = build_lcm_lattice(I)
+        if L.elements != lattice_elements_eagerly(I.ambient, I.generators):
+            print(f"lattice elements differ on {I}")
+            return 1
+        if L._below != lattice_masks_by_slabs(I.ambient, I.generators)[1]:
+            print(f"lattice down-sets differ on {I}")
+            return 1
     if refused != ideals[-1:]:
         print(f"depth_quotient refused {len(refused)} ideals, not only the last")
         return 1
     print(f"Python {platform.python_version()}: {len(ideals)} ideals agree, "
-          f"{len(ideals) - 1} through depth_quotient too")
+          f"{len(ideals) - 1} through depth_quotient and the lcm-lattice too")
     return 0
 
 

@@ -43,6 +43,7 @@ from genutils import (
     random_equal_degree_ideal,
     random_ideal,
     small_family,
+    staircase_ideal,
 )
 from oracles import (
     box_partition_by_points,
@@ -68,6 +69,14 @@ def M(*exps):
 
 def ideal(n, rows):
     return MonomialIdeal.from_exponents(n, rows)
+
+
+def wide_fields() -> list[MonomialIdeal]:
+    """Four ideals of 10 generators with 9 or 10 distinct nonzero values in
+    a column, so a field is wider than one byte."""
+    rng = random.Random(97)
+    return [ideal(3, [(i, 9 - i, i % 3) for i in range(10)])] + [
+        staircase_ideal(rng, 10) for _ in range(3)]
 
 
 def compress(I):
@@ -280,7 +289,8 @@ class TestDepth:
         family += [pair_lcm_ideal(m) for m in (9, 10)]
         family += [I for I in ideals_by_generator_count(random.Random(90), 40)
                    if len(I.generators) >= 9]
-        assert sorted(len(I.generators) for I in family) == [9] * 6 + [10] * 6
+        family += wide_fields()
+        assert sorted(len(I.generators) for I in family) == [9] * 6 + [10] * 10
         for I in family:
             assert dict(depth_quotient(I).betti.entries) == taylor_betti_by_combinations(I), I
 
@@ -320,7 +330,8 @@ class TestTaylorAgreement:
 
     def test_bitmask_route_matches_combinations_reference(self):
         """Same entries as the reference, keys in first-reached order; the
-        huge-exponent file's unary fields would be 2^16 bits wide unranked."""
+        huge-exponent file's unary fields would be 2^16 bits wide unranked,
+        and wide_fields() has fields wider than one byte."""
         rng = random.Random(94)
         counts = set()
         family = []
@@ -334,6 +345,7 @@ class TestTaylorAgreement:
             family.append(I)
         assert counts == set(range(1, 11))
         family.append(ideal(3, [(65535, 1, 0), (65534, 0, 65535), (0, 65535, 65533)]))
+        family += wide_fields()
         for I in family:
             betti = taylor_betti(I)
             assert betti == taylor_betti_by_combinations(I), I.generators

@@ -34,6 +34,7 @@ from genutils import (
     random_ideal,
     random_monomial,
     small_family,
+    staircase_ideal,
 )
 from oracles import (
     delta_by_all_pairs,
@@ -50,6 +51,20 @@ def M(*exps):
 
 def ideal(n, rows):
     return MonomialIdeal.from_exponents(n, rows)
+
+
+def past_one_byte() -> list[MonomialIdeal]:
+    """Lattices of 9 to 16 atoms, past one byte plane of atoms: pair_lcm_ideal(9),
+    seeded ideals of 9 to 12 generators and their n-spreads, and staircases
+    whose first two columns hold 9 to 16 distinct values, so their fields
+    are wider than 8 bits."""
+    rng = random.Random(45)
+    family = [pair_lcm_ideal(9)]
+    while len(family) < 7:
+        I = random_equal_degree_ideal(rng, 3, rng.randint(9, 12), 4)
+        if len(I.generators) >= 9:
+            family += [I, spread_ideal(I, 3)]
+    return family + [staircase_ideal(rng, m) for m in (9, 10, 12, 16)]
 
 
 class TestBuild:
@@ -87,6 +102,7 @@ class TestBuild:
             family.append(ideal(n, [r for r in rows if any(r)] or [[1] * n]))
         few_columns = ideal(3, [(300, 1, 0), (299, 0, 300), (0, 300, 298)])
         family += [few_columns, spread_ideal(few_columns, 3)]  # 6 distinct columns of 1797
+        family += past_one_byte()
         for I in family:
             L = build_lcm_lattice(I)
             elements, below, above, support, covers = lattice_masks_by_slabs(
@@ -600,6 +616,12 @@ class TestLatticeAccess:
         assert L.elements == (M(0, 0), M(0, 1), M(1, 0), M(1, 1))
         assert L.atoms == (M(0, 1), M(1, 0)) and L.atom_support(M(0, 1)) == {0}
 
+    def test_lattice_without_atoms_is_its_bottom(self):
+        for n in (0, 3):
+            L, unit = LcmLattice(n, ()), Monomial.unit(n)
+            assert L.elements == (unit,) and L.bottom == L.top == unit
+            assert L._below == [1] and L.covers() == ()
+
     def test_leq(self):
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
         assert L.leq(L.bottom, L.top)
@@ -639,6 +661,16 @@ class TestLazyDecode:
         rng = random.Random(43)
         seeded = [random_ideal(rng, rng.randint(1, 4), rng.randint(1, 6), 3) for _ in range(60)]
         return small_family() + seeded + [ideal(3, [(300, 1, 0), (299, 0, 300), (0, 300, 298)])]
+
+    def test_decode_past_one_byte_plane(self):
+        """On lattices of 9 to 16 atoms, some with fields wider than 8 bits,
+        single decodes, the elements and the index equal the eager ones."""
+        for I in past_one_byte():
+            L, E = build_lcm_lattice(I), lattice_elements_eagerly(I.ambient, I.generators)
+            assert len(L.atoms) >= 9
+            assert [L._element(k) for k in range(len(L))] == list(E), I
+            assert L.elements == E and all(L.index(e) == k for k, e in enumerate(E)), I
+            assert L.bottom == E[0] and L.top == E[-1], I
 
     def test_lazy_decode_matches_eager_reference(self):
         """Elements, index, single decodes, and the depth, isomorphism and
