@@ -2,7 +2,8 @@
 
 An ideal file is UTF-8 text: a header line ``n <count>``, then one minimal
 generator per nonblank line as ``<count>`` space-separated nonnegative
-exponents.  ``#`` starts a comment, blank lines are ignored.  Redundant
+exponents.  The count and the exponents are written in ASCII decimal digits
+alone.  ``#`` starts a comment, blank lines are ignored.  Redundant
 generators are dropped with a warning on the error stream.
 
 Exit codes: 0 success or affirmative answer, 1 negative mathematical answer
@@ -49,25 +50,32 @@ def parse_ideal(text: str) -> tuple[MonomialIdeal, list[Monomial]]:
     gens: list[Monomial] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = line.split()
+        if not tokens:
             continue
+        # int() alone would also read "+1", "1_0" and non-ASCII digits
         if n is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "n":
+            if len(tokens) != 2 or tokens[0] != "n":
                 raise IdealFileError('expected header "n <count>"', lineno)
+            count = tokens[1]
             try:
-                n = int(parts[1])
-            except ValueError:
-                raise IdealFileError(f"bad variable count {parts[1]!r}", lineno) from None
+                n = int(count) if count.isascii() and count.isdigit() else None
+            except ValueError:  # past the interpreter's limit on digits
+                pass
+            if n is None:
+                raise IdealFileError(f"bad variable count {count!r}", lineno)
             if n < 1:
                 raise IdealFileError("variable count must be positive", lineno)
             continue
         try:
-            exps = [int(tok) for tok in line.split()]
+            exps = [int(tok) for tok in tokens]
         except ValueError:
             raise IdealFileError(f"non-integer exponent in {line!r}", lineno) from None
-        if any(e < 0 for e in exps):
-            raise IdealFileError("negative exponent", lineno)
+        digits = "".join(tokens)
+        if not (digits.isascii() and digits.isdigit()):
+            if min(exps) < 0:
+                raise IdealFileError("negative exponent", lineno)
+            raise IdealFileError(f"non-integer exponent in {line!r}", lineno)
         if len(exps) != n:
             raise IdealFileError(f"expected {n} exponents, got {len(exps)}", lineno)
         if not any(exps):

@@ -40,7 +40,7 @@ saturated everywhere; a public report writes 0 there in each box corner.
 The law harness works on threshold masks alone: per x_j and distinct value
 v > 0 of it, the generators with x_j-exponent >= v, as a bitmask.  They are
 the distinct columns of the standard polarization, whose repeats are copies
-of one variable, so dropping them (the rank step, see lattices._columns)
+of one variable, so dropping them (the rank step, see taylor._columns)
 keeps the lcm-lattice.  The masks give the lattice codes, and the harness
 depolarizes them.  The masks of each x_j form a chain under inclusion.
 Chains whose union is a chain are merged as sets of masks, which never
@@ -377,7 +377,7 @@ class SpreadingLawsReport:
 
 def _compress(columns: list[list[int]], m: int) -> MonomialIdeal:
     """The depolarization J of the ideal of m generators with these threshold
-    masks (see lattices._columns and the module docstring): pol(J) has the
+    masks (see taylor._columns and the module docstring): pol(J) has the
     ideal's distinct polarization columns, and no larger a grid."""
     chains: list[set[int]] = []
     for chain in columns:

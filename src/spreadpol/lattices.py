@@ -17,12 +17,14 @@ its atom support, built by the constructor, and the elements below it,
 built for all elements when first read, as the isomorphism test and the
 collapse map never read it.
 
-Codes and rows are converted in bulk, a column at a time.  One transpose
-(_transpose) reads bit a of every int in a list as one int: it makes the
-atom codes from the threshold masks and the atoms' up-sets from the atom
-supports.  Exponent vectors are made only when asked for, by one decoder
-(taylor._decode, shared with the Betti numbers): per distinct column of
-the atom rows, one pass over all the codes reads each field's rank, and
+Codes and rows are converted in bulk, a column at a time, by the one
+encoder of lcm codes in taylor.py, which the Betti numbers share: the
+threshold masks (taylor._columns), the atom codes made from them, the
+decode fields and the decoder.  One transpose (taylor._transpose) reads bit
+a of every int in a list as one int: it makes the atom codes from the
+threshold masks and the atoms' up-sets from the atom supports.  Exponent
+vectors are made only when asked for (taylor._decode): per distinct column
+of the atom rows, one pass over all the codes reads each field's rank, and
 one zip makes the rows.  A down-set, the collapse map's image of an
 element and an isomorphism's image of a support are ORs over an atom
 support, read per 4 atoms from a table of the 16 subset ORs (_subset_ors).
@@ -57,20 +59,19 @@ from .errors import (
     WellDefinednessViolation,
 )
 from .monomials import Monomial, MonomialIdeal, spread_ideal
-from .taylor import MAX_TAYLOR_ATOMS, _decode, _homology, _keep
+from .taylor import (MAX_TAYLOR_ATOMS, _atom_codes, _columns, _decode, _decode_fields,
+                     _homology, _transpose)
 
 MAX_ATOMS = 20
 MAX_ELEMENTS = 1 << 14  # each element keeps a mask as long as the lattice
-# entry i maps each byte to the binary digit of its bit i, for bytes.translate:
-# over the bytes 0..255, bit i runs 2^i zeros, then 2^i ones, and repeats
-_BIT_DIGITS = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
 
 
 class LcmLattice:
     """The lcm-lattice of an antichain of monomials, the atoms kept in order.
 
     Each atom gets one int code, read off its threshold masks (see
-    _columns): per distinct nonzero column of exponents, in order of first
+    taylor._columns, and taylor._atom_codes, one taylor._transpose of the
+    masks): per distinct nonzero column of exponents, in order of first
     occurrence, and per value v in it from the highest down, the mask of
     the atoms with exponent >= v.  Bit t of a code, the first mask the most
     significant, says whether the atom lies in mask t.  So within one column
@@ -92,16 +93,17 @@ class LcmLattice:
     an element is first read: antichain of non-units, the MAX_ELEMENTS cap,
     and the full Monomial check of the top, which the rest divide.  Vectors
     are decoded on demand, column by column (taylor._decode, on the fields
-    `_fields` of the atom rows): `_element(k)` one alone, `elements` all at
-    once.  The down-set masks `_below` are built on first read too, all at
-    once: one transpose of the supports gives the atoms' up-sets, and
-    4-atom OR tables of those give each down-set.  Only `leq`, `meet` and
-    `covers` (so `hasse_dot`) read them.  The isomorphism test, the
-    collapse map and the Betti numbers work on codes and supports alone.
-    `_columns` keeps the masks the codes come from, which the law harness
-    depolarizes and the Betti table `_betti` matches on (see taylor.py),
-    and `_of_columns` builds a lattice from masks alone, such as the
-    n-spread's (_spread_columns).
+    `_fields` that taylor._decode_fields makes of the atom rows):
+    `_element(k)` one alone, `elements` all at once.  The down-set masks
+    `_below` are built on first read too, all at once: one transpose of the
+    supports gives the atoms' up-sets, and 4-atom OR tables of those give
+    each down-set.  Only `leq`, `meet` and `covers` (so `hasse_dot`) read
+    them.  The isomorphism test, the collapse map and the Betti numbers work
+    on codes and supports alone.  `_columns` keeps the masks the codes come
+    from, which the law harness depolarizes and the Betti table `_betti`
+    passes to taylor._homology, and `_of_columns` builds a lattice from
+    masks alone, such as the n-spread's (_spread_columns).  The masks, the
+    transpose, the codes and the decode fields are made in taylor.py alone.
     """
 
     def __init__(self, ambient: int, atoms: tuple[Monomial, ...]):
@@ -116,21 +118,17 @@ class LcmLattice:
     @classmethod
     def _of_columns(cls, columns: list[list[int]], m: int) -> LcmLattice:
         """The lattice of m atoms with these threshold masks (see
-        _columns), with no `ambient` or `atoms` to decode; the caller
+        taylor._columns), with no `ambient` or `atoms` to decode; the caller
         vouches for the top, the one check the columns cannot run."""
         L = cls.__new__(cls)
         L._close(columns, m)
         return L
 
     def _close(self, columns: list[list[int]], m: int) -> None:
-        """Set the codes of m atoms from their columns, close them under OR
-        and run the antichain and MAX_ELEMENTS checks.  The code of atom a
-        is bit a of each mask in turn, after a leading 0 (_transpose)."""
+        """Set the codes of m atoms from their columns (taylor._atom_codes),
+        close them under OR and run the antichain and MAX_ELEMENTS checks."""
         self._columns = columns
-        masks = [0]
-        for chain in columns:
-            masks += chain
-        codes = _transpose(masks, m)
+        codes = _atom_codes(columns, m)
         support = {0: 0}  # code -> mask of the atoms below it
         for a, g in enumerate(codes):
             bit = 1 << a
@@ -174,21 +172,10 @@ class LcmLattice:
 
     @cached_property
     def _fields(self) -> tuple[list[tuple[int, int, list[int]]], list[int]]:
-        """(fields, where) of the codes for taylor._decode: per distinct
-        column of the atom rows, in order of first occurrence, the (shift,
-        mask, values) of its field, the first field the most significant;
-        and each variable's column."""
+        """(fields, where) of the codes for taylor._decode, from the atom
+        rows (taylor._decode_fields)."""
         # with no atoms every column is zero: one zero row keeps `where` whole
-        rows = [a.exponents for a in self.atoms] or [(0,) * self.ambient]
-        columns: dict[tuple[int, ...], int] = {}  # distinct column -> its place
-        where = [columns.setdefault(c, len(columns)) for c in zip(*rows)]
-        shift = sum(map(len, self._columns))
-        fields = []
-        for column in columns:
-            vs = sorted({0, *column})
-            shift -= len(vs) - 1
-            fields.append((shift, (1 << len(vs) - 1) - 1, vs))
-        return fields, where
+        return _decode_fields([a.exponents for a in self.atoms] or [(0,) * self.ambient])
 
     @cached_property
     def _below(self) -> list[int]:
@@ -212,12 +199,8 @@ class LcmLattice:
         m = len(self._atom_at)
         if m > MAX_TAYLOR_ATOMS:
             raise TooLargeError(f"{m} atoms exceed the Betti cap of {MAX_TAYLOR_ATOMS}")
-        lcms = [0]  # lcms[S]: the code of the join of the atom subset S
-        for i in self._atom_at:
-            g = self._codes[i]
-            lcms += [x | g for x in lcms]
-        at = self._at
-        return {at[c]: b for c, b in _homology(_keep(self._columns, m), lcms).items()}
+        _, groups = _homology(self._columns, [self._codes[i] for i in self._atom_at])
+        return {self._at[c]: b for c, b in groups.items()}
 
     def _element(self, k: int) -> Monomial:
         """Element k alone, decoded from its code."""
@@ -269,30 +252,9 @@ class LcmLattice:
         return self._covers
 
 
-def _columns(rows: list[tuple[int, ...]]) -> list[list[int]]:
-    """The threshold masks of the generator rows: per distinct nonzero column
-    of exponents, in order of first occurrence, the chain of masks of its
-    values v > 0 (the rows with exponent >= v, bit i for row i), from the
-    highest v down, each once: the distinct columns of the standard
-    polarization.  The masks of a chain grow, as sets and as ints."""
-    out = []
-    for column in dict.fromkeys(zip(*rows)):
-        at: dict[int, int] = {}  # nonzero exponent -> mask of the rows with it
-        for i, e in enumerate(column):
-            if e:
-                at[e] = at.get(e, 0) | 1 << i
-        chain, mask = [], 0
-        for v in sorted(at, reverse=True):
-            mask |= at[v]
-            chain.append(mask)
-        if chain:
-            out.append(chain)
-    return out
-
-
 def _spread_columns(blocks: list[list[tuple[int, int]]], n: int) -> list[list[int]]:
-    """The threshold masks of the n-spread in the form _columns gives, from
-    the generators' smooth._blocks alone.
+    """The threshold masks of the n-spread in the form taylor._columns
+    gives, from the generators' smooth._blocks alone.
 
     Generator g covers spread variable j + k*n iff p <= k < p + a, for (p, a)
     its block at j.  So the spread is squarefree, and a sweep over the 2m
@@ -317,15 +279,6 @@ def _spread_columns(blocks: list[list[tuple[int, int]]], n: int) -> list[list[in
 
 def _lcm(rows: list[tuple[int, ...]], ambient: int) -> tuple[int, ...]:
     return tuple(map(max, (0,) * ambient, *rows)) if rows else (0,) * ambient
-
-
-def _transpose(rows: list[int], m: int) -> list[int]:
-    """Per a < m, bit a of each row in turn, the first row the most
-    significant, read as one int.  One byte string per 8 bits holds those
-    bits of every row, and translating it writes bit a of each as a binary
-    digit, in time linear in the number of rows."""
-    planes = [bytes([row >> lo & 255 for row in rows]) for lo in range(0, m, 8)]
-    return [int(planes[a >> 3].translate(_BIT_DIGITS[a & 7]), 2) for a in range(m)]
 
 
 def _subset_ors(values: list[int], masks: list[int]) -> list[int]:

@@ -12,17 +12,22 @@ subset mask: an int of 2^m bits with bit S set for each member.  The
 subsets holding generator a are those without it, 2^a further on, so their
 mask holding[a] repeats 2^a zeros then 2^a ones.
 
-A multidegree is an int code.  Per distinct column of the generator matrix
-(equal columns give every lcm equal values there) the threshold masks, the
-generators with exponent >= v per value v > 0 from the highest down, form a
-chain, and an exponent becomes its rank, the number of masks holding it,
-written in unary in that column's field, so within a field OR is max: the
-code of an lcm is the OR of the generators' codes, and all 2^m subset lcms
-come from one doubling pass.  A field is at most as wide as the number of
-generators, where raw exponents could need 2^16 bits.  An exponent is
-decoded from its field's popcount, the rank, as the column's value of that
-rank.  _decode turns a whole list of codes into exponent rows column by
-column: one pass over all the codes per distinct column, then one zip.
+A multidegree is an int code.  Per distinct nonzero column of the generator
+matrix, in order of first occurrence (equal columns give every lcm equal
+values there), the threshold masks, the generators with exponent >= v per
+value v > 0 from the highest down, form a chain (_columns); these are the
+distinct columns of the standard polarization.  Bit t of a generator's
+code, the first mask the most significant, says whether the generator lies
+in mask t (_atom_codes, one transpose of the masks).  So an exponent becomes
+its rank, the number of masks holding it, written in unary in that column's
+field, and within a field OR is max: the code of an lcm is the OR of the
+generators' codes, and all 2^m subset lcms come from one doubling pass.  A
+field is at most as wide as the number of generators, where raw exponents
+could need 2^16 bits.  An exponent is decoded from its field's popcount,
+the rank, as the column's value of that rank (_decode_fields makes each
+field's shift, mask and values from the rows).  _decode turns a whole list
+of codes into exponent rows column by column: one pass over all the codes
+per distinct column, then one zip.
 
 The subset resolution is reduced by element matchings, the discrete-Morse
 reduction of Batzies and Welker (J. reine angew. Math. 543, 2002): along
@@ -51,18 +56,22 @@ elimination on these rows.  Both cited facts are recalled, not read
 offline: the tests' comparisons with a combinations oracle and a chain
 complex oracle are the check.
 
-_homology and _decode need only keep, the codes and the fields, so they
-serve two callers.  taylor_betti makes them from the generators'
-exponents, lists the groups with a nonzero entry in the order their lcm is
-first reached, and decodes their multidegrees in one call together with
-the lcm of all generators, which gets the full Monomial check once: as
-every entry divides it, every entry is made unchecked if it passes, and
-each entry gets the full check of its own if it fails.  The lcm-lattice
-(lattices.LcmLattice) passes its own threshold masks and atom codes for
-its Betti table `_betti`, keyed by element index, and its own fields to
-decode its elements.  This module imports only errors and monomials,
-which a test pins, so taylor_betti's masks and codes are made apart from
-the lattice's, and comparing the two keeps a check on the lattice's side.
+This module is the one encoder of lcm codes: the masks, the codes and the
+fields are made here alone, and both Betti routes run one matching pass.
+_homology needs only the threshold masks and the codes made from them, and
+builds the subset lcms and keep itself.  taylor_betti makes the masks and
+codes from the generators' exponents, lists the groups with a nonzero
+entry in the order their lcm is first reached, and decodes their
+multidegrees in one call together with the lcm of all generators, which
+gets the full Monomial check once: as every entry divides it, every entry
+is made unchecked if it passes, and each entry gets the full check of its
+own if it fails.  The lcm-lattice (lattices.LcmLattice) makes its atom
+codes and its decode fields with the same helpers, and passes its threshold
+masks and atom codes for its Betti table `_betti`, keyed by element index.
+This module imports only errors and monomials, which a test pins, so the
+layering stays one-way.  As both routes share the encoder, the independent
+checks of either are the references in the tests: the combinations oracle,
+the chain-complex oracle and the eager lattice.
 
 Both read at most MAX_TAYLOR_ATOMS generators: invariants.depth_quotient and
 invariants.order_complex_betti share the cap, and 2^MAX_TAYLOR_ATOMS
@@ -82,6 +91,9 @@ from .errors import ExponentOverflowError, TooLargeError
 from .monomials import Monomial, MonomialIdeal
 
 MAX_TAYLOR_ATOMS = 10
+# entry i maps each byte to the binary digit of its bit i, for bytes.translate:
+# over the bytes 0..255, bit i runs 2^i zeros, then 2^i ones, and repeats
+_BIT_DIGITS = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
 
 
 def _holding(m: int) -> list[int]:
@@ -91,31 +103,58 @@ def _holding(m: int) -> list[int]:
             for a in range(m)]
 
 
-def _ranked(exps: list[tuple[int, ...]]) -> tuple[
-        list[int], list[list[int]], list[list[int]], list[list[int]]]:
-    """(where, values, ranks, chains) of the generator rows: the place of
-    each column among the distinct columns, and per distinct column its
-    values with 0 in increasing order, each generator's rank among them, and
-    the threshold masks, the generators of rank >= r per rank r > 0 from the
-    highest down (a chain: the masks grow)."""
-    columns: dict[tuple[int, ...], int] = {}  # distinct column -> its place
-    where = [columns.setdefault(c, len(columns)) for c in zip(*exps)]
-    values, ranks, chains = [], [], []
-    for column in columns:
-        vs = sorted(set(column) | {0})
-        rank = {v: r for r, v in enumerate(vs)}
-        rk = [rank[v] for v in column]
-        at = [0] * len(vs)  # at[r]: the generators of rank r
-        for a, r in enumerate(rk):
-            at[r] |= 1 << a
+def _columns(rows: list[tuple[int, ...]]) -> list[list[int]]:
+    """The threshold masks of the generator rows: per distinct nonzero column
+    of exponents, in order of first occurrence, the chain of masks of its
+    values v > 0 (the rows with exponent >= v, bit i for row i), from the
+    highest v down, each once: the distinct columns of the standard
+    polarization.  The masks of a chain grow, as sets and as ints."""
+    out = []
+    for column in dict.fromkeys(zip(*rows)):
+        at: dict[int, int] = {}  # nonzero exponent -> mask of the rows with it
+        for i, e in enumerate(column):
+            if e:
+                at[e] = at.get(e, 0) | 1 << i
         chain, mask = [], 0
-        for bits in at[:0:-1]:
-            mask |= bits
+        for v in sorted(at, reverse=True):
+            mask |= at[v]
             chain.append(mask)
-        values.append(vs)
-        ranks.append(rk)
-        chains.append(chain)
-    return where, values, ranks, chains
+        if chain:
+            out.append(chain)
+    return out
+
+
+def _transpose(rows: list[int], m: int) -> list[int]:
+    """Per a < m, bit a of each row in turn, the first row the most
+    significant, read as one int.  One byte string per 8 bits holds those
+    bits of every row, and translating it writes bit a of each as a binary
+    digit, in time linear in the number of rows."""
+    planes = [bytes([row >> lo & 255 for row in rows]) for lo in range(0, m, 8)]
+    return [int(planes[a >> 3].translate(_BIT_DIGITS[a & 7]), 2) for a in range(m)]
+
+
+def _atom_codes(columns: list[list[int]], m: int) -> list[int]:
+    """The code of each of m generators from their threshold masks: bit a of
+    each mask in turn, the first mask the most significant (_transpose),
+    after a leading 0 mask, so that no masks still give codes 0."""
+    return _transpose([0] + [mask for chain in columns for mask in chain], m)
+
+
+def _decode_fields(rows: list[tuple[int, ...]]) -> tuple[
+        list[tuple[int, int, list[int]]], list[int]]:
+    """(fields, where) of the codes of these rows for _decode: per distinct
+    column, in order of first occurrence, the (shift, mask, values) of its
+    field, the first field the most significant; and each variable's
+    column.  A field is as wide as its column's chain of masks."""
+    columns: dict[tuple[int, ...], int] = {}  # distinct column -> its place
+    where = [columns.setdefault(c, len(columns)) for c in zip(*rows)]
+    values = [sorted({0, *column}) for column in columns]
+    shift = sum(map(len, values)) - len(values)
+    fields = []
+    for vs in values:
+        shift -= len(vs) - 1
+        fields.append((shift, (1 << len(vs) - 1) - 1, vs))
+    return fields, where
 
 
 def _decode(codes: list[int], fields: list[tuple[int, int, list[int]]],
@@ -194,12 +233,17 @@ def _by_ranks(lcms: list[int], code: int) -> dict[int, int]:
     return {size: h for size, h in homology.items() if h}
 
 
-def _homology(keep: list[int], lcms: list[int]) -> dict[int, dict[int, int]]:
-    """lcm code -> {size: nonzero homology} of each lcm group with a nonzero
-    entry, given keep and lcms[S], the code of the lcm of the generator
-    subset S."""
+def _homology(columns: list[list[int]], codes: list[int]) -> tuple[
+        list[int], dict[int, dict[int, int]]]:
+    """(lcms, groups) of the generators with these threshold masks and their
+    codes (_atom_codes): lcms[S] the code of the lcm of the generator subset
+    S, and per lcm code of each group with a nonzero entry its {size:
+    nonzero homology}."""
+    lcms = [0]
+    for code in codes:  # the subsets holding a sit 2^a past those without
+        lcms += [x | code for x in lcms]
     out: dict[int, dict[int, int]] = {}  # lcm code -> size -> critical cells
-    left = _unmatched(keep)
+    left = _unmatched(_keep(columns, len(codes)))
     while left:
         low = left & -left
         left ^= low
@@ -214,7 +258,7 @@ def _homology(keep: list[int], lcms: list[int]) -> dict[int, dict[int, int]]:
             out[code] = homology
         else:
             del out[code]
-    return out
+    return lcms, out
 
 
 def taylor_betti(I: MonomialIdeal) -> dict[tuple[int, Monomial], int]:
@@ -225,23 +269,11 @@ def taylor_betti(I: MonomialIdeal) -> dict[tuple[int, Monomial], int]:
         raise TooLargeError(
             f"{m} generators exceed the subset-resolution cap of {MAX_TAYLOR_ATOMS}"
         )
-    where, values, ranks, chains = _ranked([g.exponents for g in gens])
-    # each generator's code: per distinct column, its rank in unary in the
-    # column's field; the OR of codes is the lcm
-    codes = [0] * m
-    fields = []  # per distinct column: (shift, mask, values) of its field
-    shift = 0
-    for vs, rk in zip(values, ranks):
-        for a, r in enumerate(rk):
-            codes[a] |= ((1 << r) - 1) << shift
-        fields.append((shift, (1 << (len(vs) - 1)) - 1, vs))
-        shift += len(vs) - 1
-    lcms = [0]  # lcms[S]: the code of the lcm of the generator subset S
-    for code in codes:  # the subsets holding generator a sit 2^a past those without
-        lcms += [x | code for x in lcms]
-    groups = _homology(_keep(chains, m), lcms)
+    exps = [g.exponents for g in gens]
+    columns = _columns(exps)
+    lcms, groups = _homology(columns, _atom_codes(columns, m))
     order = [code for code in dict.fromkeys(lcms) if code in groups]  # first reached first
-    *rows, top = _decode([*order, lcms[-1]], fields, where)
+    *rows, top = _decode([*order, lcms[-1]], *_decode_fields(exps))
     try:  # every entry divides the top: if the top passes, so do they all
         Monomial(top, I.ambient)
         decode = Monomial._trusted

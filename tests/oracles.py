@@ -655,7 +655,7 @@ def depolarize_by_masks(I: MonomialIdeal) -> MonomialIdeal:
 
 def depolarize_by_sums(columns: list[list[int]], m: int) -> MonomialIdeal:
     """The depolarization of the ideal of m generators with these threshold
-    masks (in the form lattices._columns gives): each chain merged into the
+    masks (in the form taylor._columns gives): each chain merged into the
     first earlier one it forms a chain with, and generator i's exponent in a
     chain the number of its masks with bit i set."""
     chains: list[set[int]] = []

@@ -518,3 +518,40 @@ def test_cli_fuzz_returns_a_documented_code(fuzz_dir, data):
         # a cap or a broken guarantee ends the command with one error line
         lines = [x for x in err.getvalue().splitlines() if not x.startswith("warning: ")]
         assert len(lines) == 1 and lines[0].startswith(("error: ", "internal error: "))
+
+
+# Kept last in the module: cli_corpus.py names the ideal-file literals here in
+# order of appearance, so literals added at the end leave the earlier names be.
+class TestDecimalTokens:
+    """Exponents and the variable count are ASCII decimal digits alone: the
+    tokens int() would also read ("+1", "1_0", non-ASCII digits) are
+    refused, with the line they sit on."""
+
+    @pytest.mark.parametrize(
+        "text,line,fragment",
+        [
+            ("n 2\n1_0 1\n", 2, "non-integer exponent in '1_0 1'"),
+            ("n 2\n2 0\n+1 1\n", 3, "non-integer exponent in '+1 1'"),
+            ("n 2\n٣ 1\n", 2, "non-integer exponent"),
+            ("n 2\n1 -1 +1\n", 2, "negative exponent"),
+            ("n 1_0\n1 0 0 0 0 0 0 0 0 0\n", 1, "bad variable count '1_0'"),
+            ("n +2\n1 1\n", 1, "bad variable count '+2'"),
+            ("n ٢\n1 1\n", 1, "bad variable count"),
+        ],
+    )
+    def test_refused_with_line_numbers(self, text, line, fragment):
+        with pytest.raises(IdealFileError) as exc:
+            parse_ideal(text)
+        assert exc.value.line == line
+        assert fragment in str(exc.value)
+
+    def test_polarize_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "i.ideal", "n 2\n1_0 1\n")
+        assert main(["polarize", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err and "non-integer exponent" in captured.err
+
+    def test_decimal_tokens_still_read(self):
+        I, _ = parse_ideal("n 2\n010 1\n0 07\n")
+        assert I == MonomialIdeal.from_exponents(2, [(10, 1), (0, 7)])

@@ -32,10 +32,11 @@ from spreadpol.invariants import (
     _projective_dimension,
     _spread_columns,
 )
-from spreadpol.lattices import LcmLattice, _columns
+from spreadpol import lattices
+from spreadpol.lattices import LcmLattice
 from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from spreadpol.smooth import _blocks
-from spreadpol.taylor import MAX_TAYLOR_ATOMS, taylor_betti
+from spreadpol.taylor import MAX_TAYLOR_ATOMS, _columns, taylor_betti
 from genutils import (
     ideals_by_generator_count,
     pair_lcm_ideal,
@@ -408,35 +409,34 @@ class TestTaylorAgreement:
             for S, deg in enumerate(self.subset_lcms(exps)):
                 groups.setdefault(deg, []).append(S)
             want = sum(1 << S for same in groups.values() for S in critical_by_group(same))
-            *_, chains = taylor._ranked(exps)
+            chains = taylor._columns(exps)
             assert taylor._unmatched(taylor._keep(chains, len(exps))) == want, exps
 
     def test_mask_tables(self):
         """holding[a] is the mask of the subsets holding a, for every m up to
         the cap; keep[a] that of the subsets S without a whose lcm adding a
-        leaves alone, on seeded ideals and the huge-exponent file, from the
-        chains of _ranked and from the lattice's own threshold masks."""
+        leaves alone, on seeded ideals, the huge-exponent file and ideals
+        whose codes pass one byte plane, from the threshold masks."""
         for m in range(1, MAX_TAYLOR_ATOMS + 1):
             holding = taylor._holding(m)
             assert len(holding) == m
             for a, h in enumerate(holding):
                 assert h == sum(1 << S for S in range(1 << m) if S >> a & 1), (m, a)
         family = ideals_by_generator_count(random.Random(96), 60) + [ideal(3, HUGE)]
-        for I in family:
+        for I in family + wide_fields():
             exps = [u.exponents for u in I.generators]
             m = len(exps)
             lcms = self.subset_lcms(exps)
-            *_, chains = taylor._ranked(exps)
-            keep = taylor._keep(chains, m)
-            assert len(keep) == m and taylor._keep(_columns(exps), m) == keep
+            keep = taylor._keep(taylor._columns(exps), m)
+            assert len(keep) == m
             for a in range(m):
                 assert keep[a] == sum(1 << S for S in range(1 << m)
                                       if not S >> a & 1 and lcms[S | 1 << a] == lcms[S]), (exps, a)
 
     def test_taylor_imports_only_errors_and_monomials(self):
-        """taylor_betti makes its masks and codes from the exponents, apart
-        from the lcm-lattice's, so its agreement with depth_quotient checks
-        the lattice's side of the shared matchings."""
+        """The layering is one-way: taylor.py, the one encoder of lcm codes,
+        imports only errors and monomials, and lattices.py defines none of
+        the encoder's helpers but imports them from taylor."""
         tree = ast.parse(Path(taylor.__file__).read_text())
         nodes = list(ast.walk(tree))
         assert not [node for node in nodes if isinstance(node, ast.Import)]
@@ -444,6 +444,18 @@ class TestTaylorAgreement:
         assert imports == {(0, "__future__"), (1, "errors"), (1, "monomials")}
         names = {node.id for node in nodes if isinstance(node, ast.Name)}
         assert not names & {"__import__", "importlib"}
+        encoder = {"_columns", "_transpose", "_BIT_DIGITS", "_atom_codes", "_decode_fields"}
+        assert encoder <= set(vars(taylor))
+        tree = ast.parse(Path(lattices.__file__).read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        assert not defined & encoder
+        from_taylor = {alias.name for node in tree.body
+                       if isinstance(node, ast.ImportFrom) and node.module == "taylor"
+                       for alias in node.names}
+        assert encoder - {"_BIT_DIGITS"} <= from_taylor
 
     def test_rank_fallback_on_two_critical_sizes(self, monkeypatch):
         """At x1^2x2^2x3^2x4, (x1x2^2x4, x1x2^2x3^2, x1^2x2x3^2x4, x1^2x2^2)
@@ -454,7 +466,7 @@ class TestTaylorAgreement:
         exps = [u.exponents for u in I.generators]
         group = [S for S, deg in enumerate(self.subset_lcms(exps)) if deg == top]
         assert {S.bit_count() for S in critical_by_group(group)} == {2, 3}
-        *_, chains = taylor._ranked(exps)
+        chains = taylor._columns(exps)
         left = taylor._unmatched(taylor._keep(chains, len(exps)))
         assert {S.bit_count() for S in group if left >> S & 1} == {2, 3}
         ranked = []
