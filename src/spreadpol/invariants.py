@@ -41,8 +41,12 @@ The law harness works on threshold masks alone: per x_j and distinct value
 v > 0 of it, the generators with x_j-exponent >= v, as a bitmask.  They are
 the distinct columns of the standard polarization, whose repeats are copies
 of one variable, so dropping them (the rank step, see taylor._columns)
-keeps the lcm-lattice.  The masks give the lattice codes, and the harness
-depolarizes them.  The masks of each x_j form a chain under inclusion.
+keeps the lcm-lattice.  The harness builds no lattice from them: its
+projective dimension is the largest size of a nonzero entry of
+taylor._homology on the masks (the pass that fills LcmLattice._betti), its
+isomorphism verdict compares irreducible masks (below), and it
+depolarizes them for Stanley depth.  The masks of each x_j form a chain
+under inclusion.
 Chains whose union is a chain are merged as sets of masks, which never
 enlarges the grid (a + b + 1 <= (a + 1)(b + 1)), and each chain is one
 variable of an ideal J, where a generator's exponent is the number of the
@@ -58,19 +62,37 @@ counts it.  The n-spread's masks come from a sweep over the generators'
 blocks, without the spread (lattices._spread_columns).  The source and its
 n-spread often depolarize to one J; equal ideals have one poset, so one
 harness call searches each distinct J once and reads its scores for both.
+
+The isomorphism verdict rests on a lemma.  An atom lies outside the
+support of lcm(S) iff some threshold mask holds it and misses S; so the
+complements of the atom supports are the unions of masks, each union
+being the complement of the support of the lcm of the atoms outside it.
+An atom bijection therefore carries the supports of one lcm-lattice onto
+those of another, that is, is an isomorphism, iff it carries the
+union-closure of the first family of masks onto that of the second.  A
+bijection preserves unions, so this holds iff it carries the
+union-irreducible members onto each other.  Such a member is the union of
+the masks inside it, so it is a single mask; and a mask is irreducible
+iff it is not the OR of the masks strictly inside it (_irreducible).
+Once both posets fit MAX_POSET_POINTS, each side has at most 32 masks:
+each lies in one chain of J, of length at most m <= 10, and the product of
+(length + 1) over the chains is at most 4,096, so _irreducible's pairwise
+pass stays small.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from functools import reduce
+from operator import or_
+from typing import Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
 from .lattices import LcmLattice, _atom_image, _spread_columns, build_lcm_lattice
 from .monomials import Monomial, MonomialIdeal, _check_ambient_cap
 from .smooth import _blocks, _first_violation
-from .taylor import MAX_TAYLOR_ATOMS
+from .taylor import MAX_TAYLOR_ATOMS, _atom_codes, _columns, _homology
 MAX_POSET_POINTS = 4096
 MAX_SDEPTH_STATES = 1 << 18  # failed search states memoized by one Stanley-depth search
 
@@ -129,7 +151,8 @@ def depth_quotient(I: MonomialIdeal) -> DepthReport:
     The lattice is built on I itself, so each Betti multidegree is one of its
     elements, decoded once in the ambient of I.
     """
-    L = _depth_lattice(I)
+    _check_depth_cap(len(I.generators))
+    L = build_lcm_lattice(I)
     entries: dict[tuple[int, Monomial], int] = {(0, L.bottom): 1}
     for e in (L.elements[k] for k in sorted(L._betti)[1:]):  # [0] is the bottom's
         for k, v in order_complex_betti(L, e).items():
@@ -138,18 +161,9 @@ def depth_quotient(I: MonomialIdeal) -> DepthReport:
     return DepthReport(I.ambient, I.ambient - table.projective_dimension, table)
 
 
-def _depth_lattice(I: MonomialIdeal) -> LcmLattice:
-    if len(I.generators) > MAX_TAYLOR_ATOMS:
-        raise TooLargeError(
-            f"{len(I.generators)} generators exceed the depth cap of {MAX_TAYLOR_ATOMS}"
-        )
-    return build_lcm_lattice(I)
-
-
-def _projective_dimension(L: LcmLattice) -> int:
-    """Projective dimension of the quotient by the ideal of L: the largest i
-    in its Betti table."""
-    return max(i for betti in L._betti.values() for i in betti)
+def _check_depth_cap(m: int) -> None:
+    if m > MAX_TAYLOR_ATOMS:
+        raise TooLargeError(f"{m} generators exceed the depth cap of {MAX_TAYLOR_ATOMS}")
 
 
 class CharacteristicPoset:
@@ -398,30 +412,37 @@ def _compress(columns: list[list[int]], m: int) -> MonomialIdeal:
     return MonomialIdeal._from_minimal(n, (Monomial._trusted(row, n) for row in zip(*cols)))
 
 
-def _stats(
-    what: str, ambient: int, searched: dict[MonomialIdeal, list[int]],
-    lattice: Callable[..., LcmLattice], *args
-) -> tuple[tuple[int, int, int], LcmLattice]:
-    """Depth and both Stanley depths of the ideal in `ambient` whose
-    lcm-lattice is lattice(*args), and that lattice for the isomorphism
-    test; each TooLargeError is prefixed with `what`.  Both Stanley depth
-    searches run on one poset, of the depolarization J of the lattice's
-    threshold masks, and decode no box.  `searched` maps each J already
-    searched in this harness call to its two scores, so a J met again is
-    not searched again: equal ideals have one poset."""
+def _irreducible(columns: list[list[int]]) -> list[int]:
+    """The distinct threshold masks that are not the OR of the masks
+    strictly inside them: the union-irreducible members of the family of
+    complements of the atom supports (see the module docstring)."""
+    masks = list(dict.fromkeys(itertools.chain.from_iterable(columns)))
+    return [x for x in masks if x != reduce(or_, (y for y in masks if y != x and y & x == y), 0)]
+
+
+def _stats(what: str, ambient: int, searched: dict[MonomialIdeal, list[int]],
+           columns: list[list[int]], m: int) -> tuple[int, int, int]:
+    """Depth and both Stanley depths of the ideal in `ambient` of m
+    generators with these threshold masks; each TooLargeError is prefixed
+    with `what`.  The projective dimension is the largest size of a nonzero
+    entry of taylor._homology on the masks.  Both Stanley depth searches run
+    on one poset, of the depolarization J of the masks, and decode no box.
+    `searched` maps each J already searched in this harness call to its two
+    scores, so a J met again is not searched again: equal ideals have one
+    poset."""
     try:
-        L = lattice(*args)
-        J = _compress(L._columns, len(L._atom_at))
+        _check_depth_cap(m)
+        J = _compress(columns, m)
         if J not in searched:
             poset = build_characteristic_poset(J)
             searched[J] = [_box_partition_value(poset, poset.side_mask(ideal_side))[0]
                            for ideal_side in (False, True)]
         quotient, ideal = searched[J]
+        pd = max(map(max, _homology(columns, _atom_codes(columns, m))[1].values()))
         shift = ambient - J.ambient
-        stats = (ambient - _projective_dimension(L), quotient + shift, ideal + shift)
+        return ambient - pd, quotient + shift, ideal + shift
     except TooLargeError as e:
         raise TooLargeError(f"{what}: {e}") from None
-    return stats, L
 
 
 def verify_spreading_laws(
@@ -436,25 +457,27 @@ def verify_spreading_laws(
     ideals, the closed-form equalities pinning every spread to the source.
 
     Only the source and its n-spread are computed, each from its
-    threshold masks alone, and only values are read: the projective
-    dimension from element indices, the isomorphism verdict from atom
-    supports, the Stanley depths from scores; no lattice element, poset
-    point or box corner is decoded.  Each Stanley depth is searched on the
+    threshold masks alone, and no lcm-lattice is built: the projective
+    dimension is read off taylor._homology on the masks, the isomorphism
+    verdict off the irreducible masks (_irreducible, _atom_image), and the
+    Stanley depths off scores; no lattice element, poset point or box
+    corner is decoded.  Each Stanley depth is searched on the
     depolarization J of those masks, whose polarization has the
     lcm-lattice of the ideal's, plus the variables J lacks (see the module
     docstring); when the n-spread's J equals the source's, its poset and
     searches are not repeated, and each side adds its own shift.  The
     n-spread is never built: its columns come from the generators' blocks
-    (_spread_columns), which also decide smoothness.  Its
-    lattice needs no Monomial check of its top, which cannot fail once n*d
-    passes _check_ambient_cap: the top is squarefree in at most MAX_AMBIENT
-    < MAX_DEGREE variables.  A padded t-spread with
-    t > n is the image of the n-spread under the strictly increasing
-    SpreadEmbedding.phi: the same generators on the used coordinates, with
-    (t - n)*d more free variables.  So its invariants are the n-spread's
-    plus (t - n)*d, derived without building it, and the transfer equalities
-    hold by construction; the tests check them against spreads built in
-    their own ambients.  t*d past MAX_AMBIENT is refused.
+    (_spread_columns), which also decide smoothness.  No top gets a
+    Monomial check, and none can fail it: the source's top has degree at
+    most n*d, and the n-spread's is squarefree in n*d variables, so once
+    n*d passes _check_ambient_cap each degree is at most MAX_AMBIENT <
+    MAX_DEGREE.  A padded t-spread with t > n is the image of the n-spread
+    under the strictly increasing SpreadEmbedding.phi: the same generators
+    on the used coordinates, with (t - n)*d more free variables.  So its
+    invariants are the n-spread's plus (t - n)*d, derived without building
+    it, and the transfer equalities hold by construction; the tests check
+    them against spreads built in their own ambients.  t*d past MAX_AMBIENT
+    is refused.
     """
     n, d = I.ambient, I.deg
     ts = sorted(set(t_range) | {n})
@@ -462,19 +485,20 @@ def verify_spreading_laws(
         raise BadParameterError(f"law harness needs t >= n = {n}, got {ts}")
 
     searched: dict[MonomialIdeal, list[int]] = {}
-    source, source_lattice = _stats(f"source ideal in T_{n}", n, searched, _depth_lattice, I)
+    m = len(I.generators)
+    columns = _columns([u.exponents for u in I.generators])
+    source = _stats(f"source ideal in T_{n}", n, searched, columns, m)
     _check_ambient_cap(n * d)
     blocks = [_blocks(u) for u in I.generators]
-    n_spread, n_spread_lattice = _stats(f"{n}-spread in T_{n * d}", n * d, searched,
-                                        LcmLattice._of_columns, _spread_columns(blocks, n),
-                                        len(blocks))
+    spread_columns = _spread_columns(blocks, n)
+    n_spread = _stats(f"{n}-spread in T_{n * d}", n * d, searched, spread_columns, m)
     spread_stats = {n: n_spread}
     for t in ts[1:]:
         _check_ambient_cap(t * d)
         spread_stats[t] = tuple(v + (t - n) * d for v in n_spread)
 
     smooth = _first_violation(blocks, n) is None
-    iso = _atom_image(source_lattice, n_spread_lattice) is not None
+    iso = _atom_image(_irreducible(columns), _irreducible(spread_columns), m) is not None
 
     checks: list[LawCheck] = []
 

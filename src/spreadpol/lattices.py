@@ -31,7 +31,10 @@ support, read per 4 atoms from a table of the 16 subset ORs (_subset_ors).
 
 An atomistic lattice is fixed by its family of atom supports: u <= v iff
 support(u) is contained in support(v), and an isomorphism is a permutation
-of atoms carrying one family onto the other.  The common lower bounds
+of atoms carrying one family onto the other.  _atom_image searches for a
+permutation carrying one set family onto another: is_isomorphic gives it
+the supports, the law harness the irreducible threshold masks, a smaller
+family that decides the same (see invariants.py).  The common lower bounds
 below(u) & below(v) are the down-set of the meet, whose index is their
 highest bit, so no gcd is needed.
 
@@ -100,10 +103,9 @@ class LcmLattice:
     each down-set.  Only `leq`, `meet` and `covers` (so `hasse_dot`) read
     them.  The isomorphism test, the collapse map and the Betti numbers work
     on codes and supports alone.  `_columns` keeps the masks the codes come
-    from, which the law harness depolarizes and the Betti table `_betti`
-    passes to taylor._homology, and `_of_columns` builds a lattice from
-    masks alone, such as the n-spread's (_spread_columns).  The masks, the
-    transpose, the codes and the decode fields are made in taylor.py alone.
+    from, which the Betti table `_betti` passes to taylor._homology.  The
+    masks, the transpose, the codes and the decode fields are made in
+    taylor.py alone.
     """
 
     def __init__(self, ambient: int, atoms: tuple[Monomial, ...]):
@@ -112,23 +114,8 @@ class LcmLattice:
         self.ambient = ambient
         self.atoms = atoms
         rows = [a.exponents for a in atoms]
-        self._close(_columns(rows), len(atoms))
-        Monomial(_lcm(rows, ambient), ambient)  # the one full check: the rest divide the top
-
-    @classmethod
-    def _of_columns(cls, columns: list[list[int]], m: int) -> LcmLattice:
-        """The lattice of m atoms with these threshold masks (see
-        taylor._columns), with no `ambient` or `atoms` to decode; the caller
-        vouches for the top, the one check the columns cannot run."""
-        L = cls.__new__(cls)
-        L._close(columns, m)
-        return L
-
-    def _close(self, columns: list[list[int]], m: int) -> None:
-        """Set the codes of m atoms from their columns (taylor._atom_codes),
-        close them under OR and run the antichain and MAX_ELEMENTS checks."""
-        self._columns = columns
-        codes = _atom_codes(columns, m)
+        self._columns = _columns(rows)
+        codes = _atom_codes(self._columns, len(atoms))
         support = {0: 0}  # code -> mask of the atoms below it
         for a, g in enumerate(codes):
             bit = 1 << a
@@ -147,6 +134,7 @@ class LcmLattice:
         self._atom_at = tuple(self._at[g] for g in codes)
         self._support = tuple(support[c] for c in self._codes)
         self._covers = None
+        Monomial(_lcm(rows, ambient), ambient)  # the one full check: the rest divide the top
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -334,33 +322,40 @@ def _atom_step_failure(
 def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | None:
     """Search for a join- and meet-preserving bijection between two lattices.
 
-    Returns the witnessing element bijection, decoded only on a hit, or None.
+    An isomorphism of atomistic lattices is a bijection of atoms carrying
+    the family of atom supports of L1 onto that of L2 (_atom_image, on the
+    nonempty supports).  Returns the witnessing element bijection, decoded
+    only on a hit, or None.
     """
-    image = _atom_image(L1, L2)
+    m = len(L1._atom_at)
+    if len(L1) != len(L2) or m != len(L2._atom_at):
+        return None
+    image = _atom_image(L1._support[1:], L2._support[1:], m)
     if image is None:
         return None
     target = dict(zip(L2._support, L2.elements))
     return {e: target[s] for e, s in zip(L1.elements, _subset_ors(image, L1._support))}
 
 
-def _atom_image(L1: LcmLattice, L2: LcmLattice) -> list[int] | None:
-    """An atom bijection carrying the atom supports of L1 onto those of L2.
+def _atom_image(A: Sequence[int], B: Sequence[int], m: int) -> list[int] | None:
+    """A bijection of m atoms carrying the set family A onto B, each family
+    a sequence of distinct nonempty atom sets as bitmasks.
 
-    An isomorphism of atomistic lattices is a bijection of atoms carrying
-    the family of atom supports of L1 onto that of L2.  The atoms of L1 are
-    assigned in order, each to the first free atom of L2 for which the
-    supports made of assigned atoms correspond both ways.  Returns the first
-    complete assignment, image[a] the bit of the L2 atom of atom a, or None.
+    The atoms of A are assigned in order, each to the first free atom of B
+    for which the members made of assigned atoms correspond both ways: each
+    member of A whose highest atom is a maps into B, and as many members of
+    B hold the new atom and only assigned ones.  Summed over the atoms, the
+    counts match the sizes of A and B, so a complete assignment carries A
+    onto B.  Returns the first one, image[a] the bit of the B atom of atom
+    a, or None.  is_isomorphic passes the nonempty atom supports of two
+    lattices, the law harness their irreducible threshold masks, a family
+    that decides the same (see invariants._irreducible).
     """
-    m = len(L1._atom_at)
-    if len(L1) != len(L2) or m != len(L2._atom_at):
-        return None
     closing: list[list[list[int]]] = [[] for _ in range(m)]
-    for s in L1._support:  # each nonempty support, under its highest atom
-        if s:
-            closing[s.bit_length() - 1].append([a for a in range(m) if s >> a & 1])
-    target = set(L2._support)
-    holding = [[t for t in L2._support if t >> b & 1] for b in range(m)]
+    for s in A:  # each member, under its highest atom
+        closing[s.bit_length() - 1].append([a for a in range(m) if s >> a & 1])
+    target = set(B)
+    holding = [[t for t in B if t >> b & 1] for b in range(m)]
     image = [0] * m
 
     def place(a: int, used: int) -> bool:

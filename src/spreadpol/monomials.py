@@ -116,6 +116,10 @@ class Monomial:
     def from_indices(cls, indices: Iterable[int], ambient: int) -> "Monomial":
         """Build a monomial from its (1-indexed) variable index multiset."""
         exps = _zeros(ambient)
+        try:  # as in __init__: a non-integer is never truncated or parsed
+            indices = list(map(operator.index, indices))
+        except TypeError:
+            raise BadParameterError(f"non-integer index in {indices!r}") from None
         for i in indices:
             if not 1 <= i <= ambient:
                 raise BadParameterError(f"index {i} outside 1..{ambient}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -59,11 +60,12 @@ class SmoothCertificate:
         cls, n: int, d: int, tau: Sequence[int]
     ) -> "SmoothCertificate":
         """Wrap a raw permutation of {1, ..., n*d}, deriving the column maps."""
-        tau = tuple(tau)
+        try:  # as in Monomial: 2.0 is refused, not compared equal to 2
+            tau = tuple(map(operator.index, tau))
+        except TypeError:
+            raise ShapeMismatchError(f"tau is not a permutation of 1..{n * d}") from None
         if sorted(tau) != list(range(1, n * d + 1)):
-            raise ShapeMismatchError(
-                f"tau is not a permutation of 1..{n * d}"
-            )
+            raise ShapeMismatchError(f"tau is not a permutation of 1..{n * d}")
         if any((tau[k - 1] - k) % n for k in range(1, n * d + 1)):
             raise ShapeMismatchError("tau does not respect residues mod n")
         cols = []

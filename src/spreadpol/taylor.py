@@ -67,7 +67,9 @@ gets the full Monomial check once: as every entry divides it, every entry
 is made unchecked if it passes, and each entry gets the full check of its
 own if it fails.  The lcm-lattice (lattices.LcmLattice) makes its atom
 codes and its decode fields with the same helpers, and passes its threshold
-masks and atom codes for its Betti table `_betti`, keyed by element index.
+masks and atom codes for its Betti table `_betti`, keyed by element index;
+the law harness (invariants._stats) passes the masks of an ideal and of its
+n-spread, and reads the projective dimension off the sizes.
 This module imports only errors and monomials, which a test pins, so the
 layering stays one-way.  As both routes share the encoder, the independent
 checks of either are the references in the tests: the combinations oracle,

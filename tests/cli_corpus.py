@@ -3,8 +3,11 @@
 Runs ``spreadpol.cli.main`` in process over a fixed set of ideal files and
 argument lists, and prints one line per run: the argv, with each file path
 replaced by the file's corpus name, then the sha1 of (exit code, stdout,
-stderr).  A change that must keep every CLI byte is checked by running the
-script on both trees and diffing the two outputs:
+stderr).  The ideal-file literals of test_cli.py are named by a hash of
+their text and never serve as the second file of ``iso``, so a literal
+added to test_cli.py only adds lines.  A change that must keep every CLI
+byte is checked by running the script on both trees and diffing the two
+outputs:
 
     python tests/cli_corpus.py > after.txt
 
@@ -56,15 +59,18 @@ HUGE_EXPONENTS = "n 3\n65535 1 0\n65534 0 65535\n0 65535 65533\n"
 
 
 def corpus_files() -> list[tuple[str, str]]:
-    """(name, text) of every ideal file in the corpus."""
-    files = [(f"cli/{k}", text) for k, text in enumerate(cli_texts())]
-    files += [(f"small/{k}", format_ideal(I)) for k, I in enumerate(small_family())]
+    """(name, text) of every ideal file in the corpus: the generated files,
+    each named by its family and its place there, then the test-file
+    literals, each named by a short hash of its text and sorted by name,
+    so that where a literal sits in test_cli.py changes no line."""
+    files = [(f"small/{k}", format_ideal(I)) for k, I in enumerate(small_family())]
     rng = random.Random(2024)
     for k in range(40):
         I = random_ideal(rng, rng.randint(1, 3), rng.randint(1, 4), 3)
         files.append((f"seeded/{k}", format_ideal(I)))
     files.append(("huge", HUGE_EXPONENTS))
-    return files + lattice_files()
+    return files + lattice_files() + sorted(
+        (f"cli/{hashlib.sha1(text.encode()).hexdigest()[:10]}", text) for text in cli_texts())
 
 
 def lattice_files() -> list[tuple[str, str]]:
@@ -92,6 +98,16 @@ def _n(text: str) -> int:
         if len(parts) == 2 and parts[0] == "n" and parts[1].isdigit():
             return int(parts[1])
     return 1
+
+
+def partner(name: str, generated: list[str]) -> str:
+    """The second file of `iso` on a file: the next generated file, the
+    last one wrapping to the first, and for a test-file literal the first
+    generated file.  No test-file literal is a partner, so an added
+    literal adds lines and changes none."""
+    if name.startswith("cli/"):
+        return generated[0]
+    return generated[(generated.index(name) + 1) % len(generated)]
 
 
 def commands(name: str, text: str, other: str) -> list[list[str]]:
@@ -132,6 +148,7 @@ def run(argv: list[str], paths: dict[str, str], root: str) -> str:
 
 def main_corpus(expect: str | None = None) -> int:
     files = corpus_files()
+    generated = [name for name, _ in files if not name.startswith("cli/")]
     digest = hashlib.sha256()
 
     def emit(line: str) -> None:
@@ -140,14 +157,13 @@ def main_corpus(expect: str | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as root:
         paths = {}
-        for k, (name, text) in enumerate(files):
-            paths[name] = os.path.join(root, f"{k}.ideal")
+        for name, text in files:
+            paths[name] = os.path.join(root, name.replace("/", "-") + ".ideal")
             with open(paths[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
         emit(run(["verify-paper"], paths, root))
-        for k, (name, text) in enumerate(files):
-            other = files[(k + 1) % len(files)][0]
-            for argv in commands(name, text, other):
+        for name, text in files:
+            for argv in commands(name, text, partner(name, generated)):
                 emit(run(argv, paths, root))
     if expect is not None and digest.hexdigest() != expect:
         print(f"corpus sha256 {digest.hexdigest()}, expected {expect}", file=sys.stderr)

@@ -125,16 +125,21 @@ def staircase_ideal(rng: random.Random, m: int, n: int = 3) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(n, rows)
 
 
-def small_family() -> list[MonomialIdeal]:
+def antichain_family(n: int) -> list[MonomialIdeal]:
     """Every antichain of 2 or 3 nonzero exponent vectors with entries at
-    most 2, in n = 2 or 3 variables: 522 ideals."""
+    most 2, in n variables: 10 ideals for n = 2, 512 for n = 3 and 26,050
+    for n = 4."""
     out = []
-    for n in (2, 3):
-        vectors = [v for v in itertools.product(range(3), repeat=n) if any(v)]
-        for m in (2, 3):
-            for rows in itertools.combinations(vectors, m):
-                if not any(
-                    u != v and all(a <= b for a, b in zip(u, v)) for u in rows for v in rows
-                ):
-                    out.append(MonomialIdeal.from_exponents(n, rows))
+    vectors = [v for v in itertools.product(range(3), repeat=n) if any(v)]
+    for m in (2, 3):
+        for rows in itertools.combinations(vectors, m):
+            if not any(
+                u != v and all(a <= b for a, b in zip(u, v)) for u in rows for v in rows
+            ):
+                out.append(MonomialIdeal.from_exponents(n, rows))
     return out
+
+
+def small_family() -> list[MonomialIdeal]:
+    """The antichain families of n = 2 and n = 3: 522 ideals."""
+    return antichain_family(2) + antichain_family(3)

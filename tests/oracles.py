@@ -81,6 +81,11 @@ the n-spread from the generators' blocks: it builds the n-spread with
 spread_ideal, reads depth off the public Betti table, depolarizes each
 ideal from its own exponent rows and checks every law from those values.
 
+The irreducible-mask reference takes the union-closure of the threshold
+masks, every union of them, empty one included, and returns the members
+that are not the union of the members strictly inside them, where the
+library compares each mask only with the masks inside it.
+
 The image references follow the definitions on plain index lists: the
 k-th sorted index of the t-spread moves by (k-1)t, polarization writes
 x_j^a as x_j x_{j+n} ... x_{j+(a-1)n}, and the embedding applies
@@ -605,6 +610,22 @@ def dense_spread_columns(I: MonomialIdeal) -> list[tuple[int, int]]:
     rows = [u.exponents for u in spread_ideal(I, I.ambient).generators]
     masks = (sum(1 << g for g, e in enumerate(column) if e) for column in zip(*rows))
     return list(Counter(mask for mask in masks if mask).items())
+
+
+def irreducible_by_closure(masks: Iterable[int]) -> set[int]:
+    """The union-irreducible members of the union-closure of the masks."""
+    closure = {0}
+    for x in masks:
+        closure |= {y | x for y in closure}
+    irreducible = set()
+    for x in closure:
+        inside = 0
+        for y in closure:
+            if y != x and y & x == y:
+                inside |= y
+        if inside != x:
+            irreducible.add(x)
+    return irreducible
 
 
 def depolarize_by_rows(I: MonomialIdeal) -> MonomialIdeal:

@@ -254,7 +254,7 @@ class TestCommands:
         assert main(["--pretty", "check-smooth", path]) == 0
         assert "generator 1: x2^2*x3" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", ["cli/0", "small/7", "small/300", "seeded/5", "huge",
+    @pytest.mark.parametrize("name", ["cli/89bccb6f9b", "small/7", "small/300", "seeded/5", "huge",
                                       "lattice/0"])
     def test_corpus_runs_pretty_only_where_it_changes_output(self, tmp_path, capsys, name):
         """The CLI corpus gives --pretty twins only to the commands that
@@ -520,8 +520,6 @@ def test_cli_fuzz_returns_a_documented_code(fuzz_dir, data):
         assert len(lines) == 1 and lines[0].startswith(("error: ", "internal error: "))
 
 
-# Kept last in the module: cli_corpus.py names the ideal-file literals here in
-# order of appearance, so literals added at the end leave the earlier names be.
 class TestDecimalTokens:
     """Exponents and the variable count are ASCII decimal digits alone: the
     tokens int() would also read ("+1", "1_0", non-ASCII digits) are

@@ -29,7 +29,7 @@ from spreadpol import invariants, taylor
 from spreadpol.invariants import (
     CharacteristicPoset,
     _compress,
-    _projective_dimension,
+    _irreducible,
     _spread_columns,
 )
 from spreadpol import lattices
@@ -38,6 +38,7 @@ from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from spreadpol.smooth import _blocks
 from spreadpol.taylor import MAX_TAYLOR_ATOMS, _columns, taylor_betti
 from genutils import (
+    antichain_family,
     ideals_by_generator_count,
     pair_lcm_ideal,
     random_ci_ideal,
@@ -56,6 +57,7 @@ from oracles import (
     depolarize_by_sums,
     depolarize_first_fit,
     first_reached_keys,
+    irreducible_by_closure,
     order_complex_betti_by_chains,
     polarization_columns,
     sdepth_on_support,
@@ -83,6 +85,18 @@ def wide_fields() -> list[MonomialIdeal]:
 def compress(I):
     """_compress on the polarization columns of I."""
     return _compress(_columns([u.exponents for u in I.generators]), len(I.generators))
+
+
+def mask_pd(columns, m):
+    """The projective dimension as the law harness reads it: the largest
+    size of a nonzero entry of taylor._homology on the threshold masks."""
+    _, groups = taylor._homology(columns, taylor._atom_codes(columns, m))
+    return max(size for sizes in groups.values() for size in sizes)
+
+
+def lattice_pd(L):
+    """The projective dimension read off the lattice's Betti table."""
+    return max(i for betti in L._betti.values() for i in betti)
 
 
 def in_ideal(poset):
@@ -762,17 +776,47 @@ class TestColumnRoute:
         assert time.perf_counter() - start < 0.05
 
     def test_mask_lattice_matches_dense_lattice(self):
+        # the harness's isomorphism test reads the sweep's irreducible masks
         for I in self.family():
-            L = LcmLattice._of_columns(spread_sweep(I), len(I.generators))
             D = build_lcm_lattice(spread_ideal(I, I.ambient))
-            assert (L._codes, L._support, L._atom_at) == (D._codes, D._support, D._atom_at), I
+            assert set(_irreducible(spread_sweep(I))) == set(_irreducible(D._columns)), I
 
     def test_mask_lattice_betti_table_matches_dense_lattice(self):
-        # the harness reads the n-spread's projective dimension off this table
+        # the harness reads the n-spread's projective dimension off the sweep
         for I in small_family():
-            L = LcmLattice._of_columns(spread_sweep(I), len(I.generators))
             D = build_lcm_lattice(spread_ideal(I, I.ambient))
-            assert L._betti == D._betti, I
+            assert mask_pd(spread_sweep(I), len(I.generators)) == lattice_pd(D), I
+
+    def test_irreducible_matches_closure_reference(self):
+        rng = random.Random(26)
+        family = [random_ideal(rng, n, rng.randint(1, 6), 4)
+                  for n in (2, 3, 4, 5) for _ in range(75)]
+        for I in small_family()[::5] + family:
+            for columns in (_columns([u.exponents for u in I.generators]), spread_sweep(I)):
+                masks = _irreducible(columns)
+                assert len(set(masks)) == len(masks), I
+                assert set(masks) == irreducible_by_closure(
+                    mask for chain in columns for mask in chain), I
+
+    def test_harness_builds_no_lattice(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LcmLattice built")
+
+        monkeypatch.setattr(LcmLattice, "__init__", refuse)
+        for I in small_family():
+            verify_spreading_laws(I, [I.ambient, I.ambient + 1])
+        assert verify_spreading_laws(ideal(3, HUGE), [3]).lattice_isomorphic
+
+    def test_mask_verdict_matches_lattice_isomorphism(self):
+        # a seeded slice of the n = 4 family; tests/iso_check.py runs all of it
+        slice_ = random.Random(4).sample(antichain_family(4), 2000)
+        isomorphic = 0
+        for I in slice_:
+            want = is_isomorphic(build_lcm_lattice(I),
+                                 build_lcm_lattice(spread_ideal(I, 4))) is not None
+            assert verify_spreading_laws(I, [4]).lattice_isomorphic == want, I
+            isomorphic += want
+        assert 0 < isomorphic < len(slice_)
 
     def test_columns_depolarize_as_the_rows_do(self):
         for I in small_family()[::3] + laws_shaped(random.Random(99), 30):
@@ -848,10 +892,22 @@ class TestColumnRoute:
                                             (3, 1, 3, 3, 1)]), [5])
         assert str(exc.value) == "5-spread in T_55: characteristic poset exceeds 4096 points"
 
+    def test_source_top_past_the_degree_cap_meets_the_ambient_cap(self):
+        # no lattice checks the source's top: its degree is at most n*d, so
+        # the n*d cap refuses such an ideal first
+        u = Monomial((MAX_EXPONENT - 1,) * 20000 + (0,) * 20000)
+        v = Monomial((0,) * 20000 + (MAX_EXPONENT - 1,) * 20000)
+        I = MonomialIdeal(40000, [u, v])
+        assert 40000 * (MAX_EXPONENT - 1) >= MAX_DEGREE  # the top's degree
+        with pytest.raises(TooLargeError) as exc:
+            verify_spreading_laws(I, [40000])
+        assert str(exc.value) == "ambient 52428000000000 exceeds 1048576 variables"
+
 
 class TestProjectiveDimension:
-    """_projective_dimension, the largest i of the lattice's Betti table,
-    against depth_quotient's table and taylor_betti."""
+    """The harness's projective dimension, the largest size of a nonzero
+    entry of taylor._homology on the threshold masks, against the lattice's
+    Betti table, depth_quotient's table and taylor_betti."""
 
     def test_matches_both_betti_routes(self):
         family = [S for I in small_family() for S in (I, spread_ideal(I, I.ambient))]
@@ -861,7 +917,8 @@ class TestProjectiveDimension:
         family += [ideal(2, [(2, 0)])] + [
             random_ideal(rng, rng.randint(2, 5), rng.randint(2, 7), 3) for _ in range(200)]
         for I in family:
-            pd = _projective_dimension(build_lcm_lattice(I))
+            pd = mask_pd(_columns([u.exponents for u in I.generators]), len(I.generators))
+            assert pd == lattice_pd(build_lcm_lattice(I)), I
             assert pd == depth_quotient(I).betti.projective_dimension, I
             assert pd == max(i for i, _ in taylor_betti(I)), I
 
@@ -952,11 +1009,11 @@ class TestSpreadingLaws:
         # t > n is derived from the n-spread, so six steps cost two
         calls = []
 
-        def counted(L):
-            calls.append(L)
-            return _projective_dimension(L)
+        def counted(columns, codes):
+            calls.append(columns)
+            return taylor._homology(columns, codes)
 
-        monkeypatch.setattr(invariants, "_projective_dimension", counted)
+        monkeypatch.setattr(invariants, "_homology", counted)
         rep = verify_spreading_laws(ideal(2, [(2, 1), (0, 2)]), range(2, 8))
         assert rep.all_hold and rep.t_values == tuple(range(2, 8))
         assert len(calls) == 2  # the source and the 2-spread, nothing per t > 2
@@ -971,7 +1028,7 @@ class TestSupportReference:
             for S in [I] + [spread_ideal(I, t, pad=True) for t in (n, n + 1, n + 2)]:
                 rep = depth_quotient(S)  # its lattice is built in the full ambient
                 assert dict(rep.betti.entries) == taylor_betti(S), S
-                assert rep.value == S.ambient - _projective_dimension(build_lcm_lattice(S)), S
+                assert rep.value == S.ambient - lattice_pd(build_lcm_lattice(S)), S
                 assert sdepth_quotient(S) == sdepth_on_support(S, ideal_side=False), S
                 assert sdepth_ideal(S) == sdepth_on_support(S, ideal_side=True), S
 

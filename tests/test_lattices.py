@@ -687,7 +687,7 @@ class TestLazyDecode:
                 assert rep.value == J.ambient - max(i for i, _ in entries), J
             L, LS = build_lcm_lattice(I), build_lcm_lattice(S)
             E, ES = L.elements, LS.elements
-            image = _atom_image(L, LS)
+            image = _atom_image(L._support[1:], LS._support[1:], len(L.atoms))
             want = image and {
                 e: ES[LS._support.index(sum(b for a, b in enumerate(image) if s >> a & 1))]
                 for e, s in zip(E, L._support)

@@ -96,6 +96,11 @@ class TestMonomialBasics:
         with pytest.raises(BadParameterError, match="non-integer exponent"):
             Monomial((bad, 1))
 
+    @pytest.mark.parametrize("bad", [[1.0], [1, 2.5], ["1"], [None], None])
+    def test_non_integer_index_refused(self, bad):
+        with pytest.raises(BadParameterError, match="non-integer index"):
+            Monomial.from_indices(bad, 2)
+
     def test_overflow_is_too_large(self):
         with pytest.raises(TooLargeError):
             Monomial((1 << 16,))

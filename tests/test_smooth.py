@@ -97,6 +97,12 @@ class TestVerifyCertificate:
         with pytest.raises(ShapeMismatchError):
             verify_certificate([M(1, 1)], 2, check_smooth(gens, 3))
 
+    @pytest.mark.parametrize("tau", [(2.0, 1.0), (2, 1.0), ("2", "1"), (2, None), None])
+    def test_non_integer_permutation_refused(self, tau):
+        # (2.0, 1.0) sorts equal to [1, 2]: it must not pass as a permutation
+        with pytest.raises(ShapeMismatchError, match="not a permutation of 1..2"):
+            SmoothCertificate.from_permutation(1, 2, tau)
+
     def test_column_maps_match_tau(self):
         res = check_smooth([M(1, 1, 1), M(0, 2, 1)], 3)
         for j in range(1, 4):
