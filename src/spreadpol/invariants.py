@@ -63,15 +63,13 @@ blocks, without the spread (lattices._spread_columns).  The source and its
 n-spread often depolarize to one J; equal ideals have one poset, so one
 harness call searches each distinct J once and reads its scores for both.
 
-The isomorphism verdict rests on a lemma.  An atom lies outside the
-support of lcm(S) iff some threshold mask holds it and misses S; so the
-complements of the atom supports are the unions of masks, each union
-being the complement of the support of the lcm of the atoms outside it.
-An atom bijection therefore carries the supports of one lcm-lattice onto
-those of another, that is, is an isomorphism, iff it carries the
-union-closure of the first family of masks onto that of the second.  A
-bijection preserves unions, so this holds iff it carries the
-union-irreducible members onto each other.  Such a member is the union of
+The isomorphism verdict rests on a lemma: the complements of the atom
+supports are the unions of threshold masks (proved at lattices._uncovered,
+which decides the collapse map by it).  An atom bijection therefore
+carries the supports of one lcm-lattice onto those of another, that is, is
+an isomorphism, iff it carries the union-closure of the first family of
+masks onto that of the second.  A bijection preserves unions, so this
+holds iff it carries the union-irreducible members onto each other.  Such a member is the union of
 the masks inside it, so it is a single mask; and a mask is irreducible
 iff it is not the OR of the masks strictly inside it (_irreducible).
 Once both posets fit MAX_POSET_POINTS, each side has at most 32 masks:

@@ -31,28 +31,35 @@ support, read per 4 atoms from a table of the 16 subset ORs (_subset_ors).
 
 An atomistic lattice is fixed by its family of atom supports: u <= v iff
 support(u) is contained in support(v), and an isomorphism is a permutation
-of atoms carrying one family onto the other.  _atom_image searches for a
-permutation carrying one set family onto another: is_isomorphic gives it
-the supports, the law harness the irreducible threshold masks, a smaller
-family that decides the same (see invariants.py).  The common lower bounds
-below(u) & below(v) are the down-set of the meet, whose index is their
-highest bit, so no gcd is needed.
+of atoms carrying one family onto the other.  is_isomorphic first tries
+the atom order it is given, as one set comparison; failing that,
+_atom_image searches for a permutation carrying one set family onto
+another: is_isomorphic gives it the supports, the law harness the
+irreducible threshold masks, a smaller family that decides the same (see
+invariants.py).  The common lower bounds below(u) & below(v) are the
+down-set of the meet, whose index is their highest bit, so no gcd is
+needed.
 
 A map f out of an atomistic lattice with f(bottom) = bottom preserves all
 joins iff f(s join a) = f(s) join f(a) for every element s and atom a (the
 atom step): peeling the atoms b_1, ..., b_m of t off one at a time gives
 f(s join t) = f(s) join f(b_1) join ... join f(b_m) = f(s) join f(t).
-verify_delta checks a given map that way.  The collapse map of a spread
-lattice onto its source needs less: it exists iff every atom support of the
-source is one of the spread as well (the support lemma, proved at
-build_delta), so one set inclusion decides it, and the atom step is run
-only on failure, to name an element and an atom it fails at.
+verify_delta checks a given map that way.  Whether the collapse map of a
+spread lattice onto its source exists is decided without either lattice:
+it exists iff every atom support of the source is one of the spread (the
+support lemma, proved at build_delta), and the supports are the
+complements of the unions of threshold masks, so it exists iff every
+threshold mask of the source is the OR of the spread's masks inside it
+(_uncovered).  On "no", the first mask that is not names the witness, three
+lcms made from the generators; only on "yes" are the two lattices built,
+for the mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -61,7 +68,8 @@ from .errors import (
     TooLargeError,
     WellDefinednessViolation,
 )
-from .monomials import Monomial, MonomialIdeal, spread_ideal
+from .monomials import Monomial, MonomialIdeal, _check_ambient_cap, spread_ideal
+from .smooth import _blocks
 from .taylor import (MAX_TAYLOR_ATOMS, _atom_codes, _columns, _decode, _decode_fields,
                      _homology, _transpose)
 
@@ -323,16 +331,21 @@ def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | 
     """Search for a join- and meet-preserving bijection between two lattices.
 
     An isomorphism of atomistic lattices is a bijection of atoms carrying
-    the family of atom supports of L1 onto that of L2 (_atom_image, on the
-    nonempty supports).  Returns the witnessing element bijection, decoded
-    only on a hit, or None.
+    the family of atom supports of L1 onto that of L2.  The given atom order
+    is tried first: if the two families are equal, atom k goes to atom k,
+    which is also the first bijection the search would find.  Otherwise
+    _atom_image searches, on the nonempty supports.  Returns the witnessing
+    element bijection, decoded only on a hit, or None.
     """
     m = len(L1._atom_at)
     if len(L1) != len(L2) or m != len(L2._atom_at):
         return None
-    image = _atom_image(L1._support[1:], L2._support[1:], m)
-    if image is None:
-        return None
+    if set(L1._support) == set(L2._support):  # the given atom order already fits
+        image = [1 << a for a in range(m)]
+    else:
+        image = _atom_image(L1._support[1:], L2._support[1:], m)
+        if image is None:
+            return None
     target = dict(zip(L2._support, L2.elements))
     return {e: target[s] for e, s in zip(L1.elements, _subset_ors(image, L1._support))}
 
@@ -377,6 +390,33 @@ def _atom_image(A: Sequence[int], B: Sequence[int], m: int) -> list[int] | None:
     return image if place(0, 0) else None
 
 
+def _or_inside(x: int, masks: Sequence[int]) -> int:
+    """The OR of the masks that lie inside the mask x."""
+    return reduce(or_, (y for y in masks if y & x == y), 0)
+
+
+def _uncovered(columns: list[list[int]], spread_columns: list[list[int]]) -> int | None:
+    """The first threshold mask of `columns`, in their order, that is not
+    the OR of the masks of `spread_columns` inside it; None if every one is.
+
+    For an ideal's masks and its n-spread's, None says exactly that a
+    collapse map exists, by the support lemma of build_delta and this fact:
+    the complements of the atom supports of an lcm-lattice are the unions
+    of its threshold masks.  Atom i lies outside the support of lcm(S) iff
+    some x_j-exponent of it passes that of every member of S, that is, iff
+    a mask (of x_j, at that exponent) holds i and misses S: the complement
+    is the union of the masks missing S.  Conversely, a union U of masks,
+    each of some x_j at some value v, is the complement of the support of
+    lcm(S), S the atoms outside U: lcm(S) keeps each such x_j below its v,
+    so no atom of U divides it.  So every source support is a spread one
+    iff every union of source masks is a union of spread masks, iff every
+    source mask is, iff it is the OR of the spread masks inside it.  Called
+    both ways, the two calls decide a fixed-order isomorphism, support
+    families equal.  Each takes O(|M| |M'|) ORs on the two mask lists."""
+    masks = [y for chain in spread_columns for y in chain]
+    return next((x for chain in columns for x in chain if _or_inside(x, masks) != x), None)
+
+
 def build_delta(I: MonomialIdeal) -> LatticeMap:
     """The collapse map from the lattice of the n-spread back onto L_I.
 
@@ -387,9 +427,7 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
     of offset intervals, and distinct source lcms can produce identical
     unions (e.g. (x2^3*x3, x1^2*x3, x1*x2*x3^2) in three variables, where
     the spread lattice has fewer elements than the source lattice).  Then no
-    collapse map exists and WellDefinednessViolation is raised, naming the
-    first element s and atom a, in order, with delta(s join a) !=
-    delta(s) join delta(a).
+    collapse map exists and WellDefinednessViolation is raised.
 
     The support lemma: delta preserves joins iff every atom support of the
     source lattice is one of the spread lattice.  Write cl(U) and cl'(U) for
@@ -406,27 +444,51 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
     support C is a spread one: then cl(U) is a spread support holding U, so
     it holds cl'(U); and for a source support C, cl'(C) <= cl(C) = C.
 
+    The verdict comes from the threshold masks alone (_uncovered): those of
+    I (taylor._columns) and those of the n-spread, swept from the
+    generators' blocks (_spread_columns), so a "no" builds no lattice and
+    no spread, and is answered past the lattice caps; only the MAX_AMBIENT
+    cap on n*d is checked first.  The witness: m is the first source mask
+    not covered, C the generators outside m, a source support (the
+    complement of a mask), and D the generators outside the OR of the
+    spread masks inside m, the spread closure cl'(C), which holds C
+    properly.  The spread lcm of C, equal to that of D, is named with the
+    two different source lcms lcm(D) and lcm(C).  On "yes" both lattices
+    are built, capped by MAX_ATOMS and MAX_ELEMENTS, and the mapping is
+    read off the spread supports.
+
     Spread atom k is the spread of source atom k, as spreading by t >= n
     keeps the order of the generators (see spread_ideal).
     """
-    return _delta_on(build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, I.ambient)))
+    n = I.ambient
+    ambient = n * I.deg
+    _check_ambient_cap(ambient)
+    rows = [u.exponents for u in I.generators]
+    blocks = [_blocks(u) for u in I.generators]
+    spread_columns = _spread_columns(blocks, n)
+    m = _uncovered(_columns(rows), spread_columns)
+    if m is not None:
+        full = (1 << len(rows)) - 1
+        C = full ^ m
+        D = full ^ _or_inside(m, [y for [y] in spread_columns])
+        spread = [0] * ambient  # squarefree: generator g covers j + k*n for p <= k < p + a
+        for g, row in enumerate(blocks):
+            if C >> g & 1:
+                for j, (p, a) in enumerate(row):
+                    spread[j + p * n:j + (p + a) * n:n] = [1] * a
 
+        def lcm(S: int) -> Monomial:  # of degree at most n*d <= MAX_AMBIENT < MAX_DEGREE
+            return Monomial._trusted(_lcm([r for g, r in enumerate(rows) if S >> g & 1], n), n)
 
-def _delta_on(src: LcmLattice, spr: LcmLattice) -> LatticeMap:
-    """The collapse map of spr onto src, decided by the support lemma; a
-    collapse decodes only the 3 elements it names."""
+        raise WellDefinednessViolation(
+            f"spreading collapsed the lcm-lattice: "
+            f"{Monomial._trusted(tuple(spread), ambient)} is the lcm of spread generator "
+            f"subsets with different source lcms {lcm(D)} and {lcm(C)}; no collapse map exists"
+        )
+    src, spr = build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, n))
     codes = [src._codes[i] for i in src._atom_at]  # source code of each spread atom
     # the OR of the source codes of the atoms below each spread element
     delta = [src._at[c] for c in _subset_ors(codes, spr._support)]
-    if not set(src._support) <= set(spr._support):  # the support lemma
-        k, s = _atom_step_failure(spr, src, delta)  # the witness the lemma promises
-        up, want = spr._join(k, s), src._join(delta[k], delta[s])
-        raise WellDefinednessViolation(
-            f"spreading collapsed the lcm-lattice: {spr._element(up)} is the "
-            f"lcm of spread generator subsets with different source lcms "
-            f"{src._element(delta[up])} and {src._element(want)}; "
-            f"no collapse map exists"
-        )
     mapping = {e: src.elements[d] for e, d in zip(spr.elements, delta)}
     return LatticeMap(source=spr, target=src, mapping=mapping)
 

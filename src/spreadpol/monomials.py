@@ -49,6 +49,15 @@ def _check_ambient_cap(ambient: int) -> None:
         raise TooLargeError(f"ambient {ambient} exceeds {MAX_AMBIENT} variables")
 
 
+def _integer(value: int, what: str) -> int:
+    """An int parameter read through operator.index, as exponents are: 2.0
+    or "2" raises BadParameterError, never compared or truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParameterError(f"non-integer {what} {value!r}") from None
+
+
 def _zeros(ambient: int) -> list[int]:
     """The zero exponent vector of length `ambient`, refused above MAX_AMBIENT."""
     _check_ambient_cap(ambient)
@@ -66,8 +75,7 @@ class Monomial:
             exps = tuple(map(operator.index, exponents))
         except TypeError:  # e.g. 2.5, "3", nan or None: never truncated or parsed
             raise BadParameterError(f"non-integer exponent in {exponents!r}") from None
-        if ambient is None:
-            ambient = len(exps)
+        ambient = len(exps) if ambient is None else _integer(ambient, "ambient")
         if ambient < 0 or len(exps) != ambient:
             raise BadParameterError(
                 f"exponent vector of length {len(exps)} does not fit ambient {ambient}"
@@ -101,11 +109,13 @@ class Monomial:
 
     @classmethod
     def unit(cls, ambient: int) -> "Monomial":
+        ambient = _integer(ambient, "ambient")
         return cls(_zeros(ambient), ambient)
 
     @classmethod
     def variable(cls, j: int, ambient: int, power: int = 1) -> "Monomial":
         """The monomial x_j^power inside `ambient` variables (j is 1-indexed)."""
+        j, ambient = _integer(j, "variable index"), _integer(ambient, "ambient")
         if not 1 <= j <= ambient:
             raise BadParameterError(f"variable index {j} outside 1..{ambient}")
         exps = _zeros(ambient)
@@ -115,6 +125,7 @@ class Monomial:
     @classmethod
     def from_indices(cls, indices: Iterable[int], ambient: int) -> "Monomial":
         """Build a monomial from its (1-indexed) variable index multiset."""
+        ambient = _integer(ambient, "ambient")
         exps = _zeros(ambient)
         try:  # as in __init__: a non-integer is never truncated or parsed
             indices = list(map(operator.index, indices))

@@ -38,7 +38,7 @@ from .errors import (
     SupportOverlapError,
     UnitGeneratorError,
 )
-from .monomials import Monomial, MonomialIdeal, polarize, sigma_t
+from .monomials import Monomial, MonomialIdeal, _integer, polarize, sigma_t
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ class SmoothCertificate:
         cls, n: int, d: int, tau: Sequence[int]
     ) -> "SmoothCertificate":
         """Wrap a raw permutation of {1, ..., n*d}, deriving the column maps."""
+        n, d = _integer(n, "n"), _integer(d, "d")
         try:  # as in Monomial: 2.0 is refused, not compared equal to 2
             tau = tuple(map(operator.index, tau))
         except TypeError:

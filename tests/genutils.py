@@ -125,6 +125,17 @@ def staircase_ideal(rng: random.Random, m: int, n: int = 3) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(n, rows)
 
 
+def collapse_past_the_cap(k: int = 21) -> MonomialIdeal:
+    """The collapse counterexample (x2^3*x3, x1^2*x3, x1*x2*x3^2) with the
+    squares of k new variables added: 3 + k generators in 3 + k variables,
+    past the lattice cap of 20 generators for k = 21, and no collapse map."""
+    rows = [(0, 3, 1), (2, 0, 1), (1, 1, 2)]
+    n = 3 + k
+    out = [row + (0,) * k for row in rows]
+    out += [tuple(2 if j == i else 0 for j in range(n)) for i in range(3, n)]
+    return MonomialIdeal.from_exponents(n, out)
+
+
 def antichain_family(n: int) -> list[MonomialIdeal]:
     """Every antichain of 2 or 3 nonzero exponent vectors with entries at
     most 2, in n variables: 10 ideals for n = 2, 512 for n = 3 and 26,050

@@ -12,7 +12,7 @@ from spreadpol import cli
 from spreadpol.cli import format_ideal, main, parse_ideal
 from spreadpol.invariants import MAX_SDEPTH_STATES
 from spreadpol.monomials import MAX_AMBIENT
-from genutils import random_ideal
+from genutils import collapse_past_the_cap, random_ideal
 import cli_corpus
 
 
@@ -176,6 +176,17 @@ class TestCommands:
         [line] = captured.out.splitlines()
         assert line.startswith("NO COLLAPSE MAP: spreading collapsed the lcm-lattice")
         assert line.endswith("no collapse map exists")
+
+    def test_delta_answers_no_past_the_lattice_cap(self, tmp_path, capsys):
+        # 24 generators: `lattice` refuses them (exit 3), `delta` still says no
+        path = write(tmp_path, "i.ideal", format_ideal(collapse_past_the_cap()))
+        assert main(["lattice", path]) == 3
+        capsys.readouterr()
+        assert main(["delta", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [line] = captured.out.splitlines()
+        assert line.startswith("NO COLLAPSE MAP: spreading collapsed the lcm-lattice")
 
     def test_depth(self, tmp_path, capsys):
         path = write(tmp_path, "i.ideal", REMARK)

@@ -25,10 +25,13 @@ from spreadpol import (
     verify_delta,
     verify_spreading_laws,
 )
-from spreadpol import invariants
-from spreadpol.lattices import _atom_image, _atom_step_failure
+from spreadpol import invariants, lattices
+from spreadpol.lattices import _atom_image, _atom_step_failure, _spread_columns, _uncovered
 from spreadpol.monomials import MAX_EXPONENT
+from spreadpol.smooth import _blocks
+from spreadpol.taylor import _columns
 from genutils import (
+    collapse_past_the_cap,
     pair_lcm_ideal,
     random_equal_degree_ideal,
     random_ideal,
@@ -459,16 +462,8 @@ class TestDelta:
         """The support lemma of build_delta: the map of atom-support joins
         passes the atom step iff every source support is a spread support,
         on the small family and 3000 seeded ideals in 4 variables."""
-        rng = random.Random(31)
-        vectors = [v for v in itertools.product(range(3), repeat=4) if any(v)]
-        family = small_family()
-        while len(family) < 522 + 3000:
-            rows = rng.sample(vectors, rng.choice((2, 3)))
-            if not any(u != v and all(a <= b for a, b in zip(u, v))
-                       for u in rows for v in rows):
-                family.append(ideal(4, rows))
         verdicts = []
-        for I in family:
+        for I in support_family():
             src, spr = build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, I.ambient))
             codes = [src._codes[i] for i in src._atom_at]
             image = []
@@ -487,6 +482,66 @@ class TestDelta:
             else:
                 assert verdicts[-1], I
         assert verdicts.count(False) >= 30 and verdicts.count(True) >= 3000
+
+    def test_mask_verdicts_match_the_support_families(self):
+        """_uncovered on the threshold masks of I and of the sweep decides
+        support inclusion (the collapse verdict) and, called both ways,
+        support equality (a fixed-order isomorphism) of the two built
+        lattices; on the family above, the seeded sources of the lazy decode
+        and the lattices past one byte plane."""
+        counts = [0, 0, 0]
+        for I in support_family() + TestLazyDecode.sources()[522:] + past_one_byte():
+            L, LS = build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, I.ambient))
+            source = _columns([u.exponents for u in I.generators])
+            spread = _spread_columns([_blocks(u) for u in I.generators], I.ambient)
+            collapse = _uncovered(source, spread) is None
+            fixed = collapse and _uncovered(spread, source) is None
+            assert collapse == (set(L._support) <= set(LS._support)), I
+            assert fixed == (set(L._support) == set(LS._support)), I
+            counts[collapse + fixed] += 1
+        assert min(counts) >= 30, counts
+
+    def test_no_collapse_map_builds_no_lattice(self, monkeypatch):
+        """A "no" constructs no LcmLattice and no spread ideal; a "yes"
+        builds the two lattices."""
+        built, spreads = [0], [0]
+        init, spread = LcmLattice.__init__, lattices.spread_ideal
+
+        def counted_init(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        def counted_spread(*args):
+            spreads[0] += 1
+            return spread(*args)
+
+        monkeypatch.setattr(LcmLattice, "__init__", counted_init)
+        monkeypatch.setattr(lattices, "spread_ideal", counted_spread)
+        collapsed = 0
+        for I in small_family() + [collapse_past_the_cap()]:
+            before = built[0], spreads[0]
+            try:
+                build_delta(I)
+            except WellDefinednessViolation:
+                assert (built[0], spreads[0]) == before, I
+                collapsed += 1
+            else:
+                assert (built[0], spreads[0]) == (before[0] + 2, before[1] + 1), I
+        assert collapsed >= 10
+
+    def test_no_collapse_map_is_answered_past_the_lattice_cap(self):
+        """24 generators: the lattices are refused, the mask verdict is not."""
+        I = collapse_past_the_cap()
+        assert len(I.generators) == 24
+        with pytest.raises(TooLargeError, match="lattice cap"):
+            build_lcm_lattice(I)
+        with pytest.raises(WellDefinednessViolation) as exc:
+            build_delta(I)
+        assert str(exc.value) == collapse_witness(I)
+        # with a collapse map, the lattices are still built, and capped
+        J = MonomialIdeal(24, [Monomial.variable(j, 24) for j in range(1, 25)])
+        with pytest.raises(TooLargeError, match="lattice cap"):
+            build_delta(J)
 
     def test_lcm_of_spreads_determines_prefix_maxima(self):
         # the spread-side lcm pins down, per variable, the largest prefix sum
@@ -531,6 +586,47 @@ def lcm_list(monomials):
     for u in monomials[1:]:
         out = out.lcm(u)
     return out
+
+
+def support_family() -> list[MonomialIdeal]:
+    """The small family and 3000 seeded antichains of 2 or 3 exponent
+    vectors with entries at most 2 in 4 variables."""
+    rng = random.Random(31)
+    vectors = [v for v in itertools.product(range(3), repeat=4) if any(v)]
+    family = small_family()
+    while len(family) < 522 + 3000:
+        rows = rng.sample(vectors, rng.choice((2, 3)))
+        if not any(u != v and all(a <= b for a, b in zip(u, v))
+                   for u in rows for v in rows):
+            family.append(ideal(4, rows))
+    return family
+
+
+def collapse_witness(I: MonomialIdeal) -> str | None:
+    """The message of build_delta on I without a collapse map, from lcms of
+    generators, or None if a map exists.
+
+    Per threshold mask x of I in the order of taylor._columns, C is the set
+    of generators outside x and D the generators whose spreads divide the
+    spread lcm of C (divisibility in spread_ideal(I, n)).  The first x with
+    D != C names the witness: that spread lcm, lcm(D) and lcm(C)."""
+    gens, spread = I.generators, spread_ideal(I, I.ambient)
+    one, spread_one = Monomial.unit(I.ambient), Monomial.unit(spread.ambient)
+    everything = range(len(gens))
+    for x in itertools.chain.from_iterable(_columns([u.exponents for u in gens])):
+        C = [g for g in everything if not x >> g & 1]
+        top = lcm_list([spread_one] + [spread.generators[g] for g in C])
+        D = [g for g in everything if spread.generators[g].divides(top)]
+        if D == C:
+            continue
+        lcm_C, lcm_D = (lcm_list([one] + [gens[g] for g in U]) for U in (C, D))
+        assert [g for g in everything if gens[g].divides(lcm_C)] == C  # a source support
+        assert lcm_list([spread_one] + [spread.generators[g] for g in D]) == top
+        assert lcm_D != lcm_C
+        return (f"spreading collapsed the lcm-lattice: {top} is the lcm of spread "
+                f"generator subsets with different source lcms {lcm_D} and {lcm_C}; "
+                f"no collapse map exists")
+    return None
 
 
 class TestCollapseCounterexample:
@@ -700,18 +796,14 @@ class TestLazyDecode:
                 (k, a) for k in range(len(ES)) for a in map(ES.index, LS.atoms)
                 if delta[ES.index(ES[k].lcm(ES[a]))] != E.index(E[delta[k]].lcm(E[delta[a]]))
             ), None)
+            witness = collapse_witness(I)
+            assert (witness is None) == (failure is None), I
             if failure is None:
                 assert build_delta(I).mapping == {ES[k]: E[d] for k, d in enumerate(delta)}, I
                 continue
-            k, a = failure
-            up = ES.index(ES[k].lcm(ES[a]))
             with pytest.raises(WellDefinednessViolation) as exc:
                 build_delta(I)
-            assert str(exc.value) == (
-                f"spreading collapsed the lcm-lattice: {ES[up]} is the lcm of spread "
-                f"generator subsets with different source lcms {E[delta[up]]} and "
-                f"{E[delta[k]].lcm(E[delta[a]])}; no collapse map exists"
-            ), I
+            assert str(exc.value) == witness, I
 
     def test_checks_run_before_any_decode(self, decoded):
         top, half = MAX_EXPONENT - 1, 20000
@@ -730,13 +822,13 @@ class TestLazyDecode:
             verify_spreading_laws(I, [I.ambient, I.ambient + 1])
         assert decoded[0] == 0
 
-    def test_collapse_decodes_the_three_elements_it_names(self, decoded):
+    def test_collapse_decodes_no_lattice_element(self, decoded):
         I = ideal(3, TestCollapseCounterexample.IDEAL)
         assert is_isomorphic(build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, 3))) is None
         assert decoded[0] == 0
         with pytest.raises(WellDefinednessViolation):
             build_delta(I)
-        assert decoded[0] == 3
+        assert decoded[0] == 0
 
 
 class TestLazyMasks:

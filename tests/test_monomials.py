@@ -101,6 +101,17 @@ class TestMonomialBasics:
         with pytest.raises(BadParameterError, match="non-integer index"):
             Monomial.from_indices(bad, 2)
 
+    @pytest.mark.parametrize("bad", [1.0, "1", 1.5])
+    def test_non_integer_ambient_refused(self, bad):
+        # Monomial((1,), 1.0) was accepted with ambient 1.0; the builders
+        # raised a raw TypeError from [0] * ambient
+        for build in (lambda: Monomial((1,), bad), lambda: Monomial.from_indices([1], bad),
+                      lambda: Monomial.unit(bad), lambda: Monomial.variable(1, bad)):
+            with pytest.raises(BadParameterError, match="non-integer ambient"):
+                build()
+        with pytest.raises(BadParameterError, match="non-integer variable index"):
+            Monomial.variable(1.0, 2)
+
     def test_overflow_is_too_large(self):
         with pytest.raises(TooLargeError):
             Monomial((1 << 16,))

@@ -5,6 +5,7 @@ import pytest
 from spreadpol import (
     AmbientMismatchError,
     BadAmbientError,
+    BadParameterError,
     DegreeMismatchError,
     EmptySetError,
     Monomial,
@@ -102,6 +103,14 @@ class TestVerifyCertificate:
         # (2.0, 1.0) sorts equal to [1, 2]: it must not pass as a permutation
         with pytest.raises(ShapeMismatchError, match="not a permutation of 1..2"):
             SmoothCertificate.from_permutation(1, 2, tau)
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None])
+    def test_non_integer_shape_refused(self, bad):
+        # n = 1.0 raised a raw TypeError from range(1, n * d + 1)
+        with pytest.raises(BadParameterError, match="non-integer n"):
+            SmoothCertificate.from_permutation(bad, 2, (1, 2))
+        with pytest.raises(BadParameterError, match="non-integer d"):
+            SmoothCertificate.from_permutation(2, bad, (1, 2))
 
     def test_column_maps_match_tau(self):
         res = check_smooth([M(1, 1, 1), M(0, 2, 1)], 3)
