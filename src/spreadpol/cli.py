@@ -195,8 +195,8 @@ def _cmd_delta(args) -> int:
     except WellDefinednessViolation as e:
         print(f"NO COLLAPSE MAP: {e}")
         return 1
-    for e in dmap.source.elements:
-        print(f"{_render(e, args.pretty)} -> {_render(dmap.mapping[e], args.pretty)}")
+    for e, v in dmap.mapping.items():  # in source element order
+        print(f"{_render(e, args.pretty)} -> {_render(v, args.pretty)}")
     print("join-preserving surjection: OK")  # build_delta proved it
     return 0
 

@@ -44,15 +44,20 @@ A map f out of an atomistic lattice with f(bottom) = bottom preserves all
 joins iff f(s join a) = f(s) join f(a) for every element s and atom a (the
 atom step): peeling the atoms b_1, ..., b_m of t off one at a time gives
 f(s join t) = f(s) join f(b_1) join ... join f(b_m) = f(s) join f(t).
-verify_delta checks a given map that way.  Whether the collapse map of a
-spread lattice onto its source exists is decided without either lattice:
-it exists iff every atom support of the source is one of the spread (the
-support lemma, proved at build_delta), and the supports are the
-complements of the unions of threshold masks, so it exists iff every
+A LatticeMap is stored index-wise, image[k] the target index of source
+element k, and verify_delta checks it that way on codes: onto is one set of
+indices, and the atom step one list comparison of target codes per atom;
+together they fix the bottom (see verify_delta).  Whether the collapse map
+of a spread lattice onto its source exists is decided without either
+lattice: it exists iff every atom support of the source is one of the
+spread (the support lemma, proved at build_delta), and the supports are
+the complements of the unions of threshold masks, so it exists iff every
 threshold mask of the source is the OR of the spread's masks inside it
 (_uncovered).  On "no", the first mask that is not names the witness, three
 lcms made from the generators; only on "yes" are the two lattices built,
-for the mapping.
+and the image is read off the spread supports, one OR of source atom codes
+per spread element.  No element is decoded until the Monomial map
+`mapping` is read.
 """
 
 from __future__ import annotations
@@ -305,26 +310,63 @@ def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:
     return LcmLattice(I.ambient, I.generators)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticeMap:
-    """A total map between two lcm-lattices, stored value-wise."""
+    """A total map between two lcm-lattices, stored index-wise: image[k] is
+    the target index of source element k, elements in code order.
+
+    The public constructor takes the map on Monomials, `mapping`, and
+    converts it to the image once; it raises BadParameterError for a map
+    that is not total on the source elements, has a key outside them, or
+    has a value outside the target.  build_delta makes the image itself and
+    builds the map unchecked (_trusted).  `mapping` is decoded from the
+    elements of both lattices when first read and then cached on this
+    object, so a caller that never reads it, verify_delta among them,
+    decodes no element.
+    """
 
     source: LcmLattice
     target: LcmLattice
-    mapping: Mapping[Monomial, Monomial]
+    image: tuple[int, ...]
+
+    def __init__(self, source: LcmLattice, target: LcmLattice,
+                 mapping: Mapping[Monomial, Monomial]):
+        if set(mapping) != source._index.keys():
+            raise BadParameterError("the map is not total on the source, or has keys outside it")
+        index = target._index
+        outside = [v for v in mapping.values() if v not in index]
+        if outside:
+            raise BadParameterError(f"{outside[0]} is not an element of the target lattice")
+        vars(self).update(source=source, target=target,
+                          image=tuple(index[mapping[e]] for e in source.elements))
+
+    @classmethod
+    def _trusted(cls, source: LcmLattice, target: LcmLattice,
+                 image: tuple[int, ...]) -> LatticeMap:
+        """The map of an image known to be total and into the target."""
+        f = object.__new__(cls)
+        vars(f).update(source=source, target=target, image=image)
+        return f
+
+    @cached_property
+    def mapping(self) -> dict[Monomial, Monomial]:
+        """The map on Monomials, decoded from both lattices when first read."""
+        values = self.target.elements
+        return dict(zip(self.source.elements, [values[d] for d in self.image]))
 
 
-def _atom_step_failure(
-    source: LcmLattice, target: LcmLattice, image: Sequence[int]
-) -> tuple[int, int] | None:
-    """The first (element s, atom a) index pair, elements and atoms in
-    order, with image[s join a] != image[s] join image[a]; else None."""
-    codes, at, tcodes, tat = source._codes, source._at, target._codes, target._at
-    for k, d in enumerate(image):
-        for a in source._atom_at:  # the two joins, each one OR of codes
-            if image[at[codes[k] | codes[a]]] != tat[tcodes[d] | tcodes[image[a]]]:
-                return k, a
-    return None
+def _atom_step_holds(source: LcmLattice, target: LcmLattice, image: Sequence[int]) -> bool:
+    """Whether image[s join a] = image[s] join image[a] for every source
+    element s and atom a.  Each join is one OR of codes, so the step is
+    checked on target codes, one list comparison per atom."""
+    codes, tcodes = source._codes, target._codes
+    timg = [tcodes[d] for d in image]
+    f = dict(zip(codes, timg))  # source code -> target code of its image
+    for a in source._atom_at:
+        ca, ta = codes[a], timg[a]
+        if [f[c | ca] for c in codes] != [t | ta for t in timg]:
+            return False
+    return True
 
 
 def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | None:
@@ -454,8 +496,8 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
     spread masks inside m, the spread closure cl'(C), which holds C
     properly.  The spread lcm of C, equal to that of D, is named with the
     two different source lcms lcm(D) and lcm(C).  On "yes" both lattices
-    are built, capped by MAX_ATOMS and MAX_ELEMENTS, and the mapping is
-    read off the spread supports.
+    are built, capped by MAX_ATOMS and MAX_ELEMENTS, and the image is read
+    off the spread supports; no element is decoded until `mapping` is read.
 
     Spread atom k is the spread of source atom k, as spreading by t >= n
     keeps the order of the generators (see spread_ideal).
@@ -488,29 +530,26 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
     src, spr = build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, n))
     codes = [src._codes[i] for i in src._atom_at]  # source code of each spread atom
     # the OR of the source codes of the atoms below each spread element
-    delta = [src._at[c] for c in _subset_ors(codes, spr._support)]
-    mapping = {e: src.elements[d] for e, d in zip(spr.elements, delta)}
-    return LatticeMap(source=spr, target=src, mapping=mapping)
+    image = tuple(src._at[c] for c in _subset_ors(codes, spr._support))
+    return LatticeMap._trusted(spr, src, image)
 
 
 def verify_delta(delta: LatticeMap) -> bool:
     """True iff the map is join-preserving, onto, and fixes the bottom.
 
+    It reads the index-wise image alone and decodes no element; a LatticeMap
+    is total by construction.  Onto: the image takes every target index.
     Joins are checked by the atom step f(s join a) = f(s) join f(a) for
-    every source element s and atom a.  Each element is the join of its
-    atoms, so adding them one at a time gives f(s) >= f(bottom) for every s;
-    as some s maps onto the target bottom, an onto map that passes the atom
-    step fixes the bottom, which is therefore not checked on its own.  Then
-    induction on the atoms of t gives f(s join t) = f(s) join f(t) for all
-    s, t, as every lcm-lattice is atomistic.
+    every source element s and atom a, on codes (_atom_step_holds).  Each
+    element is the join of its atoms, so adding them one at a time gives
+    f(s) >= f(bottom) for every s; as some s maps onto the target bottom,
+    an onto map that passes the atom step fixes the bottom, which is
+    therefore not checked on its own.  Then induction on the atoms of t
+    gives f(s join t) = f(s) join f(t) for all s, t, as every lcm-lattice
+    is atomistic.
     """
-    src, tgt, f = delta.source, delta.target, delta.mapping
-    if set(f) != set(src.elements):
-        return False
-    if set(f.values()) != set(tgt.elements):
-        return False
-    image = [tgt.index(f[e]) for e in src.elements]
-    return _atom_step_failure(src, tgt, image) is None
+    src, tgt, image = delta.source, delta.target, delta.image
+    return len(set(image)) == len(tgt) and _atom_step_holds(src, tgt, image)
 
 
 def hasse_dot(L: LcmLattice) -> str:

@@ -13,14 +13,19 @@ lcm-lattices, the source's and that of the n-spread built by
 (``lattices._uncovered``), with support inclusion (a collapse map exists iff
 every atom support of the source is one of the spread), and the two-way
 mask test with support equality (a fixed-order isomorphism, spread atom k
-to source atom k).  It needs only the standard library:
+to source atom k).  Each collapse map it builds must pass
+``spreadpol.verify_delta``, and its Monomial map must equal the reference
+built from divisibility (``oracles.delta_by_divisibility``); where there is
+no collapse map, ``verify_delta`` must refuse that reference map.  It needs
+only the standard library:
 
     python3 tests/iso_check.py
 
-It prints the number of ideals, of isomorphic pairs, of collapse maps and
-of fixed-order isomorphisms, and exits 1 on the first disagreement.  The script imports ``spreadpol`` from the ``src``
-directory next to it; its name does not match ``test_*.py``, so pytest does
-not collect it.
+It prints the number of ideals, of isomorphic pairs, of collapse maps
+verified and of reference maps refused, and of fixed-order isomorphisms,
+and exits 1 on the first disagreement.  The script imports ``spreadpol``
+from the ``src`` directory next to it; its name does not match
+``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -31,12 +36,15 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from genutils import antichain_family  # noqa: E402
+from oracles import delta_by_divisibility  # noqa: E402
 from spreadpol import (  # noqa: E402
+    LatticeMap,
     WellDefinednessViolation,
     build_delta,
     build_lcm_lattice,
     is_isomorphic,
     spread_ideal,
+    verify_delta,
 )
 from spreadpol.invariants import _irreducible  # noqa: E402
 from spreadpol.lattices import _atom_image, _spread_columns, _uncovered  # noqa: E402
@@ -56,12 +64,11 @@ def mask_verdict(I) -> bool:
     return _atom_image(_irreducible(source), _irreducible(spread), len(I.generators)) is not None
 
 
-def has_collapse_map(I) -> bool:
+def collapse_map(I) -> LatticeMap | None:
     try:
-        build_delta(I)
+        return build_delta(I)
     except WellDefinednessViolation:
-        return False
-    return True
+        return None
 
 
 def main() -> int:
@@ -74,8 +81,21 @@ def main() -> int:
             print(f"mask verdict {not want}, lattice isomorphism {want} on {I}")
             return 1
         inclusion = set(L._support) <= set(LS._support)
-        if has_collapse_map(I) != inclusion:
+        delta = collapse_map(I)
+        if (delta is not None) != inclusion:
             print(f"build_delta verdict {not inclusion}, support inclusion {inclusion} on {I}")
+            return 1
+        reference = delta_by_divisibility(I)
+        if delta is None:  # the reference map is no collapse map: verify_delta must refuse it
+            delta = LatticeMap(source=LS, target=L, mapping=reference)
+            if verify_delta(delta):
+                print(f"verify_delta accepts the reference map of {I}, which has no collapse map")
+                return 1
+        elif not verify_delta(delta):
+            print(f"verify_delta refuses the collapse map of {I}")
+            return 1
+        elif delta.mapping != reference:
+            print(f"the collapse map of {I} differs from the divisibility reference")
             return 1
         source, spread = columns(I)
         equal = set(L._support) == set(LS._support)
@@ -85,8 +105,8 @@ def main() -> int:
         isomorphic += want
         collapses += inclusion
         fixed += equal
-    print(f"{len(ideals)} ideals agree, {isomorphic} isomorphic, {collapses} collapse maps, "
-          f"{fixed} fixed-order isomorphisms")
+    print(f"{len(ideals)} ideals agree, {isomorphic} isomorphic, {collapses} collapse maps verified "
+          f"and {len(ideals) - collapses} refused, {fixed} fixed-order isomorphisms")
     return 0
 
 

@@ -22,6 +22,11 @@ the atoms and ranks its boundaries, a second homotopy-equivalent complex
 permutation in lexicographic order on plain exponent tuples.  The
 collapse-map reference checks join preservation on every pair of source
 elements, where the library checks one atom step per element and atom.
+The divisibility reference builds the collapse map itself from its
+definition, on Monomials: the n-spread's lcm-lattice as the closure of its
+generators under lcm, each element sent to the lcm of the source
+generators whose spreads divide it, where the library ORs source atom codes
+over spread atom supports and stores the map as element indices.
 
 The subset-resolution reference builds each subset lcm from scratch over
 itertools.combinations and ranks over GF(2) on sets of column indices,
@@ -386,6 +391,28 @@ def delta_by_all_pairs(delta: LatticeMap) -> bool:
         f[src.join(u, v)] == tgt.join(f[u], f[v])
         for u, v in itertools.combinations_with_replacement(src.elements, 2)
     )
+
+
+def delta_by_divisibility(I: MonomialIdeal) -> dict[Monomial, Monomial]:
+    """The collapse map of I as a Monomial dict: every lcm of a subset of
+    the generators of spread_ideal(I, n), the empty one included, goes to
+    the lcm of the source generators whose spreads (by definition) divide
+    it.  It is a map whether or not it preserves joins."""
+    spread = spread_ideal(I, I.ambient)
+    spreads = [validated_image(spread_indices_by_definition(u, I.ambient), spread.ambient)
+               for u in I.generators]
+    assert sorted(spreads) == list(spread.generators), I
+    elements = {Monomial.unit(spread.ambient)}
+    for g in spread.generators:
+        elements |= {e.lcm(g) for e in elements}
+    out = {}
+    for e in elements:
+        image = Monomial.unit(I.ambient)
+        for u, s in zip(I.generators, spreads):
+            if s.divides(e):
+                image = image.lcm(u)
+        out[e] = image
+    return out
 
 
 def _rank_mod2_sets(rows: list[frozenset[int]]) -> int:

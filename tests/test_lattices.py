@@ -26,7 +26,7 @@ from spreadpol import (
     verify_spreading_laws,
 )
 from spreadpol import invariants, lattices
-from spreadpol.lattices import _atom_image, _atom_step_failure, _spread_columns, _uncovered
+from spreadpol.lattices import _atom_image, _atom_step_holds, _spread_columns, _uncovered
 from spreadpol.monomials import MAX_EXPONENT
 from spreadpol.smooth import _blocks
 from spreadpol.taylor import _columns
@@ -41,6 +41,7 @@ from genutils import (
 )
 from oracles import (
     delta_by_all_pairs,
+    delta_by_divisibility,
     isomorphism_by_permutations,
     lattice_elements_eagerly,
     lattice_masks_by_slabs,
@@ -413,6 +414,41 @@ class TestDelta:
         )
         assert verify_delta(ident)
 
+    def test_constructor_refuses_a_partial_or_outside_map(self):
+        """The public constructor converts the map to its image once and
+        refuses it unless it is a total map into the target."""
+        L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
+        ident = {e: e for e in L.elements}
+        partial = {e: e for e in L.elements[:-1]}
+        with pytest.raises(BadParameterError, match="not total on the source"):
+            LatticeMap(source=L, target=L, mapping=partial)
+        with pytest.raises(BadParameterError, match="not total on the source"):
+            LatticeMap(source=L, target=L, mapping={**ident, M(2, 0): L.top})
+        with pytest.raises(BadParameterError, match="x1\\^2 is not an element of the target"):
+            LatticeMap(source=L, target=L, mapping={**ident, L.top: M(2, 0)})
+        f = LatticeMap(source=L, target=L, mapping=ident)
+        assert f.image == (0, 1, 2, 3) and f.mapping == ident
+        with pytest.raises(AttributeError):
+            f.image = ()
+
+    def test_mapping_matches_the_divisibility_oracle(self):
+        """`mapping` equals the map built from Monomial divisibility, and
+        the public constructor turns it back into the image, on the support
+        family (the small family among it), the seeded sources of the lazy
+        decode and the seeded ideals of the delta tests."""
+        rng = random.Random(26)
+        seeded = [random_ideal(rng, rng.randint(1, 3), rng.randint(1, 4), 3) for _ in range(80)]
+        built = 0
+        for I in support_family() + TestLazyDecode.sources()[522:] + seeded:
+            try:
+                d = build_delta(I)
+            except WellDefinednessViolation:
+                continue
+            assert d.mapping == delta_by_divisibility(I), I
+            assert LatticeMap(source=d.source, target=d.target, mapping=d.mapping).image == d.image
+            built += 1
+        assert built >= 3000
+
     def test_verify_delta_rejects_lattice_not_fixed_by_atom_sets(self):
         # x1*x2 divides x1^2*x2, wherever it stands among the atoms, so no
         # lattice, and no map out of one, is built on them
@@ -473,7 +509,7 @@ class TestDelta:
                     if s >> a & 1:
                         code |= c
                 image.append(src._at[code])
-            verdicts.append(_atom_step_failure(spr, src, image) is None)
+            verdicts.append(_atom_step_holds(spr, src, image))
             assert verdicts[-1] == (set(src._support) <= set(spr._support)), I
             try:
                 build_delta(I)
@@ -804,6 +840,39 @@ class TestLazyDecode:
             with pytest.raises(WellDefinednessViolation) as exc:
                 build_delta(I)
             assert str(exc.value) == witness, I
+
+    def test_collapse_map_decodes_on_first_mapping_read(self, monkeypatch):
+        """On "yes", build_delta and verify_delta decode no element: the only
+        Monomials they make are the spread's generators.  The first
+        `mapping` read decodes each lattice once; a second read, nothing."""
+        decodes, trusted = [0], [0]
+        decode, make = lattices._decode, Monomial._trusted.__func__
+
+        def counted_decode(*args):
+            decodes[0] += 1
+            return decode(*args)
+
+        def counted_trusted(cls, *args):
+            trusted[0] += 1
+            return make(cls, *args)
+
+        monkeypatch.setattr(lattices, "_decode", counted_decode)
+        monkeypatch.setattr(Monomial, "_trusted", classmethod(counted_trusted))
+        built = 0
+        for I in small_family():
+            decodes[0] = trusted[0] = 0
+            try:
+                d = build_delta(I)
+            except WellDefinednessViolation:
+                continue
+            assert verify_delta(d), I
+            assert (decodes[0], trusted[0]) == (0, len(I.generators)), I
+            mapping = d.mapping
+            assert decodes[0] == 2, I
+            assert trusted[0] == len(I.generators) + len(d.source) + len(d.target), I
+            assert d.mapping is mapping and decodes[0] == 2, I
+            built += 1
+        assert built >= 400
 
     def test_checks_run_before_any_decode(self, decoded):
         top, half = MAX_EXPONENT - 1, 20000
