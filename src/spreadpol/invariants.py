@@ -63,32 +63,18 @@ blocks, without the spread (lattices._spread_columns).  The source and its
 n-spread often depolarize to one J; equal ideals have one poset, so one
 harness call searches each distinct J once and reads its scores for both.
 
-The isomorphism verdict rests on a lemma: the complements of the atom
-supports are the unions of threshold masks (proved at lattices._uncovered,
-which decides the collapse map by it).  An atom bijection therefore
-carries the supports of one lcm-lattice onto those of another, that is, is
-an isomorphism, iff it carries the union-closure of the first family of
-masks onto that of the second.  A bijection preserves unions, so this
-holds iff it carries the union-irreducible members onto each other.  Such a member is the union of
-the masks inside it, so it is a single mask; and a mask is irreducible
-iff it is not the OR of the masks strictly inside it (_irreducible).
-Once both posets fit MAX_POSET_POINTS, each side has at most 32 masks:
-each lies in one chain of J, of length at most m <= 10, and the product of
-(length + 1) over the chains is at most 4,096, so _irreducible's pairwise
-pass stays small.
+The isomorphism lemma and its mask bound are at lattices._irreducible.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import BadParameterError, TooLargeError
-from .lattices import LcmLattice, _atom_image, _spread_columns, build_lcm_lattice
-from .monomials import Monomial, MonomialIdeal, _check_ambient_cap
+from .lattices import LcmLattice, _atom_image, _irreducible, _spread_columns, build_lcm_lattice
+from .monomials import Monomial, MonomialIdeal, _check_ambient_cap, _integer
 from .smooth import _blocks, _first_violation
 from .taylor import MAX_TAYLOR_ATOMS, _atom_codes, _columns, _homology
 MAX_POSET_POINTS = 4096
@@ -175,13 +161,13 @@ class CharacteristicPoset:
     searches read masks alone.  `corner(i)` is points[i] in the ambient of the
     ideal, with 0 in each free coordinate.  `ideal_mask` holds the points
     x^p in the ideal; per used coordinate j and value v, `at_least[j][v]`
-    and `at_most[j][v]` hold the points with p_j >= v and p_j <= v, `ups[i]`
-    and `downs[i]` the up-set and the down-set of points[i], and `levels`
-    is saturated_at_least(): the tables of every search on the poset.
+    holds the points with p_j >= v, `ups[i]` and `downs[i]` the up-set and
+    the down-set of points[i], and `levels` is saturated_at_least(): the
+    tables of every search on the poset.
     """
 
-    __slots__ = ("bound", "used", "_points", "full", "stride", "at_least", "at_most",
-                 "ideal_mask", "levels", "ups", "downs")
+    __slots__ = ("bound", "used", "_points", "full", "stride", "at_least", "ideal_mask",
+                 "levels", "ups", "downs")
 
     def __init__(self, I: MonomialIdeal):
         columns = [(j, column)
@@ -203,7 +189,6 @@ class CharacteristicPoset:
         self.full = (1 << size) - 1
         self.stride: list[int] = []
         self.at_least: list[list[int]] = []
-        self.at_most: list[list[int]] = []
         self.ups, self.downs = [self.full], [self.full]
         stride = size
         for gj in g:
@@ -214,7 +199,6 @@ class CharacteristicPoset:
             least = [repeat * ((1 << period) - (1 << v * stride)) for v in range(gj + 1)]
             most = [repeat * ((1 << (v + 1) * stride) - 1) for v in range(gj + 1)]
             self.at_least.append(least)
-            self.at_most.append(most)
             self.ups = [mask & slab for mask in self.ups for slab in least]
             self.downs = [mask & slab for mask in self.downs for slab in most]
         self.ideal_mask = 0
@@ -410,14 +394,6 @@ def _compress(columns: list[list[int]], m: int) -> MonomialIdeal:
     return MonomialIdeal._from_minimal(n, (Monomial._trusted(row, n) for row in zip(*cols)))
 
 
-def _irreducible(columns: list[list[int]]) -> list[int]:
-    """The distinct threshold masks that are not the OR of the masks
-    strictly inside them: the union-irreducible members of the family of
-    complements of the atom supports (see the module docstring)."""
-    masks = list(dict.fromkeys(itertools.chain.from_iterable(columns)))
-    return [x for x in masks if x != reduce(or_, (y for y in masks if y != x and y & x == y), 0)]
-
-
 def _stats(what: str, ambient: int, searched: dict[MonomialIdeal, list[int]],
            columns: list[list[int]], m: int) -> tuple[int, int, int]:
     """Depth and both Stanley depths of the ideal in `ambient` of m
@@ -478,7 +454,7 @@ def verify_spreading_laws(
     is refused.
     """
     n, d = I.ambient, I.deg
-    ts = sorted(set(t_range) | {n})
+    ts = sorted({_integer(t, "t") for t in t_range} | {n})
     if any(t < n for t in ts):
         raise BadParameterError(f"law harness needs t >= n = {n}, got {ts}")
 

@@ -36,7 +36,7 @@ the atom order it is given, as one set comparison; failing that,
 _atom_image searches for a permutation carrying one set family onto
 another: is_isomorphic gives it the supports, the law harness the
 irreducible threshold masks, a smaller family that decides the same (see
-invariants.py).  The common lower bounds below(u) & below(v) are the
+_irreducible).  The common lower bounds below(u) & below(v) are the
 down-set of the meet, whose index is their highest bit, so no gcd is
 needed.
 
@@ -54,14 +54,16 @@ spread (the support lemma, proved at build_delta), and the supports are
 the complements of the unions of threshold masks, so it exists iff every
 threshold mask of the source is the OR of the spread's masks inside it
 (_uncovered).  On "no", the first mask that is not names the witness, three
-lcms made from the generators; only on "yes" are the two lattices built,
-and the image is read off the spread supports, one OR of source atom codes
-per spread element.  No element is decoded until the Monomial map
+lcms made from the generators, the spread one from their spread indices as
+spread_ideal makes them; only on "yes" are the two lattices built, and the
+image is read off the spread supports, one OR of the source atom codes the
+constructor kept per spread element.  No element is decoded until the Monomial map
 `mapping` is read.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -73,7 +75,8 @@ from .errors import (
     TooLargeError,
     WellDefinednessViolation,
 )
-from .monomials import Monomial, MonomialIdeal, _check_ambient_cap, spread_ideal
+from .monomials import (Monomial, MonomialIdeal, _check_ambient_cap, _image, _spread_indices,
+                        spread_ideal)
 from .smooth import _blocks
 from .taylor import (MAX_TAYLOR_ATOMS, _atom_codes, _columns, _decode, _decode_fields,
                      _homology, _transpose)
@@ -107,16 +110,19 @@ class LcmLattice:
     its atom support.  The constructor makes only these ints and masks, and
     runs every check, so a bad input fails where it is built and not where
     an element is first read: antichain of non-units, the MAX_ELEMENTS cap,
-    and the full Monomial check of the top, which the rest divide.  Vectors
-    are decoded on demand, column by column (taylor._decode, on the fields
-    `_fields` that taylor._decode_fields makes of the atom rows):
-    `_element(k)` one alone, `elements` all at once.  The down-set masks
+    and the full Monomial check of the top, which the rest divide.  It keeps
+    the atom codes (`_atom_code[a]`, the code of atom a) and the checked top
+    (`top`); `bottom` is the unit, so neither end is decoded.  The other
+    vectors are decoded on demand, all at once and column by column
+    (`elements`, by taylor._decode on the fields `_fields` that
+    taylor._decode_fields makes of the atom rows).  The down-set masks
     `_below` are built on first read too, all at once: one transpose of the
     supports gives the atoms' up-sets, and 4-atom OR tables of those give
     each down-set.  Only `leq`, `meet` and `covers` (so `hasse_dot`) read
     them.  The isomorphism test, the collapse map and the Betti numbers work
     on codes and supports alone.  `_columns` keeps the masks the codes come
-    from, which the Betti table `_betti` passes to taylor._homology.  The
+    from, which the Betti table `_betti` passes to taylor._homology with the
+    kept atom codes.  The
     masks, the transpose, the codes and the decode fields are made in
     taylor.py alone.
     """
@@ -128,7 +134,7 @@ class LcmLattice:
         self.atoms = atoms
         rows = [a.exponents for a in atoms]
         self._columns = _columns(rows)
-        codes = _atom_codes(self._columns, len(atoms))
+        self._atom_code = codes = _atom_codes(self._columns, len(atoms))
         support = {0: 0}  # code -> mask of the atoms below it
         for a, g in enumerate(codes):
             bit = 1 << a
@@ -147,7 +153,7 @@ class LcmLattice:
         self._atom_at = tuple(self._at[g] for g in codes)
         self._support = tuple(support[c] for c in self._codes)
         self._covers = None
-        Monomial(_lcm(rows, ambient), ambient)  # the one full check: the rest divide the top
+        self.top = Monomial(_lcm(rows, ambient), ambient)  # the one full check: the rest divide it
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -200,20 +206,12 @@ class LcmLattice:
         m = len(self._atom_at)
         if m > MAX_TAYLOR_ATOMS:
             raise TooLargeError(f"{m} atoms exceed the Betti cap of {MAX_TAYLOR_ATOMS}")
-        _, groups = _homology(self._columns, [self._codes[i] for i in self._atom_at])
+        _, groups = _homology(self._columns, self._atom_code)
         return {self._at[c]: b for c, b in groups.items()}
-
-    def _element(self, k: int) -> Monomial:
-        """Element k alone, decoded from its code."""
-        return Monomial._trusted(_decode([self._codes[k]], *self._fields)[0], self.ambient)
 
     @property
     def bottom(self) -> Monomial:
-        return self._element(0)
-
-    @property
-    def top(self) -> Monomial:
-        return self._element(len(self) - 1)
+        return Monomial.unit(self.ambient)
 
     def atom_support(self, u: Monomial) -> frozenset[int]:
         """Indices of the atoms lying below u (the maximal atom subset)."""
@@ -362,8 +360,8 @@ def _atom_step_holds(source: LcmLattice, target: LcmLattice, image: Sequence[int
     codes, tcodes = source._codes, target._codes
     timg = [tcodes[d] for d in image]
     f = dict(zip(codes, timg))  # source code -> target code of its image
-    for a in source._atom_at:
-        ca, ta = codes[a], timg[a]
+    for ca in source._atom_code:
+        ta = f[ca]
         if [f[c | ca] for c in codes] != [t | ta for t in timg]:
             return False
     return True
@@ -404,7 +402,7 @@ def _atom_image(A: Sequence[int], B: Sequence[int], m: int) -> list[int] | None:
     onto B.  Returns the first one, image[a] the bit of the B atom of atom
     a, or None.  is_isomorphic passes the nonempty atom supports of two
     lattices, the law harness their irreducible threshold masks, a family
-    that decides the same (see invariants._irreducible).
+    that decides the same (see _irreducible).
     """
     closing: list[list[list[int]]] = [[] for _ in range(m)]
     for s in A:  # each member, under its highest atom
@@ -459,6 +457,30 @@ def _uncovered(columns: list[list[int]], spread_columns: list[list[int]]) -> int
     return next((x for chain in columns for x in chain if _or_inside(x, masks) != x), None)
 
 
+def _irreducible(columns: list[list[int]]) -> list[int]:
+    """The distinct threshold masks that are not the OR of the masks
+    strictly inside them: the union-irreducible members of the family of
+    complements of the atom supports.
+
+    The isomorphism verdict of the law harness rests on them.  The
+    complements of the atom supports are the unions of threshold masks
+    (proved at _uncovered).  An atom bijection therefore carries the
+    supports of one lcm-lattice onto those of another, that is, is an
+    isomorphism, iff it carries the union-closure of the first family of
+    masks onto that of the second.  A bijection preserves unions, so this
+    holds iff it carries the union-irreducible members onto each other
+    (_atom_image on the two lists).  Such a member is the union of the masks
+    inside it, so it is a single mask; and a mask is irreducible iff it is
+    not the OR of the masks strictly inside it.  Once both characteristic
+    posets of the harness fit invariants.MAX_POSET_POINTS, each side has at
+    most 32 masks: each lies in one chain of the depolarization J, of length
+    at most m <= 10, and the product of (length + 1) over the chains is at
+    most 4,096, so the pairwise pass stays small.
+    """
+    masks = list(dict.fromkeys(itertools.chain.from_iterable(columns)))
+    return [x for x in masks if x != reduce(or_, (y for y in masks if y != x and y & x == y), 0)]
+
+
 def build_delta(I: MonomialIdeal) -> LatticeMap:
     """The collapse map from the lattice of the n-spread back onto L_I.
 
@@ -495,9 +517,12 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
     complement of a mask), and D the generators outside the OR of the
     spread masks inside m, the spread closure cl'(C), which holds C
     properly.  The spread lcm of C, equal to that of D, is named with the
-    two different source lcms lcm(D) and lcm(C).  On "yes" both lattices
-    are built, capped by MAX_ATOMS and MAX_ELEMENTS, and the image is read
-    off the spread supports; no element is decoded until `mapping` is read.
+    two different source lcms lcm(D) and lcm(C); the spread is squarefree,
+    so its lcm is the union of the spread indices of C (_spread_indices, as
+    spread_ideal builds a spread).  On "yes" both lattices are built, capped
+    by MAX_ATOMS and MAX_ELEMENTS, and the image is read off the spread
+    supports and the kept source atom codes; no element is decoded until
+    `mapping` is read.
 
     Spread atom k is the spread of source atom k, as spreading by t >= n
     keeps the order of the generators (see spread_ideal).
@@ -506,31 +531,25 @@ def build_delta(I: MonomialIdeal) -> LatticeMap:
     ambient = n * I.deg
     _check_ambient_cap(ambient)
     rows = [u.exponents for u in I.generators]
-    blocks = [_blocks(u) for u in I.generators]
-    spread_columns = _spread_columns(blocks, n)
+    spread_columns = _spread_columns([_blocks(u) for u in I.generators], n)
     m = _uncovered(_columns(rows), spread_columns)
     if m is not None:
         full = (1 << len(rows)) - 1
         C = full ^ m
         D = full ^ _or_inside(m, [y for [y] in spread_columns])
-        spread = [0] * ambient  # squarefree: generator g covers j + k*n for p <= k < p + a
-        for g, row in enumerate(blocks):
-            if C >> g & 1:
-                for j, (p, a) in enumerate(row):
-                    spread[j + p * n:j + (p + a) * n:n] = [1] * a
+        spread = _image({i for g, u in enumerate(I.generators) if C >> g & 1
+                         for i in _spread_indices(u, n)}, ambient)
 
         def lcm(S: int) -> Monomial:  # of degree at most n*d <= MAX_AMBIENT < MAX_DEGREE
             return Monomial._trusted(_lcm([r for g, r in enumerate(rows) if S >> g & 1], n), n)
 
         raise WellDefinednessViolation(
-            f"spreading collapsed the lcm-lattice: "
-            f"{Monomial._trusted(tuple(spread), ambient)} is the lcm of spread generator "
+            f"spreading collapsed the lcm-lattice: {spread} is the lcm of spread generator "
             f"subsets with different source lcms {lcm(D)} and {lcm(C)}; no collapse map exists"
         )
     src, spr = build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, n))
-    codes = [src._codes[i] for i in src._atom_at]  # source code of each spread atom
     # the OR of the source codes of the atoms below each spread element
-    image = tuple(src._at[c] for c in _subset_ors(codes, spr._support))
+    image = tuple(src._at[c] for c in _subset_ors(src._atom_code, spr._support))
     return LatticeMap._trusted(spr, src, image)
 
 

@@ -193,6 +193,7 @@ class Monomial:
 
     def in_ambient(self, ambient: int) -> "Monomial":
         """The same monomial viewed inside a ring with more variables."""
+        ambient = _integer(ambient, "ambient")
         if ambient < self.ambient:
             used = max(self.support, default=0)
             if ambient < used:
@@ -284,6 +285,7 @@ class MonomialIdeal:
     __slots__ = ("ambient", "generators", "_hash")
 
     def __init__(self, ambient: int, generators: Iterable[Monomial]):
+        ambient = _integer(ambient, "ambient")
         gens = list(generators)
         if not gens:
             raise ZeroIdealError("no generators: the zero ideal is not supported")
@@ -374,6 +376,7 @@ def sigma_t(u: Monomial, t: int) -> Monomial:
     The k-th sorted index moves by (k-1)*t, so the image is t-spread.
     t = 0 returns u unchanged.
     """
+    t = _integer(t, "spreading step t")
     if t < 0:
         raise BadParameterError("spreading step t must be >= 0")
     if t == 0:
@@ -415,6 +418,7 @@ def spread_ideal(I: MonomialIdeal, t: int, pad: bool = False) -> MonomialIdeal:
     two images meet the same first difference as their sources.  So for
     t >= n generator k of the result is the image of generator k of I.
     """
+    t = _integer(t, "spreading step t")
     if t < 0:
         raise BadParameterError("spreading step t must be >= 0")
     d = I.deg
@@ -443,20 +447,25 @@ def polarize(u: Monomial, n: int, d: int) -> Monomial:
     so that a whole generator set can share one target ring.  The result is
     squarefree of the same degree.
     """
+    n, d = _integer(n, "n"), _integer(d, "d")
     if u.ambient != n:
         raise AmbientMismatchError(f"monomial has ambient {u.ambient}, not {n}")
     if u.degree > d:
         raise DegreeBoundError(f"deg {u.degree} exceeds bound {d}")
-    return _image(  # x_j x_{j+n} ... x_{j+(a-1)n}
-        (j + k * n for j, a in enumerate(u.exponents, 1) for k in range(a)), n * d
-    )
+    return _image(_polar_indices(u, n), n * d)
+
+
+def _polar_indices(u: Monomial, n: int) -> list[int]:
+    """The variable indices of the polarization of u in n variables, each
+    once: x_j^a gives j, j + n, ..., j + (a-1)*n."""
+    return [j + k * n for j, a in enumerate(u.exponents, 1) for k in range(a)]
 
 
 def polarize_ideal(I: MonomialIdeal) -> MonomialIdeal:
     """Polarization of the ideal, in ambient n*deg(I)."""
-    d = I.deg
-    images = [polarize(g, I.ambient, d) for g in I.generators]
-    return MonomialIdeal._from_minimal(I.ambient * d, images)  # u | v iff pol(u) | pol(v)
+    n, d = I.ambient, I.deg  # every generator lies in T_n with degree at most d
+    images = [_image(_polar_indices(g, n), n * d) for g in I.generators]
+    return MonomialIdeal._from_minimal(n * d, images)  # u | v iff pol(u) | pol(v)
 
 
 @dataclass(frozen=True)
@@ -490,7 +499,7 @@ def embed_spread(I: MonomialIdeal, t: int) -> tuple[MonomialIdeal, SpreadEmbeddi
     the t-spread in the padded ambient t*d, returned as such.  Tests compare
     it with phi applied to the n-spread index by index.
     """
-    n = I.ambient
+    n, t = I.ambient, _integer(t, "spreading step t")
     if t < n:
         raise BadParameterError(f"embedding requires t >= n ({t} < {n})")
     return spread_ideal(I, t, pad=True), SpreadEmbedding(n=n, t=t, d=I.deg)

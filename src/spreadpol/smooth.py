@@ -38,7 +38,7 @@ from .errors import (
     SupportOverlapError,
     UnitGeneratorError,
 )
-from .monomials import Monomial, MonomialIdeal, _integer, polarize, sigma_t
+from .monomials import Monomial, MonomialIdeal, _integer, _polar_indices, sigma_t
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,7 @@ def check_smooth(
     violating generator pair and variable (pairs scanned in input order,
     variables in increasing order).
     """
+    n = _integer(n, "n")
     ms = _normalize(monomials, n)
     blocks = [_blocks(u) for u in ms]
     witness = _first_violation(blocks, n)
@@ -242,6 +243,7 @@ def verify_certificate(
     True iff tau respects residues mod n and relabelling the n-spread of
     every monomial through tau gives exactly its polarization.
     """
+    n = _integer(n, "n")
     ms = _normalize(monomials, n)
     if cert.n != n:
         raise ShapeMismatchError(f"certificate is for n={cert.n}, data has n={n}")
@@ -253,10 +255,8 @@ def verify_certificate(
     if any((cert.tau[k - 1] - k) % n for k in range(1, size + 1)):
         return False
     for u in ms:
-        spread = sigma_t(u, n)
-        mapped = {cert.tau[i - 1] for i in spread.indices}
-        polar = set(polarize(u, n, cert.d).indices)
-        if mapped != polar:
+        mapped = {cert.tau[i - 1] for i in sigma_t(u, n).indices}
+        if mapped != set(_polar_indices(u, n)):  # u's degree is at most cert.d
             return False
     return True
 
@@ -307,7 +307,7 @@ def adjoin_disjoint(I: MonomialIdeal, v: Monomial, n_prime: int) -> MonomialIdea
     The construction never changes the verdict of check_smooth;
     test_adjoin_disjoint_random_equivalence checks that on seeded ideals.
     """
-    n = I.ambient
+    n, n_prime = I.ambient, _integer(n_prime, "n'")
     if n_prime < n:
         raise BadParameterError(f"target ambient {n_prime} below {n}")
     if v.is_unit:
@@ -375,6 +375,7 @@ def product_construct(
     check that on seeded sets), and it contains the minimal generators of
     the product ideal.
     """
+    n, n_prime = _integer(n, "n"), _integer(n_prime, "n'")
     if n_prime <= n:
         raise BadParameterError(f"need n' > n, got n'={n_prime}, n={n}")
     ms = _normalize(monomials, n)

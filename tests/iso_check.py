@@ -4,7 +4,7 @@ For every ideal of the n = 4 family (every antichain of 2 or 3 nonzero
 exponent vectors with entries at most 2 in 4 variables, 26,050 ideals) it
 computes the verdict as ``spreadpol.verify_spreading_laws`` does: an atom
 bijection carrying the irreducible threshold masks of the ideal
-(``invariants._irreducible`` of ``taylor._columns``) onto those of its
+(``lattices._irreducible`` of ``taylor._columns``) onto those of its
 n-spread (of ``lattices._spread_columns``), found by ``lattices._atom_image``.
 It compares that verdict with ``spreadpol.is_isomorphic`` on the two built
 lcm-lattices, the source's and that of the n-spread built by
@@ -16,20 +16,26 @@ mask test with support equality (a fixed-order isomorphism, spread atom k
 to source atom k).  Each collapse map it builds must pass
 ``spreadpol.verify_delta``, and its Monomial map must equal the reference
 built from divisibility (``oracles.delta_by_divisibility``); where there is
-no collapse map, ``verify_delta`` must refuse that reference map.  It needs
-only the standard library:
+no collapse map, ``verify_delta`` must refuse that reference map.  Those
+refused maps are not onto, so they never reach the atom step; the 80
+principal ideals of the n = 4 grid (entries at most 2) do.  On each,
+``verify_delta`` must accept the collapse map and refuse the onto map that
+swaps the bottom and the top, which fails only the atom step of the one
+atom.  It needs only the standard library:
 
     python3 tests/iso_check.py
 
 It prints the number of ideals, of isomorphic pairs, of collapse maps
-verified and of reference maps refused, and of fixed-order isomorphisms,
-and exits 1 on the first disagreement.  The script imports ``spreadpol``
-from the ``src`` directory next to it; its name does not match
-``test_*.py``, so pytest does not collect it.
+verified and of reference maps refused, of fixed-order isomorphisms, and
+of principal ideals whose two maps are judged right, and exits 1 on the
+first disagreement.  The script imports ``spreadpol`` from the ``src``
+directory next to it; its name does not match ``test_*.py``, so pytest
+does not collect it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 
@@ -39,6 +45,7 @@ from genutils import antichain_family  # noqa: E402
 from oracles import delta_by_divisibility  # noqa: E402
 from spreadpol import (  # noqa: E402
     LatticeMap,
+    MonomialIdeal,
     WellDefinednessViolation,
     build_delta,
     build_lcm_lattice,
@@ -46,8 +53,7 @@ from spreadpol import (  # noqa: E402
     spread_ideal,
     verify_delta,
 )
-from spreadpol.invariants import _irreducible  # noqa: E402
-from spreadpol.lattices import _atom_image, _spread_columns, _uncovered  # noqa: E402
+from spreadpol.lattices import _atom_image, _irreducible, _spread_columns, _uncovered  # noqa: E402
 from spreadpol.smooth import _blocks  # noqa: E402
 from spreadpol.taylor import _columns  # noqa: E402
 
@@ -105,8 +111,21 @@ def main() -> int:
         isomorphic += want
         collapses += inclusion
         fixed += equal
+    principal = [MonomialIdeal.from_exponents(4, [v])
+                 for v in itertools.product(range(3), repeat=4) if any(v)]
+    for I in principal:
+        delta = build_delta(I)
+        if not verify_delta(delta):
+            print(f"verify_delta refuses the collapse map of {I}")
+            return 1
+        S, T = delta.source, delta.target
+        swap = LatticeMap(source=S, target=T, mapping={S.bottom: T.top, S.top: T.bottom})
+        if verify_delta(swap):
+            print(f"verify_delta accepts the map of {I} that swaps the bottom and the top")
+            return 1
     print(f"{len(ideals)} ideals agree, {isomorphic} isomorphic, {collapses} collapse maps verified "
-          f"and {len(ideals) - collapses} refused, {fixed} fixed-order isomorphisms")
+          f"and {len(ideals) - collapses} refused, {fixed} fixed-order isomorphisms, "
+          f"{len(principal)} principal ideals with the collapse map verified and the swap refused")
     return 0
 
 

@@ -29,11 +29,10 @@ from spreadpol import invariants, taylor
 from spreadpol.invariants import (
     CharacteristicPoset,
     _compress,
-    _irreducible,
     _spread_columns,
 )
 from spreadpol import lattices
-from spreadpol.lattices import LcmLattice
+from spreadpol.lattices import LcmLattice, _irreducible
 from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from spreadpol.smooth import _blocks
 from spreadpol.taylor import MAX_TAYLOR_ATOMS, _columns, taylor_betti

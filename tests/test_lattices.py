@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from functools import cached_property
 
 import pytest
 
@@ -121,7 +120,7 @@ class TestBuild:
             assert list(L._support) == support, I
             assert list(L.covers()) == covers, I
             rows = [u.exponents for u in I.generators]  # the threshold masks, transposed
-            assert [L._codes[k] for k in L._atom_at] == unary_atom_codes(rows), I
+            assert L._atom_code == unary_atom_codes(rows), I
 
     def test_codes_match_unary_reference_on_wide_and_many_atoms(self):
         """Atom codes past one byte of atoms and over thousands of distinct
@@ -136,7 +135,7 @@ class TestBuild:
         for I in family:
             L = build_lcm_lattice(I)
             rows = [u.exponents for u in I.generators]
-            assert [L._codes[k] for k in L._atom_at] == unary_atom_codes(rows), I
+            assert L._atom_code == unary_atom_codes(rows), I
 
     def test_rank_invariance(self):
         """Only each variable's order of exponents matters: swapping the
@@ -501,11 +500,10 @@ class TestDelta:
         verdicts = []
         for I in support_family():
             src, spr = build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, I.ambient))
-            codes = [src._codes[i] for i in src._atom_at]
             image = []
             for s in spr._support:  # the join of the source atoms in s
                 code = 0
-                for a, c in enumerate(codes):
+                for a, c in enumerate(src._atom_code):
                     if s >> a & 1:
                         code |= c
                 image.append(src._at[code])
@@ -762,24 +760,17 @@ class TestLatticeAccess:
 
 @pytest.fixture
 def decoded(monkeypatch):
-    """A counter of decoded elements: one per `_element` call, and every
-    element of a lattice whose `elements` are read."""
+    """A counter of decoded lattice elements: each row that taylor._decode
+    makes for a lattice."""
     count = [0]
-    element, decode_all = LcmLattice._element, LcmLattice.__dict__["elements"].func
+    decode = lattices._decode
 
-    def counted_element(self, k):
-        count[0] += 1
-        return element(self, k)
+    def counted_decode(*args):
+        rows = decode(*args)
+        count[0] += len(rows)
+        return rows
 
-    def counted_all(self):
-        out = decode_all(self)
-        count[0] += len(out)
-        return out
-
-    prop = cached_property(counted_all)
-    prop.__set_name__(LcmLattice, "elements")
-    monkeypatch.setattr(LcmLattice, "_element", counted_element)
-    monkeypatch.setattr(LcmLattice, "elements", prop)
+    monkeypatch.setattr(lattices, "_decode", counted_decode)
     return count
 
 
@@ -796,22 +787,21 @@ class TestLazyDecode:
 
     def test_decode_past_one_byte_plane(self):
         """On lattices of 9 to 16 atoms, some with fields wider than 8 bits,
-        single decodes, the elements and the index equal the eager ones."""
+        the elements, the index, the bottom and the top equal the eager ones."""
         for I in past_one_byte():
             L, E = build_lcm_lattice(I), lattice_elements_eagerly(I.ambient, I.generators)
             assert len(L.atoms) >= 9
-            assert [L._element(k) for k in range(len(L))] == list(E), I
             assert L.elements == E and all(L.index(e) == k for k, e in enumerate(E)), I
             assert L.bottom == E[0] and L.top == E[-1], I
 
     def test_lazy_decode_matches_eager_reference(self):
-        """Elements, index, single decodes, and the depth, isomorphism and
+        """Elements, index, bottom, top, and the depth, isomorphism and
         collapse-map outputs equal those keyed by the eagerly decoded elements."""
         for I in self.sources():
             S = spread_ideal(I, I.ambient)
             for J in (I, S):
                 L, E = build_lcm_lattice(J), lattice_elements_eagerly(J.ambient, J.generators)
-                assert [L._element(k) for k in range(len(L))] == list(E), J
+                assert L.bottom == E[0] and L.top == E[-1], J
                 assert L.elements == E and all(L.index(e) == k for k, e in enumerate(E)), J
                 entries = {(i, E[k]): v for k, betti in L._betti.items() for i, v in betti.items()}
                 rep = depth_quotient(J)
@@ -885,6 +875,16 @@ class TestLazyDecode:
         with pytest.raises(TooLargeError, match="exceeds the cap"):
             build_lcm_lattice(MonomialIdeal(15, [Monomial.variable(j, 15) for j in range(1, 16)]))
         assert decoded[0] == 0
+
+    def test_bottom_and_top_decode_nothing(self, decoded):
+        """bottom is the unit and top the lcm the constructor checked: reading
+        them decodes no element."""
+        for I in small_family() + past_one_byte():
+            L = build_lcm_lattice(I)
+            bottom, top = L.bottom, L.top
+            assert decoded[0] == 0, I
+            assert (bottom, top) == (L.elements[0], L.elements[-1]), I
+            decoded[0] = 0
 
     def test_law_harness_decodes_nothing(self, decoded):
         for I in small_family():

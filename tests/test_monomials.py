@@ -27,6 +27,8 @@ from spreadpol import (
     spread_ideal,
 )
 from spreadpol import check_smooth_ideal, SmoothCertificate, SmoothWitness
+from spreadpol import (adjoin_disjoint, check_smooth, product_construct, verify_certificate,
+                       verify_spreading_laws)
 from spreadpol.cli import format_ideal, parse_ideal
 from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from genutils import random_ci_ideal, random_ideal, random_monomial, small_family
@@ -111,6 +113,31 @@ class TestMonomialBasics:
                 build()
         with pytest.raises(BadParameterError, match="non-integer variable index"):
             Monomial.variable(1.0, 2)
+
+    @pytest.mark.parametrize("bad", [2.0, 2.5, "2"])
+    def test_non_integer_parameters_refused(self, bad):
+        # each parameter is read through operator.index where it enters;
+        # verify_spreading_laws(I, [2.5]) used to report a "t=2.5" row, and the
+        # rest raised a raw TypeError or accepted 2.0 as 2
+        I, u, x2 = MonomialIdeal(2, [M(2, 0), M(1, 1)]), M(1, 1), M(0, 1)
+        cert = check_smooth([u], 2)
+        for call in (
+            lambda: verify_spreading_laws(I, [bad]),
+            lambda: MonomialIdeal(bad, I.generators),
+            lambda: spread_ideal(I, bad),
+            lambda: sigma_t(u, bad),
+            lambda: polarize(u, bad, 2),
+            lambda: polarize(u, 2, bad),
+            lambda: u.in_ambient(bad),
+            lambda: check_smooth([u], bad),
+            lambda: verify_certificate([u], bad, cert),
+            lambda: embed_spread(I, bad),
+            lambda: adjoin_disjoint(MonomialIdeal(1, [M(1)]), x2, bad),
+            lambda: product_construct([M(1)], 1, [x2], bad),
+            lambda: product_construct([u], bad, [M(0, 0, 1)], 3),
+        ):
+            with pytest.raises(BadParameterError, match="non-integer"):
+                call()
 
     def test_overflow_is_too_large(self):
         with pytest.raises(TooLargeError):
