@@ -12,10 +12,11 @@ is a union of variables.  So each element is stored as a Python int, the set
 of polarized variables of its exponent vector: the join is one OR and
 divisibility is a subset test.  Elements are listed in increasing code
 order, which is lexicographic order of the exponent vectors and puts every
-divisor before its multiples.  Each element also carries two int bitmasks:
-its atom support, built by the constructor, and the elements below it,
-built for all elements when first read, as the isomorphism test and the
-collapse map never read it.
+divisor before its multiples.  Each element carries its atom support, an
+int bitmask built by the constructor, which answers the order, the meet,
+the isomorphism test and the collapse map.  Only the Hasse edges (covers)
+read a second bitmask, the elements below each one, built for all
+elements when first read.
 
 Codes and rows are converted in bulk, a column at a time, by the one
 encoder of lcm codes in taylor.py, which the Betti numbers share: the
@@ -25,20 +26,19 @@ a of every int in a list as one int: it makes the atom codes from the
 threshold masks and the atoms' up-sets from the atom supports.  Exponent
 vectors are made only when asked for (taylor._decode): per distinct column
 of the atom rows, one pass over all the codes reads each field's rank, and
-one zip makes the rows.  A down-set, the collapse map's image of an
-element and an isomorphism's image of a support are ORs over an atom
-support, read per 4 atoms from a table of the 16 subset ORs (_subset_ors).
+one zip makes the rows.  A down-set, the code of a meet, the collapse
+map's image of an element and an isomorphism's image of a support are ORs
+over an atom support, read per 4 atoms from a table of the 16 subset ORs
+(_subset_ors).
 
 An atomistic lattice is fixed by its family of atom supports: u <= v iff
-support(u) is contained in support(v), and an isomorphism is a permutation
-of atoms carrying one family onto the other.  is_isomorphic first tries
-the atom order it is given, as one set comparison; failing that,
-_atom_image searches for a permutation carrying one set family onto
-another: is_isomorphic gives it the supports, the law harness the
-irreducible threshold masks, a smaller family that decides the same (see
-_irreducible).  The common lower bounds below(u) & below(v) are the
-down-set of the meet, whose index is their highest bit, so no gcd is
-needed.
+support(u) is contained in support(v), the meet is the element whose
+support is support(u) & support(v) (see LcmLattice.meet), and an
+isomorphism is a permutation of atoms carrying one family onto the other.
+_atom_image finds one: it first tries the atom order it is given, as one
+set comparison, and only failing that searches.  is_isomorphic gives it
+the supports, the law harness the irreducible threshold masks, a smaller
+family that decides the same (see _irreducible).
 
 A map f out of an atomistic lattice with f(bottom) = bottom preserves all
 joins iff f(s join a) = f(s) join f(a) for every element s and atom a (the
@@ -69,14 +69,9 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Mapping, Sequence
 
-from .errors import (
-    BadParameterError,
-    InvariantViolation,
-    TooLargeError,
-    WellDefinednessViolation,
-)
-from .monomials import (Monomial, MonomialIdeal, _check_ambient_cap, _image, _spread_indices,
-                        spread_ideal)
+from .errors import BadParameterError, TooLargeError, WellDefinednessViolation
+from .monomials import (Monomial, MonomialIdeal, _check_ambient_cap, _image, _integer,
+                        _spread_indices, spread_ideal)
 from .smooth import _blocks
 from .taylor import (MAX_TAYLOR_ATOMS, _atom_codes, _columns, _decode, _decode_fields,
                      _homology, _transpose)
@@ -118,16 +113,16 @@ class LcmLattice:
     taylor._decode_fields makes of the atom rows).  The down-set masks
     `_below` are built on first read too, all at once: one transpose of the
     supports gives the atoms' up-sets, and 4-atom OR tables of those give
-    each down-set.  Only `leq`, `meet` and `covers` (so `hasse_dot`) read
-    them.  The isomorphism test, the collapse map and the Betti numbers work
-    on codes and supports alone.  `_columns` keeps the masks the codes come
-    from, which the Betti table `_betti` passes to taylor._homology with the
-    kept atom codes.  The
-    masks, the transpose, the codes and the decode fields are made in
-    taylor.py alone.
+    each down-set.  Only `covers` (so `hasse_dot`) reads them.  The order,
+    the meet, the isomorphism test, the collapse map and the Betti numbers
+    work on codes and supports alone.  `_columns` keeps the masks the codes
+    come from, which the Betti table `_betti` passes to taylor._homology
+    with the kept atom codes.  The masks, the transpose, the codes and the
+    decode fields are made in taylor.py alone.
     """
 
     def __init__(self, ambient: int, atoms: tuple[Monomial, ...]):
+        ambient = _integer(ambient, "ambient")
         if any(a.ambient != ambient for a in atoms):
             raise BadParameterError(f"every atom must lie in ambient {ambient}")
         self.ambient = ambient
@@ -150,7 +145,6 @@ class LcmLattice:
             raise BadParameterError("atoms must be pairwise incomparable non-units")
         self._codes = sorted(support)
         self._at = {c: k for k, c in enumerate(self._codes)}
-        self._atom_at = tuple(self._at[g] for g in codes)
         self._support = tuple(support[c] for c in self._codes)
         self._covers = None
         self.top = Monomial(_lcm(rows, ambient), ambient)  # the one full check: the rest divide it
@@ -192,7 +186,7 @@ class LcmLattice:
         of the union of the up-sets of the atoms outside support(u).  The
         up-set of atom a is bit a of each support, the last element's the
         most significant: one transpose."""
-        m = len(self._atom_at)
+        m = len(self.atoms)
         full, atoms = (1 << len(self._codes)) - 1, (1 << m) - 1
         ups = _transpose(self._support[::-1], m)
         return [full ^ u for u in _subset_ors(ups, [atoms ^ s for s in self._support])]
@@ -203,7 +197,7 @@ class LcmLattice:
         of the quotient, built when first read by one pass of the element
         matchings (taylor._homology) over the atom codes and the threshold
         masks; TooLargeError past MAX_TAYLOR_ATOMS atoms."""
-        m = len(self._atom_at)
+        m = len(self.atoms)
         if m > MAX_TAYLOR_ATOMS:
             raise TooLargeError(f"{m} atoms exceed the Betti cap of {MAX_TAYLOR_ATOMS}")
         _, groups = _homology(self._columns, self._atom_code)
@@ -216,26 +210,27 @@ class LcmLattice:
     def atom_support(self, u: Monomial) -> frozenset[int]:
         """Indices of the atoms lying below u (the maximal atom subset)."""
         mask = self._support[self.index(u)]
-        return frozenset(a for a in range(len(self._atom_at)) if mask >> a & 1)
+        return frozenset(a for a in range(len(self.atoms)) if mask >> a & 1)
 
     def leq(self, u: Monomial, v: Monomial) -> bool:
-        i, j = self.index(u), self.index(v)
-        return bool(self._below[j] >> i & 1)
+        """u <= v iff the atom support of u lies inside that of v."""
+        return not self._support[self.index(u)] & ~self._support[self.index(v)]
 
     def join(self, u: Monomial, v: Monomial) -> Monomial:
-        return self.elements[self._join(self.index(u), self.index(v))]
+        code = self._codes[self.index(u)] | self._codes[self.index(v)]
+        return self.elements[self._at[code]]
 
     def meet(self, u: Monomial, v: Monomial) -> Monomial:
-        """Greatest common lower bound inside the lattice (not the gcd)."""
-        i, j = self.index(u), self.index(v)
-        common = self._below[i] & self._below[j]
-        w = common.bit_length() - 1
-        if w < 0 or common != self._below[w]:
-            raise InvariantViolation(f"meet of {u}, {v} escaped the lattice")
-        return self.elements[w]
+        """Greatest common lower bound inside the lattice (not the gcd): the
+        element whose atom support is the common part S of the supports.
 
-    def _join(self, i: int, j: int) -> int:
-        return self._at[self._codes[i] | self._codes[j]]
+        Supports are closed under intersection: the atoms of S divide u and
+        v, so they divide gcd(u, v), and so does their lcm w, whose support is
+        therefore S exactly.  Every element below u and v has its support
+        inside S, so it lies below w.  The code of w is the OR of the codes of
+        the atoms of S."""
+        common = self._support[self.index(u)] & self._support[self.index(v)]
+        return self.elements[self._at[_subset_ors(self._atom_code, [common])[0]]]
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges as (lower, upper) element index pairs."""
@@ -371,21 +366,16 @@ def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | 
     """Search for a join- and meet-preserving bijection between two lattices.
 
     An isomorphism of atomistic lattices is a bijection of atoms carrying
-    the family of atom supports of L1 onto that of L2.  The given atom order
-    is tried first: if the two families are equal, atom k goes to atom k,
-    which is also the first bijection the search would find.  Otherwise
-    _atom_image searches, on the nonempty supports.  Returns the witnessing
-    element bijection, decoded only on a hit, or None.
+    the family of atom supports of L1 onto that of L2, which _atom_image
+    finds on the nonempty supports, the given atom order first.  Returns the
+    witnessing element bijection, decoded only on a hit, or None.
     """
-    m = len(L1._atom_at)
-    if len(L1) != len(L2) or m != len(L2._atom_at):
+    m = len(L1.atoms)
+    if len(L1) != len(L2) or m != len(L2.atoms):
         return None
-    if set(L1._support) == set(L2._support):  # the given atom order already fits
-        image = [1 << a for a in range(m)]
-    else:
-        image = _atom_image(L1._support[1:], L2._support[1:], m)
-        if image is None:
-            return None
+    image = _atom_image(L1._support[1:], L2._support[1:], m)
+    if image is None:
+        return None
     target = dict(zip(L2._support, L2.elements))
     return {e: target[s] for e, s in zip(L1.elements, _subset_ors(image, L1._support))}
 
@@ -393,6 +383,11 @@ def is_isomorphic(L1: LcmLattice, L2: LcmLattice) -> dict[Monomial, Monomial] | 
 def _atom_image(A: Sequence[int], B: Sequence[int], m: int) -> list[int] | None:
     """A bijection of m atoms carrying the set family A onto B, each family
     a sequence of distinct nonempty atom sets as bitmasks.
+
+    If the two families are equal as sets, atom a goes to atom a at once.
+    That identity is also the first bijection the search below would
+    return: at every level the identity is tried first, and it passes every
+    partial check.
 
     The atoms of A are assigned in order, each to the first free atom of B
     for which the members made of assigned atoms correspond both ways: each
@@ -402,8 +397,11 @@ def _atom_image(A: Sequence[int], B: Sequence[int], m: int) -> list[int] | None:
     onto B.  Returns the first one, image[a] the bit of the B atom of atom
     a, or None.  is_isomorphic passes the nonempty atom supports of two
     lattices, the law harness their irreducible threshold masks, a family
-    that decides the same (see _irreducible).
+    that decides the same (see _irreducible); both get the given order
+    first.
     """
+    if set(A) == set(B):
+        return [1 << a for a in range(m)]
     closing: list[list[list[int]]] = [[] for _ in range(m)]
     for s in A:  # each member, under its highest atom
         closing[s.bit_length() - 1].append([a for a in range(m) if s >> a & 1])

@@ -392,6 +392,7 @@ def _spread_indices(u: Monomial, t: int) -> list[int]:
 
 def is_t_spread(u: Monomial, t: int) -> bool:
     """True iff consecutive sorted indices differ by at least t."""
+    t = _integer(t, "t")
     if t < 0:
         raise BadParameterError("t must be >= 0")
     idx = u.indices
@@ -468,19 +469,24 @@ def polarize_ideal(I: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._from_minimal(n * d, images)  # u | v iff pol(u) | pol(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpreadEmbedding:
     """The variable re-embedding x_j -> x_{phi(j)} of T_{n*d} into T_{t*d}.
 
     phi(j) = floor((j-1)/n)*(t-n) + j, strictly increasing, and carries the
-    n-spread of an ideal onto its t-spread for every t >= n.
+    n-spread of an ideal onto its t-spread for every t >= n.  The
+    constructor reads n, t and d through _integer, as phi reads j.
     """
 
     n: int
     t: int
     d: int
 
+    def __init__(self, n: int, t: int, d: int):
+        vars(self).update(n=_integer(n, "n"), t=_integer(t, "t"), d=_integer(d, "d"))
+
     def phi(self, j: int) -> int:
+        j = _integer(j, "index")
         if not 1 <= j <= self.n * self.d:
             raise BadParameterError(f"index {j} outside 1..{self.n * self.d}")
         return (j - 1) // self.n * (self.t - self.n) + j

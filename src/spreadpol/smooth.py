@@ -337,6 +337,7 @@ def adjoin_pure_powers_condition(
     spreadable, so is the ideal extended by the pure powers.
     """
     n = I.ambient
+    powers = [(_integer(j, "variable index"), _integer(e, "power exponent")) for j, e in powers]
     if any(j2 <= j1 for (j1, _), (j2, _) in zip(powers, powers[1:])):
         raise BadParameterError("power variables must be strictly increasing")
     for j, e in powers:

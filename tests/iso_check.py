@@ -8,11 +8,15 @@ bijection carrying the irreducible threshold masks of the ideal
 n-spread (of ``lattices._spread_columns``), found by ``lattices._atom_image``.
 It compares that verdict with ``spreadpol.is_isomorphic`` on the two built
 lcm-lattices, the source's and that of the n-spread built by
-``spread_ideal``.  On the same two lattices it also compares the verdict of
-``spreadpol.build_delta``, which reads the threshold masks alone
-(``lattices._uncovered``), with support inclusion (a collapse map exists iff
-every atom support of the source is one of the spread), and the two-way
-mask test with support equality (a fixed-order isomorphism, spread atom k
+``spread_ideal``.  Both go through ``_atom_image``, which tries the given
+atom order first, so the image is also checked on its own terms: it is the
+identity exactly when the two atom-support families are equal, and each
+image it returns is a bijection of atoms carrying the irreducible masks of
+the ideal onto those of its n-spread.  On the same two lattices it also
+compares the verdict of ``spreadpol.build_delta``, which reads the
+threshold masks alone (``lattices._uncovered``), with support inclusion (a
+collapse map exists iff every atom support of the source is one of the
+spread), and the two-way mask test with support equality (a fixed-order isomorphism, spread atom k
 to source atom k).  Each collapse map it builds must pass
 ``spreadpol.verify_delta``, and its Monomial map must equal the reference
 built from divisibility (``oracles.delta_by_divisibility``); where there is
@@ -25,12 +29,12 @@ atom.  It needs only the standard library:
 
     python3 tests/iso_check.py
 
-It prints the number of ideals, of isomorphic pairs, of collapse maps
-verified and of reference maps refused, of fixed-order isomorphisms, and
-of principal ideals whose two maps are judged right, and exits 1 on the
-first disagreement.  The script imports ``spreadpol`` from the ``src``
-directory next to it; its name does not match ``test_*.py``, so pytest
-does not collect it.
+It prints the number of ideals, of isomorphic pairs, of identity images
+and of images checked, of collapse maps verified and of reference maps
+refused, of fixed-order isomorphisms, and of principal ideals whose two
+maps are judged right, and exits 1 on the first disagreement.  The script
+imports ``spreadpol`` from the ``src`` directory next to it; its name does
+not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -64,10 +68,12 @@ def columns(I) -> tuple[list[list[int]], list[list[int]]]:
     return source, _spread_columns([_blocks(u) for u in I.generators], I.ambient)
 
 
-def mask_verdict(I) -> bool:
-    """The harness's verdict: its irreducible masks against the sweep's."""
-    source, spread = columns(I)
-    return _atom_image(_irreducible(source), _irreducible(spread), len(I.generators)) is not None
+def carries(image: list[int], A: list[int], B: list[int]) -> bool:
+    """Whether image, one atom bit per atom, is a bijection of the atoms
+    carrying the mask family A onto B."""
+    m = len(image)
+    moved = {sum(image[a] for a in range(m) if x >> a & 1) for x in A}
+    return sorted(image) == [1 << b for b in range(m)] and moved == set(B)
 
 
 def collapse_map(I) -> LatticeMap | None:
@@ -79,12 +85,23 @@ def collapse_map(I) -> LatticeMap | None:
 
 def main() -> int:
     ideals = antichain_family(4)
-    isomorphic = collapses = fixed = 0
+    isomorphic = identities = collapses = fixed = 0
     for I in ideals:
         L, LS = build_lcm_lattice(I), build_lcm_lattice(spread_ideal(I, I.ambient))
         want = is_isomorphic(L, LS) is not None
-        if mask_verdict(I) != want:
+        source, spread = columns(I)
+        A, B = _irreducible(source), _irreducible(spread)  # the harness's verdict
+        image = _atom_image(A, B, len(I.generators))
+        if (image is not None) != want:
             print(f"mask verdict {not want}, lattice isomorphism {want} on {I}")
+            return 1
+        equal = set(L._support) == set(LS._support)
+        identity = image == [1 << a for a in range(len(I.generators))]
+        if identity != equal:
+            print(f"harness image is the identity: {identity}, support equality {equal} on {I}")
+            return 1
+        if image is not None and not carries(image, A, B):
+            print(f"the harness image {image} does not carry the irreducible masks of {I}")
             return 1
         inclusion = set(L._support) <= set(LS._support)
         delta = collapse_map(I)
@@ -103,12 +120,11 @@ def main() -> int:
         elif delta.mapping != reference:
             print(f"the collapse map of {I} differs from the divisibility reference")
             return 1
-        source, spread = columns(I)
-        equal = set(L._support) == set(LS._support)
         if (_uncovered(source, spread) is None and _uncovered(spread, source) is None) != equal:
             print(f"two-way mask test {not equal}, support equality {equal} on {I}")
             return 1
         isomorphic += want
+        identities += identity
         collapses += inclusion
         fixed += equal
     principal = [MonomialIdeal.from_exponents(4, [v])
@@ -123,7 +139,8 @@ def main() -> int:
         if verify_delta(swap):
             print(f"verify_delta accepts the map of {I} that swaps the bottom and the top")
             return 1
-    print(f"{len(ideals)} ideals agree, {isomorphic} isomorphic, {collapses} collapse maps verified "
+    print(f"{len(ideals)} ideals agree, {isomorphic} isomorphic, {identities} identity images and "
+          f"{isomorphic} carrying the irreducible masks, {collapses} collapse maps verified "
           f"and {len(ideals) - collapses} refused, {fixed} fixed-order isomorphisms, "
           f"{len(principal)} principal ideals with the collapse map verified and the swap refused")
     return 0

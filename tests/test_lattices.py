@@ -70,6 +70,15 @@ def past_one_byte() -> list[MonomialIdeal]:
     return family + [staircase_ideal(rng, m) for m in (9, 10, 12, 16)]
 
 
+def order_family() -> list[MonomialIdeal]:
+    """Seeded small ideals, the n-spreads of every fourth, and
+    pair_lcm_ideal(5), where two disjoint pairs meet at the bottom although
+    their gcd is not 1."""
+    rng = random.Random(23)
+    family = [random_ideal(rng, rng.randint(1, 3), rng.randint(1, 3), 2) for _ in range(20)]
+    return family + [spread_ideal(I, I.ambient) for I in family[::4]] + [pair_lcm_ideal(5)]
+
+
 class TestBuild:
     def test_elements_are_plain_monomials(self):
         """Elements built without the full check equal, and hash like, the
@@ -233,9 +242,7 @@ class TestJoinMeet:
         assert L.meet(M(1, 1, 0), M(0, 1, 1)) == M(0, 0, 0)
 
     def test_meet_glb_property(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            I = random_ideal(rng, rng.randint(1, 3), rng.randint(1, 3), 2)
+        for I in order_family():
             L = build_lcm_lattice(I)
             for u in L.elements:
                 for v in L.elements:
@@ -756,6 +763,11 @@ class TestLatticeAccess:
         L = build_lcm_lattice(ideal(2, [(1, 0), (0, 1)]))
         assert L.leq(L.bottom, L.top)
         assert not L.leq(M(1, 0), M(0, 1))
+        for I in order_family():
+            L = build_lcm_lattice(I)
+            for u in L.elements:
+                for v in L.elements:
+                    assert L.leq(u, v) == u.divides(v), (I, u, v)
 
 
 @pytest.fixture
@@ -920,21 +932,17 @@ class TestLazyMasks:
         assert collapsed and verified
 
     def test_first_read_builds_the_slab_masks(self, monkeypatch):
-        reads = [
-            lambda L: L.covers(),
-            lambda L: L.leq(L.bottom, L.top),
-            lambda L: L.meet(L.atoms[0], L.top),
-        ]
+        # covers builds the down-sets; the order and the meet read supports
         rng = random.Random(44)
         family = [random_ideal(rng, rng.randint(2, 4), rng.randint(2, 6), 3) for _ in range(10)]
         family += [pair_lcm_ideal(5), spread_ideal(pair_lcm_ideal(4), 6)]
         for I in family:
-            below = lattice_masks_by_slabs(I.ambient, I.generators)[1]
-            for read in reads:
-                L = build_lcm_lattice(I)
-                assert "_below" not in L.__dict__
-                read(L)
-                assert L.__dict__["_below"] == below, I
+            L = build_lcm_lattice(I)
+            L.leq(L.bottom, L.top)
+            L.meet(L.atoms[0], L.top)
+            assert "_below" not in L.__dict__
+            L.covers()
+            assert L.__dict__["_below"] == lattice_masks_by_slabs(I.ambient, I.generators)[1], I
         # the Betti numbers read codes and masks alone
         built = []
         monkeypatch.setattr(invariants, "build_lcm_lattice",

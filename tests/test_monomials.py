@@ -27,8 +27,9 @@ from spreadpol import (
     spread_ideal,
 )
 from spreadpol import check_smooth_ideal, SmoothCertificate, SmoothWitness
-from spreadpol import (adjoin_disjoint, check_smooth, product_construct, verify_certificate,
-                       verify_spreading_laws)
+from spreadpol import (LcmLattice, SpreadEmbedding, adjoin_disjoint,
+                       adjoin_pure_powers_condition, check_smooth, product_construct,
+                       verify_certificate, verify_spreading_laws)
 from spreadpol.cli import format_ideal, parse_ideal
 from spreadpol.monomials import MAX_AMBIENT, MAX_DEGREE, MAX_EXPONENT
 from genutils import random_ci_ideal, random_ideal, random_monomial, small_family
@@ -117,8 +118,9 @@ class TestMonomialBasics:
     @pytest.mark.parametrize("bad", [2.0, 2.5, "2"])
     def test_non_integer_parameters_refused(self, bad):
         # each parameter is read through operator.index where it enters;
-        # verify_spreading_laws(I, [2.5]) used to report a "t=2.5" row, and the
-        # rest raised a raw TypeError or accepted 2.0 as 2
+        # verify_spreading_laws(I, [2.5]) used to report a "t=2.5" row,
+        # is_t_spread(u, 2.5) returned False, SpreadEmbedding(2, 3.0, 2) had a
+        # float table, and the rest raised a raw TypeError or accepted 2.0 as 2
         I, u, x2 = MonomialIdeal(2, [M(2, 0), M(1, 1)]), M(1, 1), M(0, 1)
         cert = check_smooth([u], 2)
         for call in (
@@ -135,6 +137,14 @@ class TestMonomialBasics:
             lambda: adjoin_disjoint(MonomialIdeal(1, [M(1)]), x2, bad),
             lambda: product_construct([M(1)], 1, [x2], bad),
             lambda: product_construct([u], bad, [M(0, 0, 1)], 3),
+            lambda: is_t_spread(u, bad),
+            lambda: SpreadEmbedding(bad, 3, 2),
+            lambda: SpreadEmbedding(2, bad, 2),
+            lambda: SpreadEmbedding(2, 3, bad),
+            lambda: SpreadEmbedding(2, 3, 2).phi(bad),
+            lambda: adjoin_pure_powers_condition(I, [(bad, 3)]),
+            lambda: adjoin_pure_powers_condition(I, [(2, bad)]),
+            lambda: LcmLattice(bad, I.generators),
         ):
             with pytest.raises(BadParameterError, match="non-integer"):
                 call()
